@@ -126,7 +126,7 @@ impl Json {
     ///
     /// [`JsonError`] with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
@@ -250,6 +250,7 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -359,6 +360,16 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte with one slice. A run ends at an ASCII byte or at the
+            // end of input, so both its ends are char boundaries.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -408,29 +419,21 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Decode one UTF-8 scalar from the (valid, since
-                    // input is &str) byte stream.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character")),
             }
         }
     }
 
+    /// Reads exactly four ASCII hex digits.
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        let Some(digits) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(self.err("truncated \\u escape"));
+        };
+        let mut unit = 0;
+        for &d in digits {
+            let v = char::from(d).to_digit(16).ok_or_else(|| self.err("bad \\u escape"))?;
+            unit = (unit << 4) | v;
         }
-        let digits = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("bad \\u escape"))?;
-        let unit = u32::from_str_radix(digits, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(unit)
     }
@@ -459,8 +462,7 @@ impl Parser<'_> {
             }
             self.digits()?;
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        let text = &self.text[start..self.pos];
         if !fractional {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -579,9 +581,39 @@ mod tests {
             "1 2",
             "nullx",
             "\"a\u{0}b\"",
+            "\"\\u+041\"",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn string_errors_after_long_runs_keep_their_offsets() {
+        // 10 bytes per repetition: ASCII, 2-, 3- and 4-byte UTF-8.
+        let run = "a\u{e9}\u{4e2d}\u{1f600}".repeat(1000);
+        for (text, at, msg) in [
+            (format!("\"{run}"), 10_001, "unterminated string"),
+            (format!("\"{run}\u{1}{run}\""), 10_001, "unescaped control character"),
+            (format!("\"{run}\\q{run}\""), 10_002, "invalid escape"),
+        ] {
+            assert_eq!(Json::parse(&text), Err(JsonError { at, msg: msg.into() }));
+        }
+    }
+
+    #[test]
+    fn body_cap_string_parses_in_linear_time() {
+        // A program-shaped string filling the whole body cap: plain
+        // runs with a multi-byte character, broken by `\n` escapes.
+        let line = "    addi r1, r1, 1 ; \u{3bb}\\n";
+        let cap = crate::http::MAX_BODY_BYTES as usize;
+        let lines = (cap - 2) / line.len();
+        let text = format!("\"{}\"", line.repeat(lines));
+        let start = std::time::Instant::now();
+        let value = parse(&text);
+        let elapsed = start.elapsed();
+        let expected = "    addi r1, r1, 1 ; \u{3bb}\n".repeat(lines);
+        assert_eq!(value.as_str(), Some(expected.as_str()));
+        assert!(elapsed.as_secs_f64() < 2.0, "8 MiB string took {elapsed:?}");
     }
 
     #[test]

@@ -568,7 +568,9 @@ fn run_interleaved(
         }
     }
 
-    let deadline = Instant::now() + spec.timeout;
+    // A timeout too large to add to the clock means no deadline, as
+    // in pool mode.
+    let deadline = Instant::now().checked_add(spec.timeout);
     loop {
         let live = batch.step_round(DEFAULT_STRIDE);
         for (lane, outcome) in batch.drain_finished() {
@@ -598,7 +600,7 @@ fn run_interleaved(
         if live == 0 {
             break;
         }
-        if Instant::now() > deadline {
+        if deadline.is_some_and(|d| Instant::now() > d) {
             // Abandon the still-running lanes; each reports a timeout.
             for &(lane, index) in &lane_index {
                 if batch.remove(lane).is_some() {

@@ -16,9 +16,18 @@ const TRICKY_CHARS: &[char] = &[
     '€', '中', '\u{ffff}', '😀', '𝄞',
 ];
 
+/// Strings of up to a few KiB: single tricky characters mixed with long
+/// plain runs of ASCII and of 2-, 3- and 4-byte UTF-8, so escapes land
+/// at the start, middle and end of the runs the decoder copies whole.
 fn arb_string() -> impl Strategy<Value = String> {
-    proptest::collection::vec(proptest::sample::select(TRICKY_CHARS.to_vec()), 0..12)
-        .prop_map(|chars| chars.into_iter().collect())
+    let piece = prop_oneof![
+        4 => proptest::sample::select(TRICKY_CHARS.to_vec()).prop_map(String::from),
+        1 => "[a-zA-Z0-9 ]{0,600}",
+        1 => "[α-ω]{0,200}",
+        1 => "[ぁ-ゖ]{0,150}",
+        1 => "[😀-😏]{0,100}",
+    ];
+    proptest::collection::vec(piece, 0..16).prop_map(|pieces| pieces.concat())
 }
 
 /// Finite floats, weighted toward the edge cases that break naive

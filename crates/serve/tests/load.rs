@@ -206,6 +206,44 @@ fn hostile_and_failing_traffic_is_isolated() {
     assert_eq!(outcome.failed, 1);
     assert!(outcome.rows[0].outcome.is_err());
 
+    // Slot sets are 64-bit masks: 65 slots fails its row at once with a
+    // configuration error, while the 64-slot row beside it runs.
+    for mode in [Mode::Pool, Mode::Interleaved] {
+        let wide = SubmitRequest {
+            name: "wide.s".into(),
+            program: PROGRAM.into(),
+            slots: vec![65, 64],
+            ls: vec![1],
+            mode,
+            timeout_secs: Some(60),
+            trace: false,
+        };
+        let start = std::time::Instant::now();
+        let outcome = submit(&addr, &wide, &mut |_, _| {}).expect("stream completes");
+        assert!(start.elapsed().as_secs() < 30, "{mode:?} took {:?}", start.elapsed());
+        assert_eq!(outcome.failed, 1, "{mode:?}");
+        let err = outcome.rows[0].outcome.as_ref().expect_err("65 slots must fail");
+        assert!(err.contains("thread_slots (65) exceeds"), "{mode:?}: {err}");
+        assert!(outcome.rows[1].outcome.is_ok(), "{mode:?}");
+    }
+
+    // A timeout too large to add to the clock means no deadline. Three
+    // of them outnumber the two HTTP workers, so a worker lost to one
+    // would leave the healthy submission below without an answer.
+    let unbounded = SubmitRequest {
+        name: "unbounded.s".into(),
+        program: PROGRAM.into(),
+        slots: vec![1],
+        ls: vec![1],
+        mode: Mode::Interleaved,
+        timeout_secs: Some(i64::MAX as u64),
+        trace: false,
+    };
+    for _ in 0..3 {
+        let outcome = submit(&addr, &unbounded, &mut |_, _| {}).expect("stream completes");
+        assert_eq!(outcome.failed, 0);
+    }
+
     // The daemon still serves healthy traffic afterwards.
     let good = SubmitRequest {
         name: "good.s".into(),
@@ -221,7 +259,8 @@ fn hostile_and_failing_traffic_is_isolated() {
     assert!(outcome.rows[0].outcome.is_ok());
 
     let stats = fetch_stats(&addr).expect("stats");
-    assert_eq!(stats.get("jobs_failed").and_then(Json::as_u64), Some(1));
+    // The looping job and the two 65-slot rows.
+    assert_eq!(stats.get("jobs_failed").and_then(Json::as_u64), Some(3));
 
     shutdown(&addr).expect("shutdown");
     handle.join().expect("daemon thread").expect("clean exit");

@@ -8,6 +8,12 @@ use hirata_isa::{FuClass, FuConfig, RotationMode};
 /// [`Config::validate`] rejects deeper configurations.
 pub const MAX_STANDBY_DEPTH: usize = 8;
 
+/// Maximum number of thread slots. Per-slot sets such as the ready
+/// frontier and the trace's competitor sets are 64-bit masks
+/// ([`crate::trace::SlotSet`]); [`Config::validate`] rejects wider
+/// machines.
+pub const MAX_THREAD_SLOTS: usize = 64;
+
 /// Which instruction pipeline the processor uses (Figure 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineKind {
@@ -241,6 +247,12 @@ impl Config {
         if self.thread_slots == 0 {
             return Err(ConfigError("thread_slots must be at least 1".into()));
         }
+        if self.thread_slots > MAX_THREAD_SLOTS {
+            return Err(ConfigError(format!(
+                "thread_slots ({}) exceeds the supported maximum ({MAX_THREAD_SLOTS})",
+                self.thread_slots
+            )));
+        }
         if self.issue_width == 0 {
             return Err(ConfigError("issue_width must be at least 1".into()));
         }
@@ -351,6 +363,16 @@ mod tests {
         cfg.context_frames = 4;
         cfg.issue_width = 2;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn slot_count_is_capped_at_the_slot_mask_width() {
+        Config::multithreaded(MAX_THREAD_SLOTS).validate().unwrap();
+        let err = Config::multithreaded(MAX_THREAD_SLOTS + 1).validate().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: thread_slots (65) exceeds the supported maximum (64)"
+        );
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod trace;
 pub mod trace_driven;
 
 pub use batch::{LaneError, LaneResult, MachineBatch, DEFAULT_STRIDE};
-pub use config::{Config, ConfigError, PipelineKind, MAX_STANDBY_DEPTH};
+pub use config::{Config, ConfigError, PipelineKind, MAX_STANDBY_DEPTH, MAX_THREAD_SLOTS};
 pub use emu::{EmuOutcome, Emulator};
 pub use error::MachineError;
 pub use machine::{

@@ -33,8 +33,9 @@ use crate::stats::StallReason;
 
 /// A set of thread-slot indices packed into one 64-bit mask, so
 /// arbitration events carry their competitor/winner sets without heap
-/// allocation on the trace hot path. Slot indices must be below 64 —
-/// far above any configuration the simulator accepts.
+/// allocation on the trace hot path. Slot indices stay below 64:
+/// [`Config::validate`](crate::Config::validate) rejects more than
+/// [`MAX_THREAD_SLOTS`](crate::MAX_THREAD_SLOTS) slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SlotSet(u64);
 

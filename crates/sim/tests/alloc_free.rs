@@ -4,27 +4,39 @@
 //! memory chunk materialized), [`Machine::step`] performs zero heap
 //! allocations.
 //!
-//! The proof is a counting `#[global_allocator]`: every allocation in
-//! the whole test binary bumps an atomic counter, and the steady-state
-//! span of steps must not bump it at all. `unsafe` is confined to the
-//! thin allocator shim (the simulator crates themselves forbid it).
+//! The proof is a counting `#[global_allocator]`: every allocation
+//! bumps a counter of the thread that makes it, and the steady-state
+//! span of steps must not bump the probing thread's counter at all.
+//! The count is per thread because the tests run in parallel threads,
+//! whose allocations a process-wide count would charge to the probe.
+//! `unsafe` is confined to the thin allocator shim (the simulator
+//! crates themselves forbid it).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use hirata_sim::{Config, Machine, RingSink};
 use hirata_workloads::linked_list::{eager_program, ListShape};
 
-/// Counts every allocation and reallocation made by the test binary.
+/// Counts every allocation and reallocation, per thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so reading it never
+    // allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: defers entirely to the system allocator; the counter is a
-// relaxed atomic increment with no other side effects.
+// thread-local increment with no other side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -33,12 +45,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -46,8 +58,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// The Figure 6 eager loop is the ideal steady-state probe: it runs
