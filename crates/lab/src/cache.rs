@@ -1,42 +1,62 @@
 //! Content-addressed on-disk result cache / shared artifact store.
 //!
-//! Each successfully simulated job is stored as a small text file
-//! named by the job's content hash. The first line of every entry is
+//! Each successfully simulated job is stored as a small text entry
+//! keyed by the job's content hash. The first line of every entry is
 //! the cache schema tag; entries written under a different tag (an
 //! older serialization, or results from before a simulator-semantics
 //! change) fail the header check and read as misses, so stale entries
 //! self-invalidate without any explicit migration.
 //!
+//! Entries are appended to one log file per store directory,
+//! `pack-<generation>`: each record is an empty line, a header line
+//! `<key> <length> <digest>` (the digest is FNV-1a over the entry, in
+//! hex) and the entry's bytes. The empty line puts every header at the
+//! start of a line even after a torn write.
+//!
+//! A store therefore creates no file per entry. One file per entry, the
+//! layout of earlier versions, made the cost of a store depend on the
+//! filesystem's recent history: some filesystems scan recently freed
+//! inodes on every file creation, so a store written after many files
+//! were deleted took ten times as long. Per-key files left by earlier
+//! versions are not read; their jobs simulate and store again.
+//!
 //! A [`DiskCache`] handle is a cheap [`Arc`]-shared reference to one
 //! store, safe to clone across threads: the `hirata serve` daemon
 //! shares a single store between its HTTP workers, the batch engine,
-//! and the artifact endpoints. Concurrency safety comes from two
+//! and the artifact endpoints. Concurrency safety comes from three
 //! layers:
 //!
-//! - **writes are atomic** — every store goes to a process+sequence
-//!   unique temp file and is renamed into place, so a concurrent
-//!   reader (same process or another one) never observes a torn entry;
-//! - **the in-process index is lock-guarded** — eviction decisions,
-//!   byte accounting, and the hit/miss/eviction counters live behind
-//!   one mutex.
+//! - **appends are whole records** — every record goes to the log in
+//!   one append-mode write, and a reader checks each record's length
+//!   and digest, so no reader (same process or another one) takes a
+//!   torn or half-written record for an entry;
+//! - **the in-process index is lock-guarded** — the log handle, entry
+//!   offsets, eviction decisions, byte accounting, and the
+//!   hit/miss/eviction counters live behind one mutex;
+//! - **other writers are picked up on a miss** — a lookup for a key the
+//!   index lacks first indexes the records appended since the last
+//!   look.
 //!
 //! With a byte budget set ([`DiskCache::with_byte_budget`]) the store
 //! evicts least-recently-used entries after each write until it fits.
-//! Counters are per-process and surfaced by [`DiskCache::stats`] (the
-//! daemon's `/stats` endpoint).
+//! An eviction appends a tombstone (a record of length 0). Once the log
+//! holds more dead bytes than live ones, and more than `COMPACT_SLACK`
+//! (64 KiB), it is rewritten as the next generation; a process that
+//! still appends to the old generation loses those records, which read
+//! as misses later. Counters are per-process and surfaced by
+//! [`DiskCache::stats`] (the daemon's `/stats` endpoint).
 
 use std::collections::HashMap;
-use std::fs;
-use std::io;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::SystemTime;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use hirata_mem::MemStats;
 use hirata_sim::{RunStats, StallBreakdown, StallWindow};
 
-use crate::job::JobOutput;
+use crate::job::{fnv1a, JobOutput, FNV_OFFSET};
 
 /// Schema tag of the on-disk format. Bump on any change to the
 /// serialized fields *or* to simulator semantics that alters results
@@ -46,6 +66,13 @@ use crate::job::JobOutput;
 /// counters instead of seven) and entries carry the per-window stall
 /// attribution (`stall_windows=`).
 pub const CACHE_SCHEMA_TAG: &str = "hirata-lab-cache-v2";
+
+/// File-name prefix of the entry log; the log's generation follows it.
+const LOG_PREFIX: &str = "pack-";
+
+/// Dead log bytes a store with a byte budget leaves before it compacts
+/// the log.
+const COMPACT_SLACK: u64 = 64 * 1024;
 
 /// Default cache directory: `$HIRATA_LAB_CACHE` if set, else
 /// `target/lab-cache` under the current directory.
@@ -73,18 +100,33 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-/// One indexed entry: its size and its last-use stamp (monotonic
-/// per-process sequence; seeded from file modification times when an
+/// One indexed entry: where it starts in the current log, its size,
+/// the size of its whole record (header included), and its last-use
+/// stamp (monotonic per-process sequence; seeded from log order when an
 /// existing directory is opened).
 #[derive(Debug, Clone, Copy)]
 struct Entry {
+    offset: u64,
     size: u64,
+    record: u64,
     last_use: u64,
+}
+
+/// The open entry log.
+#[derive(Debug)]
+struct Log {
+    file: File,
+    generation: u64,
+    /// Bytes from the start of the log already indexed.
+    scanned: u64,
+    /// Bytes of the records the index points to.
+    live: u64,
 }
 
 #[derive(Debug, Default)]
 struct Index {
     entries: HashMap<String, Entry>,
+    log: Option<Log>,
     budget: Option<u64>,
     bytes: u64,
     clock: u64,
@@ -95,25 +137,38 @@ struct Index {
 }
 
 impl Index {
-    fn touch(&mut self, key: &str, size: u64) {
+    /// Indexes `key` at the record whose entry starts at `offset`.
+    fn insert(&mut self, key: &str, offset: u64, size: u64, record: u64) {
         self.clock += 1;
-        let clock = self.clock;
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                self.bytes = self.bytes - entry.size + size;
-                entry.size = size;
-                entry.last_use = clock;
-            }
-            None => {
-                self.entries.insert(key.to_owned(), Entry { size, last_use: clock });
-                self.bytes += size;
-            }
+        let entry = Entry { offset, size, record, last_use: self.clock };
+        if let Some(old) = self.entries.insert(key.to_owned(), entry) {
+            self.release(&old);
+        }
+        self.bytes += size;
+        if let Some(log) = self.log.as_mut() {
+            log.live += record;
         }
     }
 
-    fn forget(&mut self, key: &str) {
-        if let Some(entry) = self.entries.remove(key) {
-            self.bytes -= entry.size;
+    /// Marks `key` as just used.
+    fn touch(&mut self, key: &str) {
+        self.clock += 1;
+        if let Some(entry) = self.entries.get_mut(key) {
+            entry.last_use = self.clock;
+        }
+    }
+
+    /// Drops `key` from the index; false if it was not there.
+    fn forget(&mut self, key: &str) -> bool {
+        let Some(entry) = self.entries.remove(key) else { return false };
+        self.release(&entry);
+        true
+    }
+
+    fn release(&mut self, entry: &Entry) {
+        self.bytes -= entry.size;
+        if let Some(log) = self.log.as_mut() {
+            log.live -= entry.record;
         }
     }
 
@@ -124,6 +179,139 @@ impl Index {
             .filter(|(key, _)| key.as_str() != keep)
             .min_by_key(|(key, entry)| (entry.last_use, key.as_str().to_owned()))
             .map(|(key, _)| key.clone())
+    }
+
+    /// Switches to log `generation` and indexes it from the start.
+    fn open_log(&mut self, dir: &Path, generation: u64, create: bool) -> io::Result<()> {
+        let file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(create)
+            .open(log_path(dir, generation))?;
+        // Offsets into the previous log do not hold in this one.
+        self.entries.clear();
+        self.bytes = 0;
+        self.log = Some(Log { file, generation, scanned: 0, live: 0 });
+        self.scan_log();
+        Ok(())
+    }
+
+    /// Follows compactions made through other handles: switches to the
+    /// newest log generation on disk.
+    fn follow_generations(&mut self, dir: &Path) {
+        let mut next = self.log.as_ref().map_or(0, |log| log.generation + 1);
+        while log_path(dir, next).exists() {
+            if self.open_log(dir, next, false).is_err() {
+                return;
+            }
+            next += 1;
+        }
+    }
+
+    /// Indexes the records appended to the log since the last scan.
+    fn scan_log(&mut self) {
+        let Some(log) = self.log.as_mut() else { return };
+        let start = log.scanned;
+        let mut tail = Vec::new();
+        let read =
+            log.file.seek(SeekFrom::Start(start)).and_then(|_| log.file.read_to_end(&mut tail));
+        if read.is_err() {
+            return;
+        }
+        let (records, consumed) = parse_records(&tail);
+        log.scanned += consumed as u64;
+        for record in records {
+            if record.len == 0 {
+                self.forget(record.key);
+            } else {
+                self.insert(record.key, start + record.offset, record.len, record.record);
+            }
+        }
+    }
+
+    /// Appends one record for `key` (a tombstone if `body` is empty);
+    /// returns where its entry starts and the size of the record.
+    fn append(&mut self, dir: &Path, key: &str, body: &[u8]) -> io::Result<(u64, u64)> {
+        self.follow_generations(dir);
+        if self.log.is_none() {
+            self.open_log(dir, 0, true)?;
+        }
+        let log = self.log.as_mut().expect("log is open");
+        let header = record_header(key, body);
+        let mut record = Vec::with_capacity(header.len() + body.len());
+        record.extend_from_slice(header.as_bytes());
+        record.extend_from_slice(body);
+        log.file.write_all(&record)?;
+        // In append mode the file position ends where this write ended,
+        // wherever other writers' records put the start.
+        let end = log.file.stream_position()?;
+        let start = end - record.len() as u64;
+        if log.scanned == start {
+            log.scanned = end;
+        }
+        Ok((start + header.len() as u64, record.len() as u64))
+    }
+
+    /// The stored text of `key`; records written through other handles
+    /// are indexed first if `key` is unknown.
+    fn find(&mut self, dir: &Path, key: &str) -> Option<String> {
+        if !self.entries.contains_key(key) {
+            self.follow_generations(dir);
+            self.scan_log();
+        }
+        let entry = *self.entries.get(key)?;
+        read_at(&mut self.log.as_mut()?.file, entry.offset, entry.size)
+    }
+
+    /// Removes `key` to satisfy the budget. A failed tombstone only
+    /// means another handle may still find the entry.
+    fn evict(&mut self, dir: &Path, key: &str) {
+        if self.forget(key) {
+            self.evictions += 1;
+            let _ = self.append(dir, key, b"");
+        }
+    }
+
+    /// Whether the log's dead bytes exceed both its live bytes and
+    /// [`COMPACT_SLACK`].
+    fn log_is_sparse(&self) -> bool {
+        let Some(log) = self.log.as_ref() else { return false };
+        let Ok(meta) = log.file.metadata() else { return false };
+        meta.len().saturating_sub(log.live) > log.live.max(COMPACT_SLACK)
+    }
+
+    /// Rewrites the log as its next generation, live records only and
+    /// least recently used first, by way of the temp file `tmp`.
+    fn compact(&mut self, dir: &Path, tmp: &Path) -> io::Result<()> {
+        let Some(log) = self.log.as_mut() else { return Ok(()) };
+        let generation = log.generation;
+        let mut live: Vec<(String, Entry)> =
+            self.entries.iter().map(|(key, entry)| (key.clone(), *entry)).collect();
+        live.sort_by_key(|(_, entry)| entry.last_use);
+        let mut out = Vec::new();
+        let mut moved = Vec::with_capacity(live.len());
+        for (key, entry) in live {
+            let body = read_at(&mut log.file, entry.offset, entry.size)
+                .ok_or_else(|| io::Error::other(format!("entry {key} is unreadable")))?;
+            let header = record_header(&key, body.as_bytes());
+            let start = out.len() as u64;
+            out.extend_from_slice(header.as_bytes());
+            out.extend_from_slice(body.as_bytes());
+            moved.push((key, start + header.len() as u64));
+        }
+        fs::write(tmp, &out)?;
+        fs::rename(tmp, log_path(dir, generation + 1))?;
+        let file =
+            OpenOptions::new().read(true).append(true).open(log_path(dir, generation + 1))?;
+        let _ = fs::remove_file(log_path(dir, generation));
+        for (key, offset) in moved {
+            if let Some(entry) = self.entries.get_mut(&key) {
+                entry.offset = offset;
+            }
+        }
+        let size = out.len() as u64;
+        self.log = Some(Log { file, generation: generation + 1, scanned: size, live: size });
+        Ok(())
     }
 }
 
@@ -156,7 +344,11 @@ impl DiskCache {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let mut index = Index::default();
-        seed_index(&dir, &mut index);
+        if let Some(generation) = newest_log(&dir) {
+            // A log that vanished since the listing was compacted away
+            // through another handle; the next miss follows it.
+            let _ = index.open_log(&dir, generation, false);
+        }
         Ok(DiskCache {
             shared: Arc::new(Shared {
                 dir,
@@ -167,13 +359,17 @@ impl DiskCache {
         })
     }
 
+    fn index(&self) -> MutexGuard<'_, Index> {
+        self.shared.index.lock().expect("cache index")
+    }
+
     /// Caps the store at `bytes` of entries: after every write the
-    /// least-recently-used entries are deleted until the total fits.
+    /// least-recently-used entries are evicted until the total fits.
     /// The entry just written is evicted only if it alone exceeds the
     /// budget. Existing over-budget contents shrink on the next store.
     #[must_use]
     pub fn with_byte_budget(self, bytes: u64) -> Self {
-        self.shared.index.lock().expect("cache index").budget = Some(bytes);
+        self.index().budget = Some(bytes);
         self
     }
 
@@ -184,12 +380,12 @@ impl DiskCache {
 
     /// The configured byte budget, if any.
     pub fn byte_budget(&self) -> Option<u64> {
-        self.shared.index.lock().expect("cache index").budget
+        self.index().budget
     }
 
     /// A snapshot of the per-process counters.
     pub fn stats(&self) -> CacheStats {
-        let index = self.shared.index.lock().expect("cache index");
+        let index = self.index();
         CacheStats {
             hits: index.hits,
             misses: index.misses,
@@ -200,25 +396,17 @@ impl DiskCache {
         }
     }
 
-    /// Looks up a job output by content hash. Any missing file,
+    /// Looks up a job output by content hash. Any missing entry,
     /// header mismatch, or parse failure reads as a miss.
     pub fn load(&self, key: &str) -> Option<JobOutput> {
-        let out = self.load_uncounted(key);
-        let mut index = self.shared.index.lock().expect("cache index");
-        match &out {
-            // The filesystem is the source of truth (another process
-            // may have written the entry); mirror it into the index.
-            Some(_) => {
-                index.hits += 1;
-                let size = fs::metadata(self.entry_path(key)).map(|m| m.len()).unwrap_or(0);
-                index.touch(key, size);
-            }
-            None => {
-                index.misses += 1;
-                if !self.entry_path(key).exists() {
-                    index.forget(key);
-                }
-            }
+        let mut index = self.index();
+        let text = if valid_key(key) { index.find(&self.shared.dir, key) } else { None };
+        let out = text.and_then(|text| self.parse(&text));
+        if out.is_some() {
+            index.hits += 1;
+            index.touch(key);
+        } else {
+            index.misses += 1;
         }
         out
     }
@@ -227,14 +415,14 @@ impl DiskCache {
     /// (used by artifact endpoints that must not perturb eviction
     /// accounting, and internally).
     pub fn peek(&self, key: &str) -> Option<JobOutput> {
-        self.load_uncounted(key)
-    }
-
-    fn load_uncounted(&self, key: &str) -> Option<JobOutput> {
         if !valid_key(key) {
             return None;
         }
-        let text = fs::read_to_string(self.entry_path(key)).ok()?;
+        let text = self.index().find(&self.shared.dir, key)?;
+        self.parse(&text)
+    }
+
+    fn parse(&self, text: &str) -> Option<JobOutput> {
         let mut lines = text.lines();
         if lines.next()? != self.shared.tag {
             return None;
@@ -242,89 +430,181 @@ impl DiskCache {
         parse_entry(lines)
     }
 
-    /// Stores a job output under its content hash. The write is
-    /// atomic (unique temp file + rename) so concurrent readers and
-    /// writers — in this process or another sharing the directory —
-    /// never see a torn entry. With a byte budget set,
-    /// least-recently-used entries are evicted afterwards until the
-    /// store fits.
+    /// Stores a job output under its content hash by appending one
+    /// record to the log, so concurrent readers and writers — in this
+    /// process or another sharing the directory — never see a torn
+    /// entry. With a byte budget set, least-recently-used entries are
+    /// evicted afterwards until the store fits.
     pub fn store(&self, key: &str, out: &JobOutput) -> io::Result<()> {
         if !valid_key(key) {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, format!("bad key `{key}`")));
         }
         let body = render_entry(&self.shared.tag, out);
-        // The sequence number makes the temp name unique even for two
-        // threads of one process storing the same key concurrently.
-        let seq = self.shared.tmp_seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.shared.dir.join(format!(".tmp-{key}-{}-{seq}", std::process::id()));
-        fs::write(&tmp, &body)?;
-        fs::rename(&tmp, self.entry_path(key))?;
-
-        let mut index = self.shared.index.lock().expect("cache index");
+        let dir = &self.shared.dir;
+        let mut index = self.index();
+        let (offset, record) = index.append(dir, key, body.as_bytes())?;
         index.stores += 1;
-        index.touch(key, body.len() as u64);
+        index.insert(key, offset, body.len() as u64, record);
         if let Some(budget) = index.budget {
             while index.bytes > budget {
                 // Evict others first; the just-written entry goes only
                 // if it alone is over budget.
                 let Some(victim) = index.lru_victim(key) else { break };
-                let _ = fs::remove_file(self.entry_path(&victim));
-                index.forget(&victim);
-                index.evictions += 1;
+                index.evict(dir, &victim);
             }
             if index.bytes > budget {
-                let _ = fs::remove_file(self.entry_path(key));
-                index.forget(key);
-                index.evictions += 1;
+                index.evict(dir, key);
+            }
+            if index.log_is_sparse() {
+                // The sequence number keeps the temp name unique among
+                // the handles of this process. A failed compaction
+                // leaves the log as it was.
+                let seq = self.shared.tmp_seq.fetch_add(1, Ordering::Relaxed);
+                let tmp = dir.join(format!(".tmp-{LOG_PREFIX}{}-{seq}", std::process::id()));
+                if index.compact(dir, &tmp).is_err() {
+                    let _ = fs::remove_file(&tmp);
+                }
             }
         }
         Ok(())
     }
 
-    /// True if a valid entry for `key` is on disk (does not count as a
+    /// True if a valid entry for `key` is stored (does not count as a
     /// hit or miss and does not touch the LRU order).
     pub fn contains(&self, key: &str) -> bool {
-        self.load_uncounted(key).is_some()
-    }
-
-    fn entry_path(&self, key: &str) -> PathBuf {
-        self.shared.dir.join(key)
+        self.peek(key).is_some()
     }
 }
 
 /// Keys are content hashes: lowercase hex only. Rejecting anything
-/// else keeps entry paths inside the cache directory even when the key
-/// arrives over the network (`/result/<key>`).
+/// else keeps log headers parseable, and trace paths inside their
+/// directory, even when the key arrives over the network
+/// (`/result/<key>`, `/trace/<key>`).
 pub fn valid_key(key: &str) -> bool {
     !key.is_empty()
         && key.len() <= 64
         && key.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
 }
 
-/// Seeds the index from an existing directory: entry sizes plus an
-/// LRU order derived from file modification times.
-fn seed_index(dir: &Path, index: &mut Index) {
-    let Ok(entries) = fs::read_dir(dir) else { return };
-    let mut found: Vec<(String, u64, SystemTime)> = Vec::new();
-    for entry in entries.flatten() {
+fn log_path(dir: &Path, generation: u64) -> PathBuf {
+    dir.join(format!("{LOG_PREFIX}{generation}"))
+}
+
+fn record_header(key: &str, body: &[u8]) -> String {
+    format!("\n{key} {} {:016x}\n", body.len(), fnv1a(body, FNV_OFFSET))
+}
+
+/// One whole record found in a log buffer.
+struct Record<'a> {
+    key: &'a str,
+    /// Offset of the entry in the buffer.
+    offset: u64,
+    /// Entry length; 0 for a tombstone.
+    len: u64,
+    /// Length of the whole record: the empty line, the header and the
+    /// entry.
+    record: u64,
+}
+
+/// What starts at a line of a log buffer.
+enum Line<'a> {
+    /// A whole record whose entry matches its digest.
+    Record(Record<'a>),
+    /// A header whose entry runs past the end of the buffer.
+    Partial,
+    /// Anything else: an empty or non-header line, or a header whose
+    /// entry fails its digest.
+    Garbage,
+}
+
+/// Classifies the line at `pos` and returns where the next line
+/// starts; `None` if no whole line is there.
+fn line_at(buf: &[u8], pos: usize) -> Option<(Line<'_>, usize)> {
+    let newline = buf[pos..].iter().position(|&b| b == b'\n')?;
+    let body = pos + newline + 1;
+    let Some((key, len, digest)) = parse_header(&buf[pos..body - 1]) else {
+        return Some((Line::Garbage, body));
+    };
+    let end = match usize::try_from(len).ok().and_then(|len| body.checked_add(len)) {
+        Some(end) if end <= buf.len() => end,
+        Some(_) => return Some((Line::Partial, body)),
+        None => return Some((Line::Garbage, body)),
+    };
+    if fnv1a(&buf[body..end], FNV_OFFSET) != digest {
+        return Some((Line::Garbage, body));
+    }
+    let record = (end - pos + 1) as u64;
+    Some((Line::Record(Record { key, offset: body as u64, len, record }), body))
+}
+
+/// Parses the whole records at the start of `buf`; returns them and
+/// the bytes they (and any garbage between them) span. A record whose
+/// bytes are not all there yet ends the parse, so that a later scan
+/// reads it whole, unless a whole record follows it: then it is the
+/// remains of a torn write, and is skipped like any other garbage.
+fn parse_records(buf: &[u8]) -> (Vec<Record<'_>>, usize) {
+    let mut records = Vec::new();
+    let mut pos = 0;
+    while let Some((line, next)) = line_at(buf, pos) {
+        match line {
+            Line::Record(record) => {
+                pos = (record.offset + record.len) as usize;
+                records.push(record);
+            }
+            Line::Partial if !whole_record_from(buf, next) => break,
+            Line::Partial | Line::Garbage => pos = next,
+        }
+    }
+    (records, pos)
+}
+
+/// Whether a whole record starts at some line from `pos` on.
+fn whole_record_from(buf: &[u8], mut pos: usize) -> bool {
+    while let Some((line, next)) = line_at(buf, pos) {
+        if matches!(line, Line::Record(_)) {
+            return true;
+        }
+        pos = next;
+    }
+    false
+}
+
+fn parse_header(line: &[u8]) -> Option<(&str, u64, u64)> {
+    let mut fields = std::str::from_utf8(line).ok()?.split(' ');
+    let (key, len, digest) = (fields.next()?, fields.next()?, fields.next()?);
+    if fields.next().is_some() || !valid_key(key) || digest.len() != 16 {
+        return None;
+    }
+    Some((key, len.parse().ok()?, u64::from_str_radix(digest, 16).ok()?))
+}
+
+/// Reads `len` bytes of text at `offset`.
+fn read_at(file: &mut File, offset: u64, len: u64) -> Option<String> {
+    file.seek(SeekFrom::Start(offset)).ok()?;
+    let mut buf = vec![0; usize::try_from(len).ok()?];
+    file.read_exact(&mut buf).ok()?;
+    String::from_utf8(buf).ok()
+}
+
+/// The newest log generation in `dir`. Older generations, left by an
+/// interrupted compaction, and temp files of crashed writers are
+/// removed.
+fn newest_log(dir: &Path) -> Option<u64> {
+    let mut generations = Vec::new();
+    for entry in fs::read_dir(dir).ok()?.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if !valid_key(name) {
-            // Leftover temp files from a crashed process are garbage;
-            // reclaim them on open.
-            if name.starts_with(".tmp-") {
-                let _ = fs::remove_file(entry.path());
-            }
-            continue;
+        if let Some(generation) = name.strip_prefix(LOG_PREFIX).and_then(|g| g.parse().ok()) {
+            generations.push(generation);
+        } else if name.starts_with(".tmp-") {
+            let _ = fs::remove_file(entry.path());
         }
-        let Ok(meta) = entry.metadata() else { continue };
-        let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-        found.push((name.to_owned(), meta.len(), mtime));
     }
-    found.sort_by(|a, b| (a.2, a.0.as_str()).cmp(&(b.2, b.0.as_str())));
-    for (key, size, _) in found {
-        index.touch(&key, size);
+    let newest = generations.iter().copied().max()?;
+    for generation in generations.into_iter().filter(|&g| g < newest) {
+        let _ = fs::remove_file(log_path(dir, generation));
     }
+    Some(newest)
 }
 
 fn render_u64s(values: impl IntoIterator<Item = u64>) -> String {
@@ -483,12 +763,20 @@ mod tests {
 
     #[test]
     fn corrupt_entries_are_misses() {
-        let cache = DiskCache::open(tmp_dir("corrupt")).expect("open");
-        let path = cache.dir().join("bad1");
-        fs::write(&path, format!("{CACHE_SCHEMA_TAG}\ncycles=notanumber\n")).expect("write");
-        assert_eq!(cache.load("bad1"), None);
-        fs::write(&path, format!("{CACHE_SCHEMA_TAG}\nunknown_field=1\n")).expect("write");
-        assert_eq!(cache.load("bad1"), None);
+        let dir = tmp_dir("corrupt");
+        let cache = DiskCache::open(&dir).expect("open");
+        cache.store("ab", &sample()).expect("store");
+        // Whole records (their digests match) whose entries do not parse.
+        let mut log = OpenOptions::new().append(true).open(log_path(&dir, 0)).expect("log");
+        for (key, body) in [
+            ("bad1", format!("{CACHE_SCHEMA_TAG}\ncycles=notanumber\n")),
+            ("bad2", format!("{CACHE_SCHEMA_TAG}\nunknown_field=1\n")),
+        ] {
+            let record = format!("{}{body}", record_header(key, body.as_bytes()));
+            log.write_all(record.as_bytes()).expect("append");
+            assert_eq!(cache.load(key), None);
+        }
+        assert_eq!(cache.load("ab"), Some(sample()));
     }
 
     #[test]
@@ -523,5 +811,133 @@ mod tests {
         assert_eq!(stats.entries, 2);
         assert!(stats.bytes > 0);
         assert_eq!(cache.load("aa"), Some(sample()));
+    }
+
+    fn files_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn entries_share_one_log_file() {
+        let dir = tmp_dir("one-log");
+        let cache = DiskCache::open(&dir).expect("open");
+        for k in 0..40u64 {
+            let mut out = sample();
+            out.stats.cycles = k;
+            cache.store(&format!("{k:x}"), &out).expect("store");
+        }
+        assert_eq!(files_in(&dir), ["pack-0"]);
+        drop(cache);
+        let cache = DiskCache::open(&dir).expect("reopen");
+        assert_eq!(cache.stats().entries, 40);
+        for k in 0..40u64 {
+            assert_eq!(cache.load(&format!("{k:x}")).expect("hit").stats.cycles, k);
+        }
+    }
+
+    #[test]
+    fn a_handle_sees_what_another_stored_after_it_opened() {
+        // Two handles on one directory index it separately, as two
+        // processes would.
+        let dir = tmp_dir("two-handles");
+        let a = DiskCache::open(&dir).expect("open");
+        let b = DiskCache::open(&dir).expect("open");
+        a.store("aa", &sample()).expect("store");
+        assert_eq!(b.load("aa"), Some(sample()));
+        b.store("bb", &sample()).expect("store");
+        assert_eq!(a.load("bb"), Some(sample()));
+        assert_eq!((a.stats().hits, b.stats().hits), (1, 1));
+        assert_eq!(a.stats().entries, 2);
+    }
+
+    #[test]
+    fn torn_records_are_skipped() {
+        let dir = tmp_dir("torn");
+        let cache = DiskCache::open(&dir).expect("open");
+        cache.store("aa", &sample()).expect("store");
+        // A writer that died half-way through a record; a record whose
+        // bytes are all there but mixed up (its digest fails); a whole
+        // record; then one more torn record at the very end.
+        let torn = format!("\nbb 500 {:016x}\n{CACHE_SCHEMA_TAG}\ncycl", 1);
+        let mixed = format!("\nbd 4 {:016x}\ncycl", 1);
+        let log = log_path(&dir, 0);
+        let mut file = OpenOptions::new().append(true).open(&log).expect("log");
+        file.write_all(torn.as_bytes()).expect("append");
+        file.write_all(mixed.as_bytes()).expect("append");
+        cache.store("cc", &sample()).expect("store");
+        file.write_all(torn.replace("bb", "dd").as_bytes()).expect("append");
+
+        let other = DiskCache::open(&dir).expect("reopen");
+        assert_eq!(other.load("aa"), Some(sample()));
+        assert_eq!(other.load("cc"), Some(sample()));
+        assert_eq!(other.stats().entries, 2, "only whole records are indexed");
+        for key in ["bb", "bd", "dd"] {
+            assert_eq!(other.load(key), None);
+        }
+        // A record appended after the torn tail is found too.
+        cache.store("ee", &sample()).expect("store");
+        assert_eq!(other.load("ee"), Some(sample()));
+    }
+
+    #[test]
+    fn a_record_still_being_written_is_read_once_whole() {
+        let body = render_entry(CACHE_SCHEMA_TAG, &sample());
+        let record = format!("{}{body}", record_header("ab", body.as_bytes()));
+        let cut = record.len() - 5;
+        let (records, consumed) = parse_records(&record.as_bytes()[..cut]);
+        assert!(records.is_empty());
+        assert_eq!(consumed, 1, "only the empty line before the header is consumed");
+        let (records, consumed) = parse_records(record.as_bytes());
+        assert_eq!(records.len(), 1);
+        assert_eq!((records[0].key, records[0].len), ("ab", body.len() as u64));
+        assert_eq!(records[0].record, record.len() as u64);
+        assert_eq!(consumed, record.len());
+    }
+
+    #[test]
+    fn eviction_survives_reopening() {
+        let dir = tmp_dir("evict-reopen");
+        let size = render_entry(CACHE_SCHEMA_TAG, &sample()).len() as u64;
+        let cache = DiskCache::open(&dir).expect("open").with_byte_budget(size * 2);
+        for key in ["a1", "a2", "a3"] {
+            cache.store(key, &sample()).expect("store");
+        }
+        assert!(!cache.contains("a1"));
+        drop(cache);
+        let cache = DiskCache::open(&dir).expect("reopen");
+        assert!(!cache.contains("a1"), "the tombstone outlives the handle");
+        assert!(cache.contains("a2") && cache.contains("a3"));
+        assert_eq!(cache.stats().entries, 2);
+    }
+
+    #[test]
+    fn a_budgeted_log_is_compacted() {
+        let dir = tmp_dir("compact");
+        let size = render_entry(CACHE_SCHEMA_TAG, &sample()).len() as u64;
+        let cache = DiskCache::open(&dir).expect("open").with_byte_budget(size * 4);
+        let stores = 2 * COMPACT_SLACK / size + 10;
+        for k in 0..stores {
+            cache.store(&format!("{k:x}"), &sample()).expect("store");
+        }
+        let logs = files_in(&dir);
+        assert_eq!(logs.len(), 1, "one log left: {logs:?}");
+        assert_ne!(logs[0], "pack-0", "the log was never compacted");
+        let log_bytes = fs::metadata(dir.join(&logs[0])).expect("log").len();
+        assert!(log_bytes <= 2 * COMPACT_SLACK + 4 * size, "log kept {log_bytes} bytes");
+        // The four newest entries survive, in this handle and a new one.
+        let reopened = DiskCache::open(&dir).expect("reopen");
+        for k in stores - 4..stores {
+            assert!(cache.contains(&format!("{k:x}")), "{k:x} lost");
+            assert!(reopened.contains(&format!("{k:x}")), "{k:x} lost on reopen");
+        }
+        assert_eq!(reopened.stats().entries, 4);
+        // A handle opened before the compaction follows it.
+        cache.store("feed", &sample()).expect("store");
+        assert!(reopened.contains("feed"));
     }
 }

@@ -204,10 +204,10 @@ fn words_to_bytes(words: &[u64]) -> Vec<u8> {
     v
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
     let mut h = seed;
     for &b in bytes {
         h ^= b as u64;
