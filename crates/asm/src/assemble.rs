@@ -56,31 +56,31 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
 }
 
 /// Pass 1: assign every label an address and check for duplicates.
-fn first_pass(lines: &[Line]) -> Result<BTreeMap<String, LabelVal>, AsmError> {
+fn first_pass<'a>(lines: &[Line<'a>]) -> Result<BTreeMap<&'a str, LabelVal>, AsmError> {
     let mut labels = BTreeMap::new();
     let mut seg = Segment::Text;
     let mut text_cursor: u32 = 0;
     let mut data_cursor: u64 = 0;
 
     for line in lines {
-        for name in &line.labels {
+        for name in line.labels() {
             let val = match seg {
                 Segment::Text => LabelVal::Code(text_cursor),
                 Segment::Data => LabelVal::Data(data_cursor),
             };
-            if labels.insert(name.clone(), val).is_some() {
+            if labels.insert(name, val).is_some() {
                 return Err(AsmError::new(line.num, format!("duplicate label `{name}`")));
             }
         }
         let Some(stmt) = &line.stmt else { continue };
-        match stmt.head.as_str() {
+        match &*stmt.head {
             ".text" => seg = Segment::Text,
             ".data" => seg = Segment::Data,
             ".entry" => {}
             ".equ" => {
                 let [name, value] = expect_n::<2>(stmt, line.num)?;
                 let resolved = parse_int(value)
-                    .or_else(|| labels.get(value.as_str()).copied().map(LabelVal::as_i64))
+                    .or_else(|| labels.get(value).copied().map(LabelVal::as_i64))
                     .ok_or_else(|| {
                         AsmError::new(
                             line.num,
@@ -90,7 +90,7 @@ fn first_pass(lines: &[Line]) -> Result<BTreeMap<String, LabelVal>, AsmError> {
                 if !valid_equ_name(name) {
                     return Err(AsmError::new(line.num, format!("invalid .equ name `{name}`")));
                 }
-                if labels.insert(name.clone(), LabelVal::Const(resolved)).is_some() {
+                if labels.insert(name, LabelVal::Const(resolved)).is_some() {
                     return Err(AsmError::new(line.num, format!("duplicate label `{name}`")));
                 }
             }
@@ -124,32 +124,32 @@ fn first_pass(lines: &[Line]) -> Result<BTreeMap<String, LabelVal>, AsmError> {
 }
 
 /// Pass 2: encode instructions and data now that labels are known.
-fn second_pass(lines: &[Line], labels: &BTreeMap<String, LabelVal>) -> Result<Program, AsmError> {
+fn second_pass(lines: &[Line<'_>], labels: &BTreeMap<&str, LabelVal>) -> Result<Program, AsmError> {
     let mut prog = Program::default();
     let mut data_cursor: u64 = 0;
     let mut data_words: Vec<(u64, u64, usize)> = Vec::new(); // (addr, word, line)
-    let mut entry: Option<(String, usize)> = None;
+    let mut entry: Option<(&str, usize)> = None;
 
     for line in lines {
         let Some(stmt) = &line.stmt else { continue };
         let ctx = Ctx { labels, line: line.num };
-        match stmt.head.as_str() {
+        match &*stmt.head {
             // Segment placement was validated in the first pass;
             // `.equ` was fully consumed there.
             ".text" | ".data" | ".equ" => {}
             ".entry" => {
                 let [name] = expect_n::<1>(stmt, line.num)?;
-                entry = Some((name.clone(), line.num));
+                entry = Some((name, line.num));
             }
             ".word" => {
-                for op in &stmt.operands {
+                for op in stmt.operands.iter() {
                     let v = ctx.int_or_label(op)?;
                     data_words.push((data_cursor, v as u64, line.num));
                     data_cursor += 1;
                 }
             }
             ".float" => {
-                for op in &stmt.operands {
+                for op in stmt.operands.iter() {
                     let v: f64 = op.parse().map_err(|_| {
                         AsmError::new(line.num, format!("invalid float literal `{op}`"))
                     })?;
@@ -168,12 +168,12 @@ fn second_pass(lines: &[Line], labels: &BTreeMap<String, LabelVal>) -> Result<Pr
 
     for (name, val) in labels {
         if let LabelVal::Code(addr) = val {
-            prog.labels.insert(name.clone(), *addr);
+            prog.labels.insert(name.to_string(), *addr);
         }
     }
 
     if let Some((name, line)) = entry {
-        match labels.get(&name) {
+        match labels.get(name) {
             Some(LabelVal::Code(addr)) => prog.entry = *addr,
             Some(LabelVal::Data(_)) | Some(LabelVal::Const(_)) => {
                 return Err(AsmError::new(line, format!("entry `{name}` is not a code label")))
@@ -220,20 +220,25 @@ fn require_data(seg: Segment, line: usize, head: &str) -> Result<(), AsmError> {
     }
 }
 
-fn parse_count(stmt: &Stmt, line: usize) -> Result<u64, AsmError> {
+fn parse_count(stmt: &Stmt<'_>, line: usize) -> Result<u64, AsmError> {
     let [text] = expect_n::<1>(stmt, line)?;
     parse_int(text)
         .and_then(|v| u64::try_from(v).ok())
         .ok_or_else(|| AsmError::new(line, format!("invalid count `{text}`")))
 }
 
-fn expect_n<const N: usize>(stmt: &Stmt, line: usize) -> Result<&[String; N], AsmError> {
-    <&[String; N]>::try_from(stmt.operands.as_slice()).map_err(|_| {
-        AsmError::new(
+fn expect_n<'a, const N: usize>(stmt: &Stmt<'a>, line: usize) -> Result<[&'a str; N], AsmError> {
+    if stmt.operands.len() != N {
+        return Err(AsmError::new(
             line,
             format!("`{}` expects {N} operand(s), got {}", stmt.head, stmt.operands.len()),
-        )
-    })
+        ));
+    }
+    let mut out = [""; N];
+    for (slot, op) in out.iter_mut().zip(stmt.operands.iter()) {
+        *slot = op;
+    }
+    Ok(out)
 }
 
 fn parse_int(text: &str) -> Option<i64> {
@@ -251,7 +256,7 @@ fn parse_int(text: &str) -> Option<i64> {
 
 /// Shared operand-parsing context for one source line.
 struct Ctx<'a> {
-    labels: &'a BTreeMap<String, LabelVal>,
+    labels: &'a BTreeMap<&'a str, LabelVal>,
     line: usize,
 }
 
@@ -360,9 +365,9 @@ fn fcmp_cond(head: &str) -> Option<BranchCond> {
     BranchCond::ALL.into_iter().find(|c| c.suffix() == suffix)
 }
 
-fn encode(stmt: &Stmt, ctx: &Ctx<'_>) -> Result<Inst, AsmError> {
+fn encode(stmt: &Stmt<'_>, ctx: &Ctx<'_>) -> Result<Inst, AsmError> {
     let line = ctx.line;
-    let head = stmt.head.as_str();
+    let head = &*stmt.head;
 
     if let Some(op) = int_op(head) {
         let [rd, rs, src2] = expect_n::<3>(stmt, line)?;

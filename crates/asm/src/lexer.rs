@@ -1,25 +1,94 @@
 //! Line-level tokenization: comments, labels, mnemonics, operands.
+//!
+//! Every token borrows its text from the source, so lexing a line
+//! allocates nothing (an uppercase mnemonic is the one exception: it
+//! is lowercased into a string of its own).
+
+use std::borrow::Cow;
 
 use crate::error::AsmError;
 
 /// One meaningful source line, after comment stripping.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Line {
+pub(crate) struct Line<'a> {
     /// 1-based source line number.
     pub num: usize,
-    /// Labels defined at the start of this line (`foo: bar: insn`).
-    pub labels: Vec<String>,
+    /// The label definitions at the start of the line (`foo: bar:`),
+    /// each already checked to be a valid name.
+    labels: &'a str,
     /// The statement, if any.
-    pub stmt: Option<Stmt>,
+    pub stmt: Option<Stmt<'a>>,
+}
+
+impl<'a> Line<'a> {
+    /// The labels defined at the start of this line, in source order.
+    pub fn labels(&self) -> impl Iterator<Item = &'a str> {
+        self.labels.split(':').map(str::trim).filter(|name| !name.is_empty())
+    }
 }
 
 /// A directive or instruction with raw operand strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Stmt {
+pub(crate) struct Stmt<'a> {
     /// Lower-cased mnemonic or directive (directives keep their `.`).
-    pub head: String,
-    /// Comma-separated operand texts, trimmed.
-    pub operands: Vec<String>,
+    pub head: Cow<'a, str>,
+    /// The comma-separated operands.
+    pub operands: Operands<'a>,
+}
+
+/// The operand list of a statement: its source text and the number of
+/// operands in it, none of them empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Operands<'a> {
+    text: &'a str,
+    len: usize,
+}
+
+impl<'a> Operands<'a> {
+    /// Number of operands.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The operand texts, trimmed, in source order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a str> {
+        // `take` makes an empty text yield nothing rather than "".
+        split_operands(self.text).take(self.len)
+    }
+}
+
+/// The comma-separated pieces of `text`, trimmed.
+fn split_operands(text: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(text);
+    std::iter::from_fn(move || {
+        let text = rest?;
+        let (piece, tail) = match find_byte(text, b',') {
+            Some(comma) => (&text[..comma], Some(&text[comma + 1..])),
+            None => (text, None),
+        };
+        rest = tail;
+        Some(piece.trim())
+    })
+}
+
+/// Byte offset of the first `byte`, an ASCII byte, in `s`. A byte loop
+/// beats `str::find` on lines this short.
+fn find_byte(s: &str, byte: u8) -> Option<usize> {
+    s.bytes().position(|b| b == byte)
+}
+
+/// Byte offset of the first whitespace character in `s`, as
+/// `s.find(char::is_whitespace)` but scanning bytes until the first
+/// non-ASCII character.
+fn find_whitespace(s: &str) -> Option<usize> {
+    // ASCII whitespace as `char::is_whitespace` has it: `u8`'s version
+    // leaves out the vertical tab.
+    let pos = s.bytes().position(|b| b.is_ascii_whitespace() || b == 0x0b || !b.is_ascii())?;
+    if s.as_bytes()[pos].is_ascii() {
+        Some(pos)
+    } else {
+        s[pos..].find(char::is_whitespace).map(|i| pos + i)
+    }
 }
 
 fn valid_label(name: &str) -> bool {
@@ -33,49 +102,55 @@ fn valid_label(name: &str) -> bool {
 
 /// Splits source text into [`Line`]s. Blank/comment-only lines are
 /// dropped.
-pub(crate) fn lex(src: &str) -> Result<Vec<Line>, AsmError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Line<'_>>, AsmError> {
     let mut lines = Vec::new();
     for (idx, raw) in src.lines().enumerate() {
         let num = idx + 1;
-        let text = match raw.find(';') {
+        let text = match find_byte(raw, b';') {
             Some(pos) => &raw[..pos],
             None => raw,
         };
-        let mut rest = text.trim();
-        if rest.is_empty() {
+        let text = text.trim();
+        if text.is_empty() {
             continue;
         }
-        let mut labels = Vec::new();
-        // Labels must appear before the statement: `name:`.
-        while let Some(colon) = rest.find(':') {
-            let candidate = rest[..colon].trim();
-            // A colon later in the line (no valid label before it) is
-            // not a label separator; e.g. there is no other use of ':'
-            // in the grammar, so a malformed label is an error.
+        // Labels must appear before the statement: `name:`. There is
+        // no other use of ':' in the grammar, so a malformed label is
+        // an error.
+        let mut labels_end = 0;
+        while let Some(colon) = find_byte(&text[labels_end..], b':') {
+            let candidate = text[labels_end..labels_end + colon].trim();
             if !valid_label(candidate) {
                 return Err(AsmError::new(num, format!("invalid label name `{candidate}`")));
             }
-            labels.push(candidate.to_owned());
-            rest = rest[colon + 1..].trim_start();
+            labels_end += colon + 1;
         }
+        let rest = text[labels_end..].trim_start();
         let stmt = if rest.is_empty() {
             None
         } else {
-            let (head, tail) = match rest.find(char::is_whitespace) {
+            let (head, tail) = match find_whitespace(rest) {
                 Some(pos) => (&rest[..pos], rest[pos..].trim()),
                 None => (rest, ""),
             };
-            let operands = if tail.is_empty() {
-                Vec::new()
-            } else {
-                tail.split(',').map(|s| s.trim().to_owned()).collect()
-            };
-            if operands.iter().any(String::is_empty) {
-                return Err(AsmError::new(num, "empty operand (stray comma?)"));
+            let mut len = 0;
+            if !tail.is_empty() {
+                for op in split_operands(tail) {
+                    if op.is_empty() {
+                        return Err(AsmError::new(num, "empty operand (stray comma?)"));
+                    }
+                    len += 1;
+                }
             }
-            Some(Stmt { head: head.to_ascii_lowercase(), operands })
+            let operands = Operands { text: tail, len };
+            let head = if head.bytes().any(|b| b.is_ascii_uppercase()) {
+                Cow::Owned(head.to_ascii_lowercase())
+            } else {
+                Cow::Borrowed(head)
+            };
+            Some(Stmt { head, operands })
         };
-        lines.push(Line { num, labels, stmt });
+        lines.push(Line { num, labels: &text[..labels_end], stmt });
     }
     Ok(lines)
 }
@@ -84,10 +159,18 @@ pub(crate) fn lex(src: &str) -> Result<Vec<Line>, AsmError> {
 mod tests {
     use super::*;
 
-    fn one(src: &str) -> Line {
+    fn one(src: &str) -> Line<'_> {
         let mut v = lex(src).unwrap();
         assert_eq!(v.len(), 1);
         v.remove(0)
+    }
+
+    fn labels<'a>(line: &Line<'a>) -> Vec<&'a str> {
+        line.labels().collect()
+    }
+
+    fn operands<'a>(stmt: &Stmt<'a>) -> Vec<&'a str> {
+        stmt.operands.iter().collect()
     }
 
     #[test]
@@ -98,29 +181,39 @@ mod tests {
     #[test]
     fn label_and_instruction() {
         let line = one("main: li r1, #3 ; init");
-        assert_eq!(line.labels, ["main"]);
+        assert_eq!(labels(&line), ["main"]);
         let stmt = line.stmt.unwrap();
         assert_eq!(stmt.head, "li");
-        assert_eq!(stmt.operands, ["r1", "#3"]);
+        assert_eq!(operands(&stmt), ["r1", "#3"]);
+        assert_eq!(stmt.operands.len(), 2);
     }
 
     #[test]
     fn multiple_labels_one_line() {
         let line = one("a: b: halt");
-        assert_eq!(line.labels, ["a", "b"]);
+        assert_eq!(labels(&line), ["a", "b"]);
         assert_eq!(line.stmt.unwrap().head, "halt");
+        assert_eq!(labels(&one("a:b :c: nop")), ["a", "b", "c"]);
     }
 
     #[test]
     fn bare_label_line() {
         let line = one("start:");
-        assert_eq!(line.labels, ["start"]);
+        assert_eq!(labels(&line), ["start"]);
         assert!(line.stmt.is_none());
     }
 
     #[test]
     fn mnemonics_lowercased() {
         assert_eq!(one("HALT").stmt.unwrap().head, "halt");
+        assert!(matches!(one("halt").stmt.unwrap().head, Cow::Borrowed("halt")));
+    }
+
+    #[test]
+    fn operand_free_statements_have_none() {
+        let stmt = one("halt   ").stmt.unwrap();
+        assert_eq!(stmt.operands.len(), 0);
+        assert!(operands(&stmt).is_empty());
     }
 
     #[test]
@@ -143,8 +236,17 @@ mod tests {
     }
 
     #[test]
+    fn whitespace_is_found_as_char_is_whitespace_finds_it() {
+        for s in
+            ["li r1", "li\tr1", "li\u{0b}r1", "li\u{a0}r1", "é\u{2028}x", "ünï cödé", "halt", ""]
+        {
+            assert_eq!(find_whitespace(s), s.find(char::is_whitespace), "{s:?}");
+        }
+    }
+
+    #[test]
     fn memory_operand_survives_lexing() {
         let stmt = one("lw r1, 4(r2)").stmt.unwrap();
-        assert_eq!(stmt.operands, ["r1", "4(r2)"]);
+        assert_eq!(operands(&stmt), ["r1", "4(r2)"]);
     }
 }

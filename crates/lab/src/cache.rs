@@ -56,7 +56,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use hirata_mem::MemStats;
 use hirata_sim::{RunStats, StallBreakdown, StallWindow};
 
-use crate::job::{fnv1a, JobOutput, FNV_OFFSET};
+use crate::job::JobOutput;
 
 /// Schema tag of the on-disk format. Bump on any change to the
 /// serialized fields *or* to simulator semantics that alters results
@@ -65,7 +65,10 @@ use crate::job::{fnv1a, JobOutput, FNV_OFFSET};
 /// v2: the stall breakdown gained the `branch-shadow` reason (eight
 /// counters instead of seven) and entries carry the per-window stall
 /// attribution (`stall_windows=`).
-pub const CACHE_SCHEMA_TAG: &str = "hirata-lab-cache-v2";
+///
+/// v3: job keys come from a word-at-a-time hasher instead of FNV-1a,
+/// so every key changed; the entry text is as in v2.
+pub const CACHE_SCHEMA_TAG: &str = "hirata-lab-cache-v3";
 
 /// File-name prefix of the entry log; the log's generation follows it.
 const LOG_PREFIX: &str = "pack-";
@@ -491,7 +494,14 @@ fn log_path(dir: &Path, generation: u64) -> PathBuf {
 }
 
 fn record_header(key: &str, body: &[u8]) -> String {
-    format!("\n{key} {} {:016x}\n", body.len(), fnv1a(body, FNV_OFFSET))
+    format!("\n{key} {} {:016x}\n", body.len(), fnv1a(body))
+}
+
+/// FNV-1a digest of a record body.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// One whole record found in a log buffer.
@@ -530,7 +540,7 @@ fn line_at(buf: &[u8], pos: usize) -> Option<(Line<'_>, usize)> {
         Some(_) => return Some((Line::Partial, body)),
         None => return Some((Line::Garbage, body)),
     };
-    if fnv1a(&buf[body..end], FNV_OFFSET) != digest {
+    if fnv1a(&buf[body..end]) != digest {
         return Some((Line::Garbage, body));
     }
     let record = (end - pos + 1) as u64;

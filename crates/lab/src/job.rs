@@ -157,63 +157,149 @@ impl Job {
 
     /// Content hash under an explicit schema tag (exposed so tests can
     /// demonstrate that a tag bump changes every key).
+    ///
+    /// The outcome-determining fields are streamed, each as label,
+    /// length and body, straight into a [`KeyHasher`]; no byte image
+    /// of the job is built.
     pub fn content_hash_with_tag(&self, tag: &str) -> String {
-        let bytes = self.fingerprint(tag);
-        // Two independent FNV-1a passes give a 128-bit key; the second
-        // prepends a domain-separation byte so the halves differ.
-        let lo = fnv1a(&bytes, FNV_OFFSET);
-        let hi = fnv1a(&bytes, fnv1a(&[0x9d], FNV_OFFSET));
-        format!("{hi:016x}{lo:016x}")
-    }
-
-    /// Serializes the outcome-determining fields to a byte stream.
-    fn fingerprint(&self, tag: &str) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4096);
-        let mut field = |label: &str, body: &[u8]| {
-            out.extend_from_slice(label.as_bytes());
-            out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-            out.extend_from_slice(body);
-        };
-        field("tag", tag.as_bytes());
+        let mut h = KeyHasher::new();
+        h.field("tag", tag.as_bytes());
         // Config derives Debug over plain data; its rendering is a
         // complete, stable description of every field.
-        field("config", format!("{:?}", self.config).as_bytes());
+        h.field("config", format!("{:?}", self.config).as_bytes());
         match encode_program(&self.program.insts) {
-            Ok(words) => field("insts", &words_to_bytes(&words)),
+            Ok(words) => h.words_field("insts", words.iter().copied()),
             // Unencodable instructions (none today) fall back to the
             // textual listing, which is equally outcome-determining.
-            Err(_) => field("insts-text", format!("{:?}", self.program.insts).as_bytes()),
+            Err(_) => h.field("insts-text", format!("{:?}", self.program.insts).as_bytes()),
         }
         for seg in &self.program.data {
-            field("seg-base", &seg.base.to_le_bytes());
-            field("seg-words", &words_to_bytes(&seg.words));
+            h.field("seg-base", &seg.base.to_le_bytes());
+            h.words_field("seg-words", seg.words.iter().copied());
         }
-        field("entry", &self.program.entry.to_le_bytes());
-        field("mem", format!("{:?}", self.mem).as_bytes());
-        let pcs: Vec<u64> = self.extra_threads.iter().map(|&pc| pc as u64).collect();
-        field("extra-threads", &words_to_bytes(&pcs));
-        out
+        h.field("entry", &self.program.entry.to_le_bytes());
+        h.field("mem", format!("{:?}", self.mem).as_bytes());
+        h.words_field("extra-threads", self.extra_threads.iter().map(|&pc| pc as u64));
+        let (hi, lo) = h.finish();
+        format!("{hi:016x}{lo:016x}")
     }
 }
 
-fn words_to_bytes(words: &[u64]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        v.extend_from_slice(&w.to_le_bytes());
-    }
-    v
+/// A two-lane 128-bit hash of a byte stream, taking eight
+/// little-endian bytes per step. Each lane folds the next word in as
+/// `lane = fold(lane ^ word ^ k1, k2)`, where `fold` is the high half
+/// xor the low half of a 64 x 64 -> 128-bit product, with constants of
+/// its own. It has no per-process state: a key is the same in every
+/// run.
+struct KeyHasher {
+    lanes: [u64; 2],
+    /// Bytes taken in but not yet hashed (fewer than eight), in the
+    /// low bytes of `pending`.
+    pending: u64,
+    pending_len: u32,
+    /// Bytes taken in so far.
+    len: u64,
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// `(k1, k2)` of each lane: odd constants from SplitMix64 and
+/// xorshift*.
+const LANE_KEYS: [(u64, u64); 2] = [
+    (0x9e37_79b9_7f4a_7c15, 0xbf58_476d_1ce4_e5b9),
+    (0x94d0_49bb_1331_11eb, 0x2545_f491_4f6c_dd1d),
+];
 
-pub(crate) fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+fn fold(x: u64, k: u64) -> u64 {
+    let product = x as u128 * k as u128;
+    (product >> 64) as u64 ^ product as u64
+}
+
+fn step([a, b]: [u64; 2], word: u64) -> [u64; 2] {
+    let [(a1, a2), (b1, b2)] = LANE_KEYS;
+    [fold(a ^ word ^ a1, a2), fold(b ^ word ^ b1, b2)]
+}
+
+impl KeyHasher {
+    fn new() -> Self {
+        KeyHasher { lanes: [0; 2], pending: 0, pending_len: 0, len: 0 }
     }
-    h
+
+    /// Takes in the eight bytes of `word`, little-endian.
+    fn u64(&mut self, word: u64) {
+        self.u64s(std::iter::once(word));
+    }
+
+    /// Takes in the eight bytes of each word, little-endian. The lanes
+    /// stay in locals for the whole loop.
+    fn u64s(&mut self, words: impl Iterator<Item = u64>) {
+        let mut lanes = self.lanes;
+        let mut count = 0;
+        if self.pending_len == 0 {
+            for word in words {
+                lanes = step(lanes, word);
+                count += 1;
+            }
+        } else {
+            // Each step takes the pending bytes and the low bytes of
+            // the word; its high bytes are pending next.
+            let shift = 8 * self.pending_len;
+            let mut pending = self.pending;
+            for word in words {
+                lanes = step(lanes, pending | word << shift);
+                pending = word >> (64 - shift);
+                count += 1;
+            }
+            self.pending = pending;
+        }
+        self.lanes = lanes;
+        self.len += 8 * count;
+    }
+
+    fn byte(&mut self, b: u8) {
+        self.pending |= (b as u64) << (8 * self.pending_len);
+        self.pending_len += 1;
+        self.len += 1;
+        if self.pending_len == 8 {
+            self.lanes = step(self.lanes, std::mem::take(&mut self.pending));
+            self.pending_len = 0;
+        }
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        // Top up a partial word byte by byte; whole words follow.
+        let (head, rest) = bytes.split_at(bytes.len().min((8 - self.pending_len as usize) % 8));
+        for &b in head {
+            self.byte(b);
+        }
+        let mut words = rest.chunks_exact(8);
+        self.u64s(words.by_ref().map(|w| u64::from_le_bytes(w.try_into().expect("eight bytes"))));
+        for &b in words.remainder() {
+            self.byte(b);
+        }
+    }
+
+    fn field(&mut self, label: &str, body: &[u8]) {
+        self.bytes(label.as_bytes());
+        self.u64(body.len() as u64);
+        self.bytes(body);
+    }
+
+    /// A field whose body is `words`, eight little-endian bytes each.
+    fn words_field(&mut self, label: &str, words: impl ExactSizeIterator<Item = u64>) {
+        self.bytes(label.as_bytes());
+        self.u64(words.len() as u64 * 8);
+        self.u64s(words);
+    }
+
+    /// The two lanes, each finished with the stream's length and the
+    /// other lane, as `(hi, lo)`.
+    fn finish(self) -> (u64, u64) {
+        let mut lanes = self.lanes;
+        if self.pending_len > 0 {
+            lanes = step(lanes, self.pending);
+        }
+        let [a, b] = step(lanes, self.len);
+        (fold(b ^ a.rotate_left(32), LANE_KEYS[1].1), fold(a ^ b.rotate_left(32), LANE_KEYS[0].1))
+    }
 }
 
 /// The outcome of one successfully simulated job.
@@ -341,6 +427,143 @@ mod tests {
 
         let d = a.clone().with_extra_threads(vec![0]);
         assert_ne!(a.content_hash(), d.content_hash());
+    }
+
+    /// A small program with one data segment of four words.
+    fn data_job() -> Job {
+        let mut program = Program::from_insts(vec![
+            hirata_isa::Inst::Nop,
+            hirata_isa::Inst::Nop,
+            hirata_isa::Inst::Halt,
+        ]);
+        program.data = vec![hirata_isa::DataSegment { base: 16, words: vec![1, 2, 3, 4] }];
+        Job::new("d", Config::multithreaded(2), Arc::new(program))
+    }
+
+    fn with_program(job: &Job, edit: impl FnOnce(&mut Program)) -> Job {
+        let mut program = (*job.program).clone();
+        edit(&mut program);
+        Job { program: Arc::new(program), ..job.clone() }
+    }
+
+    /// The v3 key of a fixed job. It changes only with the schema tag,
+    /// the hasher, or what a job's fields render to; any of those is
+    /// a change every stored key has to follow.
+    #[test]
+    fn key_of_fixed_job_is_pinned() {
+        let key = data_job().with_extra_threads(vec![1]).content_hash();
+        // Printed for `keys_are_the_same_in_another_process`.
+        println!("key={key}");
+        assert_eq!(key, "cc339a43e4965e08493b6a4768225ee9");
+    }
+
+    /// The key of the same job, computed by a second run of this test
+    /// binary, is the same: the hasher keeps no per-process state.
+    #[test]
+    fn keys_are_the_same_in_another_process() {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", "job::tests::key_of_fixed_job_is_pinned", "--nocapture"])
+            .output()
+            .expect("test binary runs again");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let theirs = stdout.lines().find_map(|line| line.strip_prefix("key=")).expect("key line");
+        assert_eq!(theirs, data_job().with_extra_threads(vec![1]).content_hash());
+    }
+
+    #[test]
+    fn every_single_field_change_changes_the_key() {
+        use hirata_isa::{FuConfig, RotationMode};
+
+        let base = data_job();
+        let mut variants = vec![base.clone()];
+        // Every data word, and the segment's base.
+        for i in 0..4 {
+            variants.push(with_program(&base, |p| p.data[0].words[i] ^= 1));
+        }
+        variants.push(with_program(&base, |p| p.data[0].base += 1));
+        // The same words split into two segments instead of one.
+        variants.push(with_program(&base, |p| {
+            p.data = vec![
+                hirata_isa::DataSegment { base: 16, words: vec![1, 2] },
+                hirata_isa::DataSegment { base: 18, words: vec![3, 4] },
+            ]
+        }));
+        // An instruction, and the entry point.
+        variants.push(with_program(&base, |p| p.insts[0] = hirata_isa::Inst::FastFork));
+        variants.push(with_program(&base, |p| p.entry = 1));
+        // The Config fields the sweeps vary.
+        for slots in [1, 4, 8] {
+            variants.push(Job { config: Config::multithreaded(slots), ..base.clone() });
+        }
+        let config = |c: Config| Job { config: c, ..base.clone() };
+        variants.push(config(Config::multithreaded(2).with_fu(FuConfig::paper_two_ls())));
+        variants.push(config(Config::multithreaded(2).with_standby(false)));
+        variants.push(config(Config::multithreaded(2).with_private_fetch(true)));
+        variants.push(config(Config::multithreaded(2).with_context_frames(4)));
+        variants.push(config(
+            Config::multithreaded(2).with_rotation(RotationMode::Implicit { interval: 4 }),
+        ));
+        variants.push(config(Config::hybrid(2, 2)));
+        // The memory model and its parameters.
+        variants.push(base.clone().with_mem(MemModelSpec::IdealLatency { latency: 3 }));
+        variants.push(base.clone().with_mem(MemModelSpec::IdealLatency { latency: 4 }));
+        variants.push(base.clone().with_mem(MemModelSpec::Dsm {
+            remote_base: 64,
+            local_latency: 2,
+            remote_latency: 40,
+        }));
+        // Extra threads: their presence, count and addresses.
+        variants.push(base.clone().with_extra_threads(vec![0]));
+        variants.push(base.clone().with_extra_threads(vec![1]));
+        variants.push(base.clone().with_extra_threads(vec![0, 0]));
+
+        let keys: Vec<String> = variants.iter().map(Job::content_hash).collect();
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "variants {i} and {j} share a key");
+            }
+        }
+    }
+
+    /// Words and bytes are one stream: however it is cut into calls,
+    /// and whether a word arrives whole or as bytes, the hash is the
+    /// same.
+    #[test]
+    fn the_hasher_sees_one_byte_stream() {
+        let stream: Vec<u8> = (0u32..203).map(|i| (i * 37 % 251) as u8).collect();
+        let whole = {
+            let mut h = KeyHasher::new();
+            h.bytes(&stream);
+            h.finish()
+        };
+        for cut in [1, 3, 7, 8, 9, 64] {
+            let mut h = KeyHasher::new();
+            for piece in stream.chunks(cut) {
+                h.bytes(piece);
+            }
+            assert_eq!(h.finish(), whole, "pieces of {cut}");
+        }
+        for lead in 0..8 {
+            let mut h = KeyHasher::new();
+            h.bytes(&stream[..lead]);
+            let mut words = stream[lead..].chunks_exact(8);
+            for word in &mut words {
+                h.u64(u64::from_le_bytes(word.try_into().unwrap()));
+            }
+            h.bytes(words.remainder());
+            assert_eq!(h.finish(), whole, "words after {lead} bytes");
+        }
+        let mut shorter = KeyHasher::new();
+        shorter.bytes(&stream[..stream.len() - 1]);
+        assert_ne!(shorter.finish(), whole);
+        // Every byte counts, the partial last word's too.
+        for i in 0..stream.len() {
+            let mut flipped = stream.clone();
+            flipped[i] ^= 0x10;
+            let mut h = KeyHasher::new();
+            h.bytes(&flipped);
+            assert_ne!(h.finish(), whole, "byte {i}");
+        }
     }
 
     #[test]

@@ -102,6 +102,14 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// Opens a connection to the daemon with `TCP_NODELAY` set: every
+/// request goes out in one write and should not wait for an ACK.
+fn connect(addr: &str) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(normalize_addr(addr))?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 /// Accepts `HOST:PORT`, `:PORT`, or a bare port number; bare and
 /// host-less forms default to loopback.
 pub fn normalize_addr(addr: &str) -> String {
@@ -121,7 +129,7 @@ pub fn submit(
     request: &SubmitRequest,
     progress: &mut dyn FnMut(usize, usize),
 ) -> io::Result<SubmitOutcome> {
-    let mut stream = TcpStream::connect(normalize_addr(addr))?;
+    let mut stream = connect(addr)?;
     write_request(&mut stream, "POST", "/submit", request.render().as_bytes())?;
     let mut reader = BufReader::new(stream);
     let head = read_response_head(&mut reader)?;
@@ -225,7 +233,7 @@ pub fn fetch_result(addr: &str, key: &str) -> io::Result<Json> {
 
 /// Asks the daemon to shut down gracefully.
 pub fn shutdown(addr: &str) -> io::Result<()> {
-    let mut stream = TcpStream::connect(normalize_addr(addr))?;
+    let mut stream = connect(addr)?;
     write_request(&mut stream, "POST", "/shutdown", b"")?;
     let mut reader = BufReader::new(stream);
     let head = read_response_head(&mut reader)?;
@@ -237,7 +245,7 @@ pub fn shutdown(addr: &str) -> io::Result<()> {
 }
 
 fn simple_get(addr: &str, path: &str) -> io::Result<Vec<u8>> {
-    let mut stream = TcpStream::connect(normalize_addr(addr))?;
+    let mut stream = connect(addr)?;
     write_request(&mut stream, "GET", path, b"")?;
     let mut reader = BufReader::new(stream);
     let head = read_response_head(&mut reader)?;

@@ -6,6 +6,10 @@
 //! carries exactly one request (`Connection: close`), which keeps the
 //! state machine trivial and makes worker accounting exact.
 //!
+//! Every message — a request, a response, one chunk — goes out in a
+//! single write, and both ends set `TCP_NODELAY`, so a small message
+//! is sent at once instead of waiting on the peer's delayed ACK.
+//!
 //! The client half (used by `hirata submit`) lives here too so the
 //! wire format is written and read by the same code.
 
@@ -18,8 +22,9 @@ use std::net::TcpStream;
 /// still bounding a misbehaving client.
 pub const MAX_BODY_BYTES: u64 = 8 * 1024 * 1024;
 
-/// Upper bound on the request line plus headers.
-const MAX_HEAD_BYTES: usize = 64 * 1024;
+/// Upper bound on the request (or status) line plus headers, and on a
+/// chunk-size line.
+pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug)]
@@ -90,7 +95,7 @@ fn read_headers(
 ///
 /// Returns `Err` on malformed framing, oversized heads or bodies, or
 /// a closed connection.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
+pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
     let mut reader = BufReader::new(stream);
     let mut budget = MAX_HEAD_BYTES;
     let request_line = read_line(&mut reader, &mut budget)?;
@@ -131,8 +136,14 @@ pub fn write_response(
         status_text(status),
         body.len(),
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    write_message(stream, head, body)
+}
+
+/// Sends `head` followed by `body` in one write.
+fn write_message(stream: &mut TcpStream, head: String, body: &[u8]) -> io::Result<()> {
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -147,15 +158,17 @@ pub fn start_chunked(stream: &mut TcpStream, status: u16, content_type: &str) ->
     stream.flush()
 }
 
-/// Writes one non-empty chunk and flushes so the client observes the
+/// Writes one non-empty chunk in one write, so the client observes the
 /// event immediately (progress streaming is the whole point).
 pub fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    write!(stream, "{:x}\r\n", data.len())?;
-    stream.write_all(data)?;
-    stream.write_all(b"\r\n")?;
+    let mut chunk = format!("{:x}\r\n", data.len()).into_bytes();
+    chunk.reserve(data.len() + 2);
+    chunk.extend_from_slice(data);
+    chunk.extend_from_slice(b"\r\n");
+    stream.write_all(&chunk)?;
     stream.flush()
 }
 
@@ -205,9 +218,7 @@ pub fn write_request(
         "{method} {path} HTTP/1.1\r\nHost: hirata\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len(),
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    write_message(stream, head, body)
 }
 
 /// Reads the response status line and headers, leaving the reader

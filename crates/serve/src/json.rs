@@ -9,7 +9,7 @@
 //! `u64`-sized and must survive a round trip exactly, which `f64`
 //! cannot guarantee above 2^53.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,9 +138,25 @@ impl Json {
 
     /// Encodes the value as compact JSON.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.size_hint());
         self.write(&mut out);
         out
+    }
+
+    /// A guess at the compact encoding's length, close enough that
+    /// [`Json::render`] rarely grows its buffer: strings get an eighth
+    /// on top for escapes.
+    fn size_hint(&self) -> usize {
+        let string = |s: &str| s.len() + s.len() / 8 + 2;
+        match self {
+            Json::Null | Json::Bool(_) => 5,
+            Json::Int(_) | Json::Num(_) => 24,
+            Json::Str(s) => string(s),
+            Json::Arr(items) => 2 + items.iter().map(|item| item.size_hint() + 1).sum::<usize>(),
+            Json::Obj(fields) => {
+                2 + fields.iter().map(|(k, v)| string(k) + v.size_hint() + 2).sum::<usize>()
+            }
+        }
     }
 
     /// Encodes the value with two-space indentation (for humans:
@@ -156,7 +172,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Json::Num(n) => write_f64(out, *n),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
@@ -231,21 +249,36 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Writes `s` as a JSON string. Only `"`, `\` and control bytes need
+/// escaping; each run of bytes between them is copied with one
+/// `push_str`. All of those bytes are ASCII, so every run starts and
+/// ends on a char boundary.
 fn write_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[(b >> 4) as usize] as char);
+                out.push(HEX[(b & 0xf) as usize] as char);
+            }
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

@@ -247,6 +247,9 @@ fn respond_error(stream: &mut TcpStream, status: u16, msg: &str) {
 /// Parses, routes, and answers one connection.
 fn handle_connection(state: &AppState, stream: &mut TcpStream) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    // Each response message and progress event is one write; send it
+    // at once rather than after the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let request = match read_request(stream) {
         Ok(request) => request,
         Err(e) => {

@@ -81,6 +81,27 @@ fn arb_int() -> BoxedStrategy<Json> {
     .boxed()
 }
 
+/// The string encoder, one character at a time: the reference the
+/// run-copying encoder must match byte for byte.
+fn reference_string(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0c}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 fn arb_json() -> BoxedStrategy<Json> {
     let leaf = prop_oneof![
         Just(Json::Null),
@@ -136,6 +157,17 @@ proptest! {
         let keyed = Json::Obj(vec![(s.clone(), Json::Arr(vec![Json::Str(s.clone())]))]);
         let back = Json::parse(&keyed.render()).expect("keyed");
         prop_assert_eq!(back.get(&s).and_then(Json::as_arr).and_then(|a| a[0].as_str()), Some(s.as_str()));
+    }
+
+    /// The encoder copies runs between escapes, yet writes exactly what
+    /// escaping one character at a time writes, as a bare string and as
+    /// an object key.
+    #[test]
+    fn strings_encode_like_the_per_character_reference(s in arb_string()) {
+        let want = reference_string(&s);
+        prop_assert_eq!(Json::Str(s.clone()).render(), want.clone());
+        let keyed = Json::Obj(vec![(s.clone(), Json::Null)]).render();
+        prop_assert_eq!(keyed, format!("{{{want}:null}}"));
     }
 
     /// Integer round trips are exact for the full i64 range — the

@@ -179,6 +179,73 @@ proptest! {
     }
 }
 
+/// One line an assembler must survive: labels (some invalid, some
+/// multi-byte UTF-8), stray `:`, `,` and `;`, a mnemonic or directive
+/// in any case, an operand list of up to forty operands with odd
+/// separators, a comment in any script, and an LF or CRLF ending.
+/// Most lines are well formed enough to reach the next one.
+fn arb_junk_line() -> impl Strategy<Value = String> {
+    use prop::sample::select;
+    let label = prop_oneof![
+        4 => select(vec!["a", "loop", "_x9", "Main", "b2"]),
+        1 => select(vec!["é", "中文", "9x", "a b", "", "x😀"]),
+    ];
+    let stray = prop_oneof![
+        6 => Just(""),
+        1 => select(vec![":", "::", ",", ";", " : ", ", ,", ";:"]),
+    ];
+    let head = select(vec![
+        "add", "ADD", "Li", "lw", "SW", "fadd", "fcmplt", "beq", "j", "jr", "halt", "Nop", "qmap",
+        "setrot", "mv", "lif", ".data", ".text", ".word", ".float", ".space", ".org", ".entry",
+        ".equ", ".WORD", ".Data", "frob", "ädd", "",
+    ]);
+    let operand = prop_oneof![
+        4 => select(vec![
+            "r1", "R2", "r0", "f3", "#3", "#-0x10", "#a", "4(r2)", "(r3)", "a(r0)", "loop", "@2",
+            "implicit #8", "explicit", "#1.5", "0.25", "-7", "r99", "#", "()", "4(r2", "x😀",
+            "ünï", "中文",
+        ])
+        .prop_map(String::from),
+        2 => "[a-zA-Z0-9_#@().+\\-]{1,8}",
+        1 => "[éß中文Ω😀\u{a0}]{1,4}",
+        1 => "[ -~]{0,6}",
+    ];
+    let operands = prop_oneof![
+        6 => (prop::collection::vec(operand.clone(), 0..4), select(vec![", ", ",", " , ", ",,"])),
+        1 => (prop::collection::vec(operand, 4..40), select(vec![", ", ",", " , ", ",\t"])),
+    ]
+    .prop_map(|(operands, sep)| operands.join(sep));
+    let comment = prop::option::of("[ -~éß中文😀:,;]{0,20}");
+    let ending = select(vec!["\n", "\n", "\r\n", "\r\n\r\n", "", "\r"]);
+    ((prop::collection::vec(label, 0..3), stray.clone(), head), (operands, stray, comment, ending))
+        .prop_map(|((labels, lead, head), (operands, tail, comment, ending))| {
+            let mut line: String = labels.iter().map(|l| format!("{l}: ")).collect();
+            line.push_str(lead);
+            line.push_str(head);
+            line.push(' ');
+            line.push_str(&operands);
+            line.push_str(tail);
+            if let Some(comment) = comment {
+                line.push_str(" ;");
+                line.push_str(&comment);
+            }
+            line.push_str(ending);
+            line
+        })
+}
+
+/// Whole sources: one line or many from [`arb_junk_line`], printable
+/// ASCII, or any mix of ASCII, multi-byte UTF-8, Unicode spaces and
+/// line ends.
+fn arb_junk_source() -> impl Strategy<Value = String> {
+    prop_oneof![
+        3 => prop::collection::vec(arb_junk_line(), 0..24).prop_map(|lines| lines.concat()),
+        2 => arb_junk_line(),
+        1 => "[ -~\n]{0,300}",
+        1 => "[\t -~éß中文😀\u{a0}\u{2028}\r\n]{0,300}",
+    ]
+}
+
 /// Random list shapes for the eager-execution equivalence property.
 fn arb_shape() -> impl Strategy<Value = hirata::workloads::linked_list::ListShape> {
     (1usize..24, proptest::option::of(0usize..24)).prop_map(|(nodes, brk)| {
@@ -207,13 +274,6 @@ proptest! {
         let want = tmp.unwrap_or(0.0);
         prop_assert_eq!(seq.memory().read_f64(RESULT_ADDR).unwrap(), want);
         prop_assert_eq!(eager.memory().read_f64(RESULT_ADDR).unwrap(), want);
-    }
-
-    #[test]
-    fn assembler_never_panics_on_junk(text in "[ -~\n]{0,300}") {
-        // Arbitrary printable input must produce Ok or a located error,
-        // never a panic.
-        let _ = hirata::asm::assemble(&text);
     }
 
     #[test]
@@ -251,5 +311,20 @@ proptest! {
         let emu = Emulator::execute(&program, 1, 1 << 20, 10_000_000).unwrap();
         let machine_view = observe(Config::multithreaded(1), &program);
         prop_assert_eq!(&emu.memory.words()[..88], machine_view.as_slice());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn assembler_never_panics_on_junk(text in arb_junk_source()) {
+        // Any input must produce a valid program or an error located
+        // on one of its lines (line 0: the whole program failed
+        // validation), never a panic.
+        match hirata::asm::assemble(&text) {
+            Ok(program) => prop_assert!(program.validate().is_ok()),
+            Err(e) => prop_assert!(e.line() <= text.lines().count(), "{e} for {text:?}"),
+        }
     }
 }
