@@ -20,18 +20,11 @@
 //!   fast-forward on every grid point and gate against the separate
 //!   `BENCH_throughput_noff.json` baseline, so the plain cycle loop
 //!   stays performance-gated alongside the wheel.
-//! * `throughput_check --no-warp` — disable the loop-warp engine on
-//!   every grid point (the event wheel stays on unless
-//!   `--no-fast-forward` is also given). Warp on/off shares the same
-//!   baseline file: warp is byte-identical by contract, and the gate
-//!   measures wall time, not cycles.
 //! * `throughput_check --profile` — instead of gating, print the
 //!   per-phase wall-time shares (fetch / wake+bind / issue /
 //!   arbitrate / writeback / wheel) for every grid point, via
-//!   `Machine::step_profiled`, followed by the loop-warp counters per
-//!   point (periods detected, leaps, periods leapt, % of simulated
-//!   cycles covered by leaps, and verification misses by reason). The
-//!   breakdowns recorded in EXPERIMENTS.md come from this mode.
+//!   `Machine::step_profiled`. The breakdowns recorded in
+//!   EXPERIMENTS.md come from this mode.
 //! * `throughput_check --probe [--points k1,k2,...]` — one quick
 //!   machine-readable measurement pass: `key<TAB>cycles/sec` per
 //!   selected grid point, no gating, no baseline. This is the unit of
@@ -53,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use hirata_isa::Program;
 use hirata_sched::Strategy;
-use hirata_sim::{Config, Machine, PhaseProfile, WarpMiss};
+use hirata_sim::{Config, Machine, PhaseProfile};
 use hirata_workloads::linked_list::{eager_program, sequential_program, ListShape};
 use hirata_workloads::livermore::kernel1_program;
 use hirata_workloads::raytrace::{raytrace_program, RayTraceParams};
@@ -75,48 +68,15 @@ struct GridPoint {
     program: Program,
 }
 
-/// The loop-warp positive control: the `examples/asm/affine_stride.s`
-/// shape at bench scale. Its steady state is built entirely from
-/// warp-safe instructions (the paper workloads all keep a load in
-/// their loop bodies, which pins them to plain stepping), so this
-/// point both measures the leap path's speedup and keeps it
-/// performance-gated.
-fn affine_program(trips: u64) -> Program {
-    hirata_asm::assemble(&format!(
-        "
-        fastfork
-        lpid r1
-        add  r9, r1, #1
-        mul  r9, r9, #65536
-        li   r8, #{trips}
-        li   r7, #0
-    loop:
-        sw   r7, 0(r9)
-        add  r9, r9, #1
-        add  r7, r7, #5
-        sub  r8, r8, #1
-        bne  r8, #0, loop
-        halt
-    "
-    ))
-    .expect("affine loop assembles")
-}
-
-/// Trip count for the affine-loop grid point: long enough that the
-/// warped run is dominated by leaps, short enough that the plain
-/// (`--no-fast-forward --no-warp`) gate stays quick.
-const AFFINE_TRIPS: u64 = 60_000;
-
-fn grid(fast_forward: bool, warp: bool) -> Vec<GridPoint> {
+fn grid(fast_forward: bool) -> Vec<GridPoint> {
     let ray = raytrace_program(&RayTraceParams::default());
     let k1_n = 64;
     let fig6 = ListShape { nodes: 60, break_at: Some(59) };
-    let affine = affine_program(AFFINE_TRIPS);
 
     let mut points = Vec::new();
     for slots in [1usize, 2, 4, 8] {
         let config = if slots == 1 { Config::base_risc() } else { Config::multithreaded(slots) };
-        let config = config.with_fast_forward(fast_forward).with_warp(warp);
+        let config = config.with_fast_forward(fast_forward);
         points.push(GridPoint {
             key: format!("raytrace/s{slots}"),
             config: config.clone(),
@@ -135,16 +95,7 @@ fn grid(fast_forward: bool, warp: bool) -> Vec<GridPoint> {
             config: config.clone(),
             program: k1_prog,
         });
-        points.push(GridPoint {
-            key: format!("fig6-list/s{slots}"),
-            config: config.clone(),
-            program: fig6_prog,
-        });
-        points.push(GridPoint {
-            key: format!("affine-loop/s{slots}"),
-            config,
-            program: affine.clone(),
-        });
+        points.push(GridPoint { key: format!("fig6-list/s{slots}"), config, program: fig6_prog });
     }
     points
 }
@@ -202,38 +153,16 @@ fn probe_measure(point: &GridPoint) -> Measurement {
 /// timing estimator).
 const PROFILE_RUNS: usize = 3;
 
-fn profile_report(fast_forward: bool, warp: bool) -> String {
+fn profile_report(fast_forward: bool) -> String {
     let mut out = String::new();
-    let mut warp_lines = String::new();
     out.push_str(&format!(
         "{:<18} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>9}\n",
         "workload/slots", "fetch", "wake", "issue", "arb", "wb", "wheel", "ns/cycle"
     ));
-    for point in grid(fast_forward, warp) {
-        // One unprofiled warm-up run, then accumulate shares. The
-        // warm-up run also supplies the warp counters — they are
-        // deterministic, so one run is exact.
+    for point in grid(fast_forward) {
+        // One unprofiled warm-up run, then accumulate shares.
         let mut m = Machine::new(point.config.clone(), &point.program).expect("machine builds");
         m.run().expect("program runs");
-        let ws = m.warp_stats();
-        let mut miss_txt = WarpMiss::ALL
-            .iter()
-            .filter(|&&r| ws.misses(r) > 0)
-            .map(|&r| format!("{} {}", r.label(), ws.misses(r)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        if miss_txt.is_empty() {
-            miss_txt = "none".to_string();
-        }
-        warp_lines.push_str(&format!(
-            "{:<18} detected {:>5}  leaps {:>4}  periods leapt {:>8}  coverage {:>5.1}%  misses: {}\n",
-            point.key,
-            ws.periods_detected,
-            ws.leaps,
-            ws.periods_leapt,
-            100.0 * ws.coverage(m.cycles()),
-            miss_txt,
-        ));
         let mut prof = PhaseProfile::default();
         let mut cycles = 0u64;
         for _ in 0..PROFILE_RUNS {
@@ -255,8 +184,6 @@ fn profile_report(fast_forward: bool, warp: bool) -> String {
             total.as_nanos() as f64 / cycles.max(1) as f64,
         ));
     }
-    out.push_str("\nloop-warp counters (one deterministic run per point):\n");
-    out.push_str(&warp_lines);
     out
 }
 
@@ -310,7 +237,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let record = args.iter().any(|a| a == "--record");
     let fast_forward = !args.iter().any(|a| a == "--no-fast-forward");
-    let warp = !args.iter().any(|a| a == "--no-warp");
     let profile = args.iter().any(|a| a == "--profile");
     let probe = args.iter().any(|a| a == "--probe");
     let points_filter: Option<Vec<String>> = args
@@ -325,7 +251,7 @@ fn main() {
         .map(std::path::PathBuf::from);
 
     if probe {
-        for point in grid(fast_forward, warp) {
+        for point in grid(fast_forward) {
             if let Some(filter) = &points_filter {
                 if !filter.contains(&point.key) {
                     continue;
@@ -338,7 +264,7 @@ fn main() {
     }
 
     if profile {
-        let report = profile_report(fast_forward, warp);
+        let report = profile_report(fast_forward);
         print!("{report}");
         if let Some(path) = report_path {
             std::fs::write(&path, &report).expect("write report");
@@ -363,7 +289,7 @@ fn main() {
 
     let mut measured = BTreeMap::new();
     let mut failures = Vec::new();
-    for point in grid(fast_forward, warp) {
+    for point in grid(fast_forward) {
         let m = measure(&point);
         let cps = m.cycles as f64 / m.secs;
         let mips = m.instructions as f64 / m.secs / 1e6;

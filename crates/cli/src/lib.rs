@@ -106,10 +106,10 @@ pub const USAGE: &str = "usage:
   hirata run    <file.s> [--slots N] [--base] [--width D] [--two-ls]
                          [--no-standby] [--private-fetch] [--trace]
                          [--timeline] [--dump A..B] [--max-cycles N]
-                         [--no-fast-forward] [--no-warp]
+                         [--no-fast-forward]
   hirata trace  <file.s> [--slots N] [--width D] [--two-ls]
                          [--format chrome|text] [--max-cycles N]
-                         [--no-fast-forward] [--no-warp] [--warp-debug]
+                         [--no-fast-forward]
   hirata debug  <file.s> [--slots N]    (commands on stdin: s/c/b/r/f/m/i/q)
   hirata emu    <file.s> [--slots N] [--dump A..B]
   hirata lab    <file.s> [--slots LIST] [--ls LIST] [--jobs N]
@@ -275,7 +275,6 @@ fn run(
     let mut dump: Option<(u64, u64)> = None;
     let mut max_cycles: Option<u64> = None;
     let mut fast_forward = true;
-    let mut warp = true;
 
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
@@ -289,7 +288,6 @@ fn run(
             "--trace" => trace = true,
             "--timeline" => timeline = true,
             "--no-fast-forward" => fast_forward = false,
-            "--no-warp" => warp = false,
             "--max-cycles" => max_cycles = Some(parse_num("--max-cycles", it.next())?),
             "--dump" => {
                 let spec = it
@@ -335,7 +333,6 @@ fn run(
     config.standby_stations = standby;
     config.private_fetch = private_fetch;
     config.fast_forward = fast_forward;
-    config.warp = warp;
     if let Some(limit) = max_cycles {
         config.max_cycles = limit;
     }
@@ -399,8 +396,6 @@ fn trace_cmd(
     let mut format = TraceFormat::Text;
     let mut max_cycles: Option<u64> = None;
     let mut fast_forward = true;
-    let mut warp = true;
-    let mut warp_debug = false;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -410,8 +405,6 @@ fn trace_cmd(
             "--two-ls" => two_ls = true,
             "--max-cycles" => max_cycles = Some(parse_num("--max-cycles", it.next())?),
             "--no-fast-forward" => fast_forward = false,
-            "--no-warp" => warp = false,
-            "--warp-debug" => warp_debug = true,
             "--format" => {
                 let value = it
                     .next()
@@ -444,17 +437,8 @@ fn trace_cmd(
         config.fu = FuConfig::paper_two_ls();
     }
     config.fast_forward = fast_forward;
-    config.warp = warp;
     if let Some(limit) = max_cycles {
         config.max_cycles = limit;
-    }
-    if warp_debug && !warp {
-        return Err(CliError::Usage(format!("--warp-debug needs warp enabled\n{USAGE}")));
-    }
-    if warp_debug && matches!(format, TraceFormat::Chrome) {
-        return Err(CliError::Usage(format!(
-            "--warp-debug needs --format text (chrome output must stay pure JSON)\n{USAGE}"
-        )));
     }
     config.validate().map_err(|e| CliError::Failure(e.to_string()))?;
     let fu = config.fu.clone();
@@ -462,7 +446,6 @@ fn trace_cmd(
 
     let mut machine =
         Machine::new(config, &program).map_err(|e| CliError::Failure(e.to_string()))?;
-    machine.set_warp_debug(warp_debug);
     match format {
         TraceFormat::Chrome => {
             let sink = hirata_sim::ChromeSink::new();
@@ -474,46 +457,9 @@ fn trace_cmd(
             let sink = hirata_sim::TextSink::new();
             machine.attach_trace_sink(Box::new(sink.clone()));
             machine.run().map_err(|e| CliError::Failure(e.to_string()))?;
-            let mut out = sink.text();
-            if warp_debug {
-                out.push_str(&warp_debug_report(&machine));
-            }
-            Ok(out)
+            Ok(sink.text())
         }
     }
-}
-
-/// Renders the `--warp-debug` period report: every steady-state loop
-/// the warp engine verified, with its cycle footprint and per-period
-/// register deltas.
-fn warp_debug_report(machine: &Machine) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("\nwarp periods:\n");
-    let periods = machine.warp_periods();
-    if periods.is_empty() {
-        out.push_str("  (none detected)\n");
-        return out;
-    }
-    for p in periods {
-        let pcs: Vec<String> = p.footprint.iter().map(|pc| format!("{pc:#06x}")).collect();
-        let _ = write!(
-            out,
-            "  start {:>8}  period {:>4}  verified x{:<4} leapt {:>8}  pcs [{}]\n    delta",
-            p.start,
-            p.period,
-            p.repeats,
-            p.leapt,
-            pcs.join(" "),
-        );
-        if p.deltas.is_empty() {
-            out.push_str(" (none)");
-        }
-        for &(ctx, reg, d) in &p.deltas {
-            let _ = write!(out, " ctx{ctx}:r{reg}{d:+}");
-        }
-        out.push('\n');
-    }
-    out
 }
 
 /// Output format of `hirata trace`.
@@ -922,48 +868,15 @@ mod tests {
         }
     }
 
-    const LOOP_PROG: &str = "
-        li r1, #20000
-        li r2, #0
-        li r3, #4096
-    loop:
-        sw r2, 0(r3)
-        add r3, r3, #1
-        add r2, r2, #1
-        sub r1, r1, #1
-        bne r1, #0, loop
-        halt
-    ";
-
-    #[test]
-    fn no_warp_output_is_identical() {
-        for cmd in [
-            "run prog.s --slots 4 --dump 100..104",
-            "run prog.s --dump 4096..4100",
-            "trace prog.s --slots 2",
-        ] {
-            let on = execute(&args(cmd), fake_fs(LOOP_PROG)).unwrap();
-            let off = execute(&args(&format!("{cmd} --no-warp")), fake_fs(LOOP_PROG)).unwrap();
-            assert_eq!(on, off, "`{cmd}` output changed with warp off");
-        }
-    }
-
-    #[test]
-    fn warp_debug_appends_period_report() {
-        let out = execute(&args("trace prog.s --warp-debug"), fake_fs(LOOP_PROG)).unwrap();
-        assert!(out.contains("warp periods:"), "{out}");
-        assert!(out.contains("period"), "{out}");
-        // The loop counter, value, and pointer registers all step.
-        assert!(out.contains("ctx0:r1"), "{out}");
-        let chrome = execute(&args("trace prog.s --warp-debug --format chrome"), fake_fs(PROG));
-        assert!(matches!(chrome, Err(CliError::Usage(_))));
-        let nowarp = execute(&args("trace prog.s --warp-debug --no-warp"), fake_fs(PROG));
-        assert!(matches!(nowarp, Err(CliError::Usage(_))));
-    }
-
     #[test]
     fn trace_usage_errors() {
-        for bad in ["trace", "trace prog.s --format pdf", "trace prog.s --bogus"] {
+        for bad in [
+            "trace",
+            "trace prog.s --format pdf",
+            "trace prog.s --bogus",
+            "trace prog.s --warp-debug",
+            "run prog.s --no-warp",
+        ] {
             let err = execute(&args(bad), fake_fs(PROG)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{bad:?} -> {err:?}");
         }

@@ -68,7 +68,11 @@ use crate::job::JobOutput;
 ///
 /// v3: job keys come from a word-at-a-time hasher instead of FNV-1a,
 /// so every key changed; the entry text is as in v2.
-pub const CACHE_SCHEMA_TAG: &str = "hirata-lab-cache-v3";
+///
+/// v4: `Config` lost its `warp` field, which changed the `Config`
+/// Debug text every key hashes, so every key changed again; the entry
+/// text is as in v2.
+pub const CACHE_SCHEMA_TAG: &str = "hirata-lab-cache-v4";
 
 /// File-name prefix of the entry log; the log's generation follows it.
 const LOG_PREFIX: &str = "pack-";

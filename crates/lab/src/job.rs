@@ -446,7 +446,7 @@ mod tests {
         Job { program: Arc::new(program), ..job.clone() }
     }
 
-    /// The v3 key of a fixed job. It changes only with the schema tag,
+    /// The v4 key of a fixed job. It changes only with the schema tag,
     /// the hasher, or what a job's fields render to; any of those is
     /// a change every stored key has to follow.
     #[test]
@@ -454,7 +454,7 @@ mod tests {
         let key = data_job().with_extra_threads(vec![1]).content_hash();
         // Printed for `keys_are_the_same_in_another_process`.
         println!("key={key}");
-        assert_eq!(key, "cc339a43e4965e08493b6a4768225ee9");
+        assert_eq!(key, "6a86a31bce74ea31e036e7d52e8e6a06");
     }
 
     /// The key of the same job, computed by a second run of this test

@@ -57,18 +57,6 @@ pub trait DataMemModel {
 
     /// Statistics accumulated so far.
     fn stats(&self) -> MemStats;
-
-    /// Applies `count` store accesses in bulk, returning `true` only
-    /// if doing so is *exactly* equivalent to `count` individual
-    /// [`DataMemModel::access`] calls — same statistics and same
-    /// subsequent timing behaviour regardless of the addresses and
-    /// times involved. Models whose outcome depends on the address or
-    /// access history must keep the default (`false`), which makes the
-    /// simulator's loop-warp engine fall back to plain stepping.
-    fn bulk_store_hits(&mut self, count: u64) -> bool {
-        let _ = count;
-        false
-    }
 }
 
 /// The paper's §3.1 assumption: every access hits in the data cache in
@@ -103,14 +91,6 @@ impl DataMemModel for IdealCache {
 
     fn stats(&self) -> MemStats {
         self.stats
-    }
-
-    fn bulk_store_hits(&mut self, count: u64) -> bool {
-        // Every access hits in the same fixed time whatever the
-        // address, so a batch of stores is a pure counter bump.
-        self.stats.accesses += count;
-        self.stats.hits += count;
-        true
     }
 }
 
@@ -277,20 +257,5 @@ mod tests {
     #[test]
     fn miss_ratio_empty_is_zero() {
         assert_eq!(MemStats::default().miss_ratio(), 0.0);
-    }
-
-    #[test]
-    fn bulk_store_hits_matches_sequential_accesses() {
-        let mut bulk = IdealCache::default();
-        let mut seq = IdealCache::default();
-        assert!(bulk.bulk_store_hits(17));
-        for i in 0..17u64 {
-            seq.access(i * 3, true, i);
-        }
-        assert_eq!(bulk.stats(), seq.stats());
-
-        // Stateful models must refuse the bulk path.
-        assert!(!FiniteCache::new(4, 4, 2, 20).bulk_store_hits(1));
-        assert!(!DsmMemory::new(1000, 2, 80).bulk_store_hits(1));
     }
 }

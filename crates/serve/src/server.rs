@@ -33,7 +33,9 @@ use std::time::{Duration, Instant};
 use hirata_lab::{
     default_cache_dir, valid_key, DiskCache, Job, JobError, JobOutput, JobResult, Lab,
 };
-use hirata_sim::{LaneError, Machine, MachineBatch, DEFAULT_STRIDE};
+use hirata_sim::{
+    LaneError, Machine, MachineBatch, MachineError, PredecodedProgram, DEFAULT_STRIDE,
+};
 
 use crate::http::{
     finish_chunked, read_request, start_chunked, write_chunk, write_response, Request,
@@ -520,8 +522,9 @@ fn handle_submit(state: &AppState, stream: &mut TcpStream, request: &Request) {
 
 /// Interleaved execution: every grid point steps round-robin on this
 /// one thread in a [`MachineBatch`], so N configurations make
-/// progress together without N threads. Returns
-/// `(executed, cache_hits, failed)`.
+/// progress together without N threads. Every point runs the
+/// submission's one program, lowered once (at the first cache miss)
+/// and shared by all lanes. Returns `(executed, cache_hits, failed)`.
 fn run_interleaved(
     state: &AppState,
     stream: &mut TcpStream,
@@ -536,6 +539,7 @@ fn run_interleaved(
     let mut failed = 0usize;
 
     let keys: Vec<String> = jobs.iter().map(Job::content_hash).collect();
+    let mut predecoded: Option<Result<Arc<PredecodedProgram>, MachineError>> = None;
     let mut batch = MachineBatch::new();
     // Lane id -> grid index, for jobs that reached the batch.
     let mut lane_index: Vec<(usize, usize)> = Vec::new();
@@ -558,7 +562,18 @@ fn run_interleaved(
             report(stream, index, true, &Ok(output), &mut finished, stream_ok);
             continue;
         }
-        match Machine::with_mem_model(job.config.clone(), &job.program, job.mem.build()) {
+        let program = predecoded.get_or_insert_with(|| PredecodedProgram::shared(&spec.program));
+        let built = match program {
+            Ok(program) => Machine::with_mem_model_predecoded(
+                job.config.clone(),
+                Arc::clone(program),
+                job.mem.build(),
+            ),
+            // The point reports what building it from source would:
+            // its configuration is checked before the program.
+            Err(e) => Err(job.config.validate().map_or_else(MachineError::from, |()| e.clone())),
+        };
+        match built {
             Ok(machine) => {
                 let lane = batch.insert(machine);
                 lane_index.push((lane, index));

@@ -236,3 +236,37 @@ fn fetch_trace(addr: &str, key: &str) -> std::io::Result<Json> {
     Json::parse(std::str::from_utf8(&body).expect("utf8 trace"))
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{e}")))
 }
+
+/// A program that assembles but cannot be lowered for the machine (no
+/// instructions) fails every grid point once, with the same text in
+/// both modes; a point whose configuration is invalid reports the
+/// configuration error, which is checked first.
+#[test]
+fn unlowerable_program_fails_each_point_alike_in_both_modes() {
+    let cache = Scratch::new("cache");
+    let traces = Scratch::new("traces");
+    let (addr, handle) = boot(&cache, &traces);
+    let sweep = |mode| {
+        let request = SubmitRequest {
+            program: ".data\n.org 0\n.word 7\n".into(),
+            slots: vec![1, 2, 65],
+            ls: vec![1],
+            ..request(mode)
+        };
+        submit(&addr, &request, &mut |_, _| {}).expect("submission answered")
+    };
+    let interleaved = sweep(Mode::Interleaved);
+    let pool = sweep(Mode::Pool);
+    for outcome in [&interleaved, &pool] {
+        assert_eq!((outcome.rows.len(), outcome.failed, outcome.executed), (3, 3, 3));
+    }
+    for (a, b) in interleaved.rows.iter().zip(&pool.rows) {
+        assert_eq!(a.outcome, b.outcome, "modes disagree at {} slots", a.slots);
+    }
+    let text = |i: usize| interleaved.rows[i].outcome.clone().unwrap_err();
+    assert!(text(0).contains("program has no instructions"), "{}", text(0));
+    assert_eq!(text(0), text(1));
+    assert!(text(2).contains("thread_slots (65)"), "{}", text(2));
+    shutdown(&addr).expect("shutdown accepted");
+    handle.join().expect("daemon thread").expect("daemon exits cleanly");
+}

@@ -126,24 +126,6 @@ impl MachineBatch {
         Some(self.lanes.remove(at).machine)
     }
 
-    /// Aggregate loop-warp counters over every resident machine — the
-    /// live lanes plus finished lanes not yet drained. Lanes with the
-    /// warp engine disabled contribute zeros, so the aggregate is
-    /// meaningful for mixed-configuration batches (e.g. the serve
-    /// daemon reporting how much simulated time the fleet leapt).
-    pub fn warp_stats(&self) -> crate::WarpStats {
-        let mut total = crate::WarpStats::default();
-        for lane in &self.lanes {
-            total.merge(&lane.machine.warp_stats());
-        }
-        for (_, result) in &self.finished {
-            if let Ok(machine) = result {
-                total.merge(&machine.warp_stats());
-            }
-        }
-        total
-    }
-
     /// Steps every live lane up to `stride` cycles (or to completion /
     /// error / panic, whichever comes first), then returns the number
     /// of lanes still live. Finished lanes move to the internal queue
@@ -184,20 +166,16 @@ impl MachineBatch {
     }
 }
 
-/// Steps one machine up to `stride` cycles; `Ok(true)` means done.
+/// Steps one machine through a whole stride of `stride` cycles;
+/// `Ok(true)` means done.
 ///
 /// The stride is measured in simulated cycles, not `step` calls: an
 /// event-wheel jump can advance many cycles in one call, and counting
 /// calls would let a stalled-but-jumping lane race arbitrarily far
 /// ahead of its siblings within a round. Every `step` advances at
-/// least one cycle, so the loop is bounded.
-///
-/// A lane whose ready frontier empties mid-round yields the rest of
-/// its stride: every slot is provably stalled, the event wheel has
-/// already jumped whatever span it could prove past, and the steps
-/// that remain are pure stall replay — better spent on siblings with
-/// live work. Pure scheduling, not semantics: each machine's cycles
-/// and statistics are independent of where its rounds end.
+/// least one cycle, so the loop is bounded. Where a round ends is pure
+/// scheduling, not semantics: each machine's cycles and statistics
+/// are independent of it.
 fn step_lane(machine: &mut Machine, stride: u64) -> Result<bool, MachineError> {
     // `run_span` hoists the trace-sink dispatch out of the loop, so an
     // untraced lane steps the sink-free monomorphized kernel

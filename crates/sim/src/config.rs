@@ -109,16 +109,6 @@ pub struct Config {
     /// synthesized from the wake reasons); disable to force the plain
     /// cycle-by-cycle loop when debugging the simulator itself.
     pub fast_forward: bool,
-    /// Loop-warp: the event-wheel's sibling for *busy* spans. The
-    /// machine fingerprints its timing-relevant state each cycle,
-    /// detects when the fingerprint recurs with period `p`, verifies
-    /// over recorded periods that the architectural effect is an
-    /// affine replayable delta, and then leaps whole periods at once
-    /// by applying `k·Δ` to registers/memory/statistics. Cycle counts,
-    /// statistics, and trace streams are byte-identical either way
-    /// (any verification miss falls back to plain stepping); disable
-    /// to force per-cycle issue when debugging the simulator itself.
-    pub warp: bool,
 }
 
 /// Error from [`Config::validate`].
@@ -155,7 +145,6 @@ impl Config {
             icache_cycles: 2,
             max_cycles: 500_000_000,
             fast_forward: true,
-            warp: true,
         }
     }
 
@@ -204,14 +193,6 @@ impl Config {
     /// throughput control with no architectural effect.
     pub fn with_fast_forward(mut self, on: bool) -> Self {
         self.fast_forward = on;
-        self
-    }
-
-    /// Enables or disables the loop-warp steady-state engine (see
-    /// [`Config::warp`]). On by default; purely a simulator throughput
-    /// control with no architectural effect.
-    pub fn with_warp(mut self, on: bool) -> Self {
-        self.warp = on;
         self
     }
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use hirata_isa::ProgramError;
+use hirata_isa::{FuClass, ProgramError};
 use hirata_mem::MemError;
 
 use crate::config::ConfigError;
@@ -71,6 +71,16 @@ pub enum MachineError {
         /// Rendering of the offending instruction.
         inst: String,
     },
+    /// An instruction reached issue for a functional-unit class the
+    /// configuration has no instance of, so it could never execute.
+    NoFunctionalUnit {
+        /// Thread slot.
+        slot: usize,
+        /// Instruction address.
+        pc: u32,
+        /// The class with zero instances.
+        class: FuClass,
+    },
     /// The run exceeded `max_cycles` — a livelock/deadlock backstop.
     Watchdog {
         /// The cycle limit that was hit.
@@ -101,6 +111,9 @@ impl fmt::Display for MachineError {
             }
             MachineError::DecodeAtFu { slot, pc, inst } => {
                 write!(f, "decode-unit instruction `{inst}` reached a functional unit at slot {slot}, @{pc}")
+            }
+            MachineError::NoFunctionalUnit { slot, pc, class } => {
+                write!(f, "no {class} unit is configured for the instruction at slot {slot}, @{pc}")
             }
             MachineError::Watchdog { cycles } => {
                 write!(f, "watchdog: run exceeded {cycles} cycles (deadlock or runaway loop)")

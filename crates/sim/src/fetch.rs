@@ -17,6 +17,8 @@
 
 use std::collections::VecDeque;
 
+use crate::trace::SlotSet;
+
 /// A refill or redirect completion, surfaced at the start of a cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Delivery {
@@ -49,8 +51,12 @@ pub(crate) struct FetchSystem {
     scheduled: Vec<Scheduled>,
     /// Per-slot buffer credits (words available to decode).
     credits: Vec<usize>,
-    /// Per-slot: participates in round-robin refill.
-    active: Vec<bool>,
+    /// Slots with a running thread (the machine's bound slots): only
+    /// these receive refills. An inactive slot has no pending redirect,
+    /// scheduled delivery or unit serving it, so every per-cycle scan
+    /// visits the active slots (and, with private units, their units)
+    /// only.
+    active: SlotSet,
     /// Per-slot: a redirect is pending or in flight, so round-robin
     /// refills are suppressed until it lands.
     awaiting_redirect: Vec<bool>,
@@ -69,7 +75,7 @@ impl FetchSystem {
             redirects: VecDeque::new(),
             scheduled: Vec::new(),
             credits: vec![0; slots],
-            active: vec![false; slots],
+            active: SlotSet::EMPTY,
             awaiting_redirect: vec![false; slots],
             rr: 0,
         }
@@ -89,8 +95,10 @@ impl FetchSystem {
     /// Marks a slot as having (or not having) a running thread; only
     /// active slots receive round-robin refills.
     pub(crate) fn set_active(&mut self, slot: usize, active: bool) {
-        self.active[slot] = active;
-        if !active {
+        if active {
+            self.active.insert(slot);
+        } else {
+            self.active.remove(slot);
             self.credits[slot] = 0;
             self.awaiting_redirect[slot] = false;
             self.redirects.retain(|&(_, s)| s != slot);
@@ -108,6 +116,7 @@ impl FetchSystem {
     /// preempts an in-flight fetch for the same slot (§2.1.1: a branch
     /// "can preempt the fetching operation").
     pub(crate) fn request_redirect(&mut self, slot: usize, now: u64) {
+        debug_assert!(self.active.contains(slot), "redirect for inactive slot {slot}");
         self.credits[slot] = 0;
         // Drop any in-flight refill for this slot: its words are stale.
         self.scheduled.retain(|d| d.slot != slot);
@@ -154,8 +163,7 @@ impl FetchSystem {
     /// (the fetch request goes out at the end of the branch's D1
     /// stage), which yields the paper's branch shadows exactly.
     pub(crate) fn end_cycle(&mut self, now: u64) {
-        let units = self.unit_free.len();
-        for unit in 0..units {
+        for unit in self.live_units().iter() {
             if self.unit_free[unit] > now {
                 continue; // mid-service
             }
@@ -172,20 +180,73 @@ impl FetchSystem {
         }
     }
 
+    /// The units worth visiting: the shared unit, or the private units
+    /// of the active slots (an inactive slot's unit has nothing to do).
+    fn live_units(&self) -> SlotSet {
+        if self.private {
+            self.active
+        } else {
+            SlotSet::first(1)
+        }
+    }
+
+    /// The unit that serves `slot`.
+    fn unit_of(&self, slot: usize) -> usize {
+        if self.private {
+            slot
+        } else {
+            0
+        }
+    }
+
+    /// True if active `slot` is due a round-robin refill: no redirect
+    /// pending, room in its buffer, and no delivery already scheduled.
+    fn needs_refill(&self, slot: usize) -> bool {
+        !self.awaiting_redirect[slot]
+            && self.credits[slot] < self.capacity
+            && !self.scheduled.iter().any(|d| d.slot == slot)
+    }
+
     fn pick_for_private_unit(&mut self, unit: usize, now: u64) -> Option<(usize, bool)> {
         let slot = unit; // one unit per slot
         if let Some(pos) = self.redirects.iter().position(|&(t, s)| s == slot && t < now) {
             self.redirects.remove(pos);
             return Some((slot, true));
         }
-        if self.active[slot]
-            && !self.awaiting_redirect[slot]
-            && self.credits[slot] < self.capacity
-            && !self.scheduled.iter().any(|d| d.slot == slot)
-        {
-            return Some((slot, false));
+        (self.active.contains(slot) && self.needs_refill(slot)).then_some((slot, false))
+    }
+
+    /// Earliest scheduled delivery (`u64::MAX` if none).
+    fn next_delivery(&self) -> u64 {
+        self.scheduled.iter().map(|d| d.at).min().unwrap_or(u64::MAX)
+    }
+
+    /// Earliest cycle `>= from` at which an idle unit could begin a new
+    /// service (`end_cycle` semantics: the unit is free, and a redirect
+    /// is past its request cycle or an active slot is due a refill).
+    /// Static while no credits are consumed and no requests arrive.
+    fn next_service_start(&self, from: u64) -> u64 {
+        let mut next = u64::MAX;
+        for &(t, slot) in &self.redirects {
+            // A redirect requested at `t` becomes eligible at the end
+            // of cycle `t + 1` (see `end_cycle`).
+            next = next.min(self.unit_free[self.unit_of(slot)].max(from).max(t + 1));
         }
-        None
+        for slot in self.active.iter() {
+            if self.needs_refill(slot) {
+                next = next.min(self.unit_free[self.unit_of(slot)].max(from));
+            }
+        }
+        next
+    }
+
+    /// Marks every unit that went free before cycle `before` as idle.
+    fn release_idle_units(&mut self, before: u64) {
+        for unit in self.live_units().iter() {
+            if self.unit_free[unit] < before {
+                self.serving[unit] = None;
+            }
+        }
     }
 
     /// Earliest cycle `>= from` at which the fetch system does
@@ -194,36 +255,12 @@ impl FetchSystem {
     /// `from` and the returned cycle the system is provably inert as
     /// long as nothing calls `consume`/`request_redirect`/`set_active`
     /// — exactly the event-wheel's situation, where no slot issues.
-    /// `u64::MAX` means only an external request can wake it.
-    pub(crate) fn next_activity(&self, from: u64) -> u64 {
-        let mut next = u64::MAX;
-        for d in &self.scheduled {
-            next = next.min(d.at.max(from));
-        }
-        for unit in 0..self.unit_free.len() {
-            let free_at = self.unit_free[unit].max(from);
-            // A redirect requested at `t` becomes eligible at the end
-            // of cycle `t + 1` (see `end_cycle`).
-            for &(t, slot) in &self.redirects {
-                if !self.private || slot == unit {
-                    next = next.min(free_at.max(t + 1));
-                }
-            }
-            // Round-robin refill eligibility is static while no
-            // credits are consumed: the unit starts one as soon as it
-            // is free.
-            for slot in 0..self.credits.len() {
-                if (!self.private || slot == unit)
-                    && self.active[slot]
-                    && !self.awaiting_redirect[slot]
-                    && self.credits[slot] < self.capacity
-                    && !self.scheduled.iter().any(|d| d.slot == slot)
-                {
-                    next = next.min(free_at);
-                }
-            }
-        }
-        next
+    /// `u64::MAX` means only an external request can wake it. The
+    /// tests check it (and so `advance_span`'s event arithmetic)
+    /// against brute-force stepping.
+    #[cfg(test)]
+    fn next_activity(&self, from: u64) -> u64 {
+        self.next_delivery().max(from).min(self.next_service_start(from))
     }
 
     /// Replays the fetch activity of `[t, target)` in one call — the
@@ -246,41 +283,12 @@ impl FetchSystem {
         out: &mut Vec<Delivery>,
     ) -> Option<u64> {
         loop {
-            // Earliest scheduled delivery, and earliest cycle a unit
-            // could begin a new service (`end_cycle` semantics: unit
-            // free, and a redirect past its request cycle or a needy
-            // active slot to refill).
-            let mut next_del = u64::MAX;
-            for d in &self.scheduled {
-                debug_assert!(d.at >= t, "delivery from the past left unapplied");
-                next_del = next_del.min(d.at);
-            }
-            let mut next_start = u64::MAX;
-            for unit in 0..self.unit_free.len() {
-                let f = self.unit_free[unit].max(t);
-                for &(rt, slot) in &self.redirects {
-                    if !self.private || slot == unit {
-                        next_start = next_start.min(f.max(rt + 1));
-                    }
-                }
-                for slot in 0..self.credits.len() {
-                    if (!self.private || slot == unit)
-                        && self.active[slot]
-                        && !self.awaiting_redirect[slot]
-                        && self.credits[slot] < self.capacity
-                        && !self.scheduled.iter().any(|d| d.slot == slot)
-                    {
-                        next_start = next_start.min(f);
-                    }
-                }
-            }
-            // The skipped cycles are provably inert for the fetch
-            // system: cross-check against the per-cycle oracle.
-            debug_assert_eq!(
-                next_del.min(next_start),
-                self.next_activity(t).max(t),
-                "advance_span event computation diverged from next_activity"
+            debug_assert!(
+                self.scheduled.iter().all(|d| d.at >= t),
+                "delivery from the past left unapplied"
             );
+            let next_del = self.next_delivery();
+            let next_start = self.next_service_start(t);
             if next_del < target && next_del <= next_start {
                 // A delivery lands first (ties go to the delivery:
                 // `begin_cycle` runs before `end_cycle` in a cycle).
@@ -289,11 +297,7 @@ impl FetchSystem {
                 if out.iter().any(|d| d.redirect || d.slot >= 64 || (wake >> d.slot) & 1 == 1) {
                     // Units that went free on a skipped cycle never
                     // restarted (no eligible pick before this one).
-                    for unit in 0..self.unit_free.len() {
-                        if self.unit_free[unit] < next_del {
-                            self.serving[unit] = None;
-                        }
-                    }
+                    self.release_idle_units(next_del);
                     return Some(next_del);
                 }
                 self.end_cycle(next_del);
@@ -302,53 +306,9 @@ impl FetchSystem {
                 self.end_cycle(next_start);
                 t = next_start + 1;
             } else {
-                for unit in 0..self.unit_free.len() {
-                    if self.unit_free[unit] < target {
-                        self.serving[unit] = None;
-                    }
-                }
+                self.release_idle_units(target);
                 return None;
             }
-        }
-    }
-
-    /// Canonical image of the fetch state with every absolute time
-    /// rebased to `now` — two of these compare equal exactly when the
-    /// two underlying systems behave identically from their respective
-    /// `now`s onward. Times already in the past are clamped to their
-    /// eligibility threshold (a unit free at cycle 3 and one free at
-    /// cycle 7 are indistinguishable at cycle 40: both are "free
-    /// now"); redirect request times are rebased to the cycle they
-    /// become eligible (`t + 1`, see [`FetchSystem::end_cycle`]); the
-    /// unordered `scheduled` list is sorted by slot (at most one entry
-    /// per slot exists, so the order carries no behaviour).
-    pub(crate) fn warp_rel(&self, now: u64) -> FetchSystem {
-        let mut rel = self.clone();
-        for f in &mut rel.unit_free {
-            *f = f.saturating_sub(now);
-        }
-        for (t, _) in &mut rel.redirects {
-            *t = (*t + 1).saturating_sub(now);
-        }
-        for d in &mut rel.scheduled {
-            d.at = d.at.saturating_sub(now);
-        }
-        rel.scheduled.sort_unstable_by_key(|d| d.slot);
-        rel
-    }
-
-    /// Shifts every absolute time forward by `delta` cycles — the
-    /// loop-warp leap. Relative to the machine's equally shifted
-    /// clock, behaviour is unchanged.
-    pub(crate) fn warp_shift(&mut self, delta: u64) {
-        for f in &mut self.unit_free {
-            *f += delta;
-        }
-        for (t, _) in &mut self.redirects {
-            *t += delta;
-        }
-        for d in &mut self.scheduled {
-            d.at += delta;
         }
     }
 
@@ -360,18 +320,9 @@ impl FetchSystem {
         }
         // Round-robin refill over active, needy slots.
         let n = self.credits.len();
-        for step in 0..n {
-            let slot = (self.rr + step) % n;
-            if self.active[slot]
-                && !self.awaiting_redirect[slot]
-                && self.credits[slot] < self.capacity
-                && !self.scheduled.iter().any(|d| d.slot == slot)
-            {
-                self.rr = (slot + 1) % n;
-                return Some((slot, false));
-            }
-        }
-        None
+        let slot = self.active.iter_from(self.rr, n).find(|&slot| self.needs_refill(slot))?;
+        self.rr = (slot + 1) % n;
+        Some((slot, false))
     }
 }
 
@@ -532,7 +483,7 @@ mod tests {
                 if history & 2 != 0 {
                     fs.request_redirect(0, 0);
                 }
-                if history & 4 != 0 {
+                if history & 4 != 0 && history & 1 == 0 {
                     fs.request_redirect(1, 1);
                 }
                 for now in 0..(history >> 3) as u64 {
@@ -554,47 +505,6 @@ mod tests {
         // happen without an external request.
         let fs = FetchSystem::new(2, 2, 4, false);
         assert_eq!(fs.next_activity(5), u64::MAX);
-    }
-
-    #[test]
-    fn warp_shift_commutes_with_stepping() {
-        // Shifting all times by D then running from now+D must behave
-        // exactly like running from now — deliveries included — and
-        // the rebased images must compare equal at every step.
-        for private in [false, true] {
-            let mut fs = FetchSystem::new(2, 2, 4, private);
-            fs.set_active(0, true);
-            fs.set_active(1, true);
-            fs.request_redirect(0, 0);
-            for now in 0..5 {
-                cycle(&mut fs, now);
-            }
-            fs.request_redirect(1, 5);
-            let mut shifted = fs.clone();
-            const D: u64 = 1_000;
-            shifted.warp_shift(D);
-            for now in 5..60 {
-                assert_eq!(fs.warp_rel(now), shifted.warp_rel(now + D), "private={private}");
-                let a = cycle(&mut fs, now);
-                let b = cycle(&mut shifted, now + D);
-                assert_eq!(a, b, "private={private} now={now}");
-            }
-        }
-    }
-
-    #[test]
-    fn warp_rel_clamps_stale_times() {
-        // Two systems whose only difference is *how far in the past*
-        // their units went free rebase to the same image.
-        let mut a = FetchSystem::new(1, 2, 2, false);
-        a.set_active(0, true);
-        let mut b = a.clone();
-        a.unit_free[0] = 3;
-        b.unit_free[0] = 7;
-        assert_eq!(a.warp_rel(40), b.warp_rel(40));
-        // A genuinely future free time is not clamped away.
-        b.unit_free[0] = 42;
-        assert_ne!(a.warp_rel(40), b.warp_rel(40));
     }
 
     #[test]

@@ -10,10 +10,7 @@ use hirata_isa::{FuClass, GReg, Inst, Program, Reg, FU_CLASS_COUNT};
 use hirata_mem::{Access, DataMemModel, IdealCache, MemStats, Memory};
 
 mod fupool;
-mod warp;
 mod wheel;
-
-pub use warp::{WarpMiss, WarpPeriodInfo, WarpStats};
 
 use crate::config::{Config, MAX_STANDBY_DEPTH};
 use crate::error::MachineError;
@@ -133,17 +130,13 @@ impl StandbyStation {
 /// their capacity intact.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Snapshot of the priority order for the cycle (stable between
-    /// the issue phase and arbitration: explicit rotations are
-    /// deferred to cycle end, and forced/implicit ones happen before
-    /// issue).
-    order: Vec<usize>,
     /// Schedule-unit candidates issued this cycle.
     cands: Vec<InFlight>,
     /// Fetch deliveries surfacing this cycle.
     deliveries: Vec<Delivery>,
     /// Per-slot stall descriptors for an event-wheel jump (indexed by
-    /// slot): the reason and blocking PC every skipped cycle records.
+    /// slot; only bound slots' entries are meaningful): the reason and
+    /// blocking PC every skipped cycle records.
     wheel_stalls: Vec<(StallReason, Option<u32>)>,
     /// Per-slot start cycle of the current stall piece within a jump
     /// span (descriptors can change mid-span when the wheel absorbs a
@@ -151,14 +144,13 @@ struct Scratch {
     wheel_piece: Vec<u64>,
 }
 
-/// A proven slot block (the ready-frontier entry for one slot): the
-/// slot provably re-records exactly this stall every cycle strictly
+/// A proven slot block (the ready-frontier entry for one bound slot):
+/// the slot provably re-records exactly this stall every cycle strictly
 /// before `wake`, unless a clearing event lifts it first. `wake` is
-/// `u64::MAX` for blocks only an event can lift. The reason doubles as
-/// the block's kind:
+/// `u64::MAX` for blocks only an event can lift. Unbound slots never
+/// hold one: they are outside the bound-slot mask, and their NoThread
+/// stalls are counted in bulk. The reason doubles as the block's kind:
 ///
-/// * `NoThread` — no bound context; cleared by a bind
-///   (`wake_and_bind`, `fastfork`).
 /// * `BranchShadow` — `now < earliest_issue`; `wake` is the shadow
 ///   expiry, and every event that moves `earliest_issue` (redirect
 ///   delivery, rebind) clears or rewrites the block.
@@ -192,18 +184,19 @@ enum WinEntry {
 }
 
 /// `repr(C)` orders the fields hot-first: the per-cycle issue path
-/// reads `ctx`/`block`/`earliest_issue`/`fetch_pc` for every slot, so
+/// reads `ctx`/`block`/`earliest_issue`/`fetch_pc` for every bound slot, so
 /// they pack into the leading bytes; the window's `VecDeque` header
 /// (three pointers-worth, touched only when the slot actually decodes)
 /// trails.
 #[derive(Debug)]
 #[repr(C)]
 struct Slot {
+    /// The bound context frame (mirrored by the machine's `bound`
+    /// mask).
     ctx: Option<usize>,
     /// The slot's ready-frontier state: `None` whenever no proof of a
-    /// stable stall is held (mirrored by the machine's `ready` mask).
-    /// Purely an optimization: replaying the block records exactly the
-    /// stall a fresh evaluation would.
+    /// stable stall is held. Purely an optimization: replaying the
+    /// block records exactly the stall a fresh evaluation would.
     block: Option<SlotBlock>,
     earliest_issue: u64,
     fetch_pc: u32,
@@ -336,41 +329,35 @@ pub struct Machine {
     prio: Priorities,
     stats: RunStats,
     cycle: u64,
-    /// The ready frontier: slot `s` is set iff `slots[s].block` is
-    /// `None` — kept in lockstep by `block_slot`/`unblock` and every
-    /// block-clearing event, so "is any slot worth evaluating" and
-    /// "are all slots provably stalled" are single mask tests. Debug
+    /// The bound-slot mask: slot `s` is set iff `slots[s].ctx` is
+    /// `Some` — kept in lockstep at every bind (`wake_and_bind`,
+    /// `fastfork`) and unbind (`detach`, `killothers`). Every per-cycle
+    /// path (issue, forced rotation, fetch round-robin, writeback
+    /// unblocking, the event wheel's probes and stall synthesis)
+    /// visits only these slots; the others record a NoThread stall
+    /// each, counted in one bulk add per cycle or skipped span. Debug
     /// builds rescan the slots each issue phase to prove the mirror
     /// exact.
-    ready: SlotSet,
-    /// A head-issue proof from the event wheel: `(cycle, pc)` means the
-    /// wheel's end-of-step probe ran `check_issue` on the head the step
-    /// at `cycle` will evaluate and it passed. Single-slot machines
-    /// only (nothing between the probe and that evaluation mutates
-    /// state `check_issue` reads), and purely an optimization — the
-    /// issue path skips its own head check instead of repeating it.
-    head_pass: Option<(u64, u32)>,
-    /// Earliest cycle at which a multi-slot machine may next attempt a
-    /// fast-forward, and the current backoff stride. Probing every
-    /// slot on every no-issue cycle is wasted work in phases where
-    /// some slot always issues again within a cycle or two; failed
-    /// attempts double the stride (capped), a successful jump resets
-    /// it. Deterministic, and only delays *attempts* — the cycles a
+    bound: SlotSet,
+    /// A head-issue proof from the event wheel: `(cycle, slot, pc)`
+    /// means the wheel's end-of-step probe ran `check_issue` on the
+    /// head `slot` will evaluate at `cycle` and it passed. Taken only
+    /// with a single live slot (see [`Machine::single_live_slot`]):
+    /// nothing between the probe and that evaluation mutates state
+    /// `check_issue` reads (a slot bound in between cannot issue on
+    /// its bind cycle). Purely an optimization — the issue path skips
+    /// its own head check instead of repeating it.
+    head_pass: Option<(u64, usize, u32)>,
+    /// Earliest cycle at which a machine with several live slots may
+    /// next attempt a fast-forward, and the current backoff stride.
+    /// Probing every slot on every no-issue cycle is wasted work in
+    /// phases where some slot always issues again within a cycle or
+    /// two; failed attempts double the stride (capped), a successful
+    /// jump resets it. Deterministic, and only delays *attempts* — the cycles a
     /// skipped attempt would have jumped are stepped plainly instead,
     /// producing identical statistics and traces by construction.
     ff_next: u64,
     ff_stride: u32,
-    /// The loop-warp engine (see `machine/warp.rs`), present when
-    /// [`Config::warp`] is on.
-    warp: Option<Box<warp::WarpState>>,
-    /// True while the warp engine records a candidate period: the
-    /// event wheel is suppressed (identity-safe — the wheel only
-    /// skips provably-inert work) so boundaries are reached by plain
-    /// stepping, and the issue/stall/branch/store hooks log events.
-    warp_recording: bool,
-    /// Collect `--warp-debug` period reports; also enables warp
-    /// observation (detection-only) under a trace sink.
-    warp_debug: bool,
     scratch: Scratch,
     trace: Option<Vec<IssueEvent>>,
     sink: Option<Box<dyn TraceSink>>,
@@ -553,11 +540,7 @@ impl Machine {
             fn stats(&self) -> MemStats {
                 self.0.stats()
             }
-            fn bulk_store_hits(&mut self, count: u64) -> bool {
-                self.0.bulk_store_hits(count)
-            }
         }
-        let warp = config.warp.then(|| Box::new(warp::WarpState::new()));
         Ok(Machine {
             fetch: FetchSystem::new(
                 s,
@@ -583,24 +566,14 @@ impl Machine {
             config,
             stats,
             cycle: 0,
-            ready: {
-                let mut all = SlotSet::EMPTY;
-                for slot in 0..s {
-                    all.insert(slot);
-                }
-                all
-            },
+            bound: SlotSet::EMPTY,
             head_pass: None,
             ff_next: 0,
             ff_stride: 1,
-            warp,
-            warp_recording: false,
-            warp_debug: false,
             scratch: Scratch {
-                order: Vec::with_capacity(s),
                 cands: Vec::with_capacity(s * 2),
                 deliveries: Vec::with_capacity(s),
-                wheel_stalls: Vec::with_capacity(s),
+                wheel_stalls: vec![(StallReason::NoThread, None); s],
                 wheel_piece: Vec::with_capacity(s),
             },
             trace: None,
@@ -609,11 +582,10 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Ready-frontier bookkeeping (the `ready` mask mirrors the slots'
-    // block descriptors; the issue phase rescans it in debug builds)
+    // Ready-frontier bookkeeping
     // ------------------------------------------------------------------
 
-    /// Installs a proven block for `s` and drops it from the ready
+    /// Installs a proven block for `s`, dropping it from the ready
     /// frontier. Callers must guarantee the [`SlotBlock`] contract: the
     /// slot re-records exactly this stall every cycle before `wake`,
     /// and every event that could change that outcome runs through
@@ -621,16 +593,30 @@ impl Machine {
     #[inline]
     fn block_slot(&mut self, s: usize, reason: StallReason, pc: Option<u32>, wake: u64) {
         self.slots[s].block = Some(SlotBlock { reason, pc, wake });
-        self.ready.remove(s);
     }
 
-    /// Clears `s`'s block (if any) and returns it to the ready
-    /// frontier — the universal "something about this slot changed"
+    /// Clears `s`'s block (if any), returning it to the ready frontier
+    /// — the universal "something about this slot changed"
     /// notification.
     #[inline]
     fn unblock(&mut self, s: usize) {
         self.slots[s].block = None;
-        self.ready.insert(s);
+    }
+
+    /// Slots with anything parked in a standby station.
+    #[inline]
+    fn standby_slots(&self) -> SlotSet {
+        self.standby_mask.iter().fold(SlotSet::EMPTY, |acc, &m| acc.union(m))
+    }
+
+    /// True when at most one slot can act: a one-slot machine, or a
+    /// single bound slot with nothing standing by in any other slot.
+    /// A priority rotation then never changes which slot acts first
+    /// (the forced rotation hands the token straight back), so the
+    /// event wheel treats the machine as a single-slot one.
+    fn single_live_slot(&self) -> bool {
+        self.slots.len() == 1
+            || (self.bound.len() == 1 && self.standby_slots().minus(self.bound).is_empty())
     }
 
     // ------------------------------------------------------------------
@@ -744,12 +730,11 @@ impl Machine {
         Ok(&self.stats)
     }
 
-    /// Runs until the machine finishes, `stride` more cycles elapse,
-    /// or the ready frontier empties (every slot provably stalled —
-    /// the yield condition [`crate::MachineBatch`] uses to hand a
-    /// lane's remaining round to its siblings). Returns true once the
-    /// machine is finished. The sink dispatch is hoisted out of the
-    /// loop, so untraced spans run the sink-free kernel throughout.
+    /// Runs until the machine finishes or at least `stride` more
+    /// cycles elapse (an event-wheel jump may carry it past). Returns
+    /// true once the machine is finished. The sink dispatch is hoisted
+    /// out of the loop, so untraced spans run the sink-free kernel
+    /// throughout.
     ///
     /// # Errors
     ///
@@ -762,17 +747,11 @@ impl Machine {
                 if self.step_impl::<false, true>(&mut prof)? {
                     return Ok(true);
                 }
-                if self.ready.is_empty() {
-                    break;
-                }
             }
         } else {
             while self.cycle < end {
                 if self.step_impl::<false, false>(&mut prof)? {
                     return Ok(true);
-                }
-                if self.ready.is_empty() {
-                    break;
                 }
             }
         }
@@ -845,18 +824,15 @@ impl Machine {
         deliveries.clear();
         self.fetch.begin_cycle(now, &mut deliveries);
         for d in &deliveries {
+            let slot = &mut self.slots[d.slot];
             if d.redirect {
-                let slot = &mut self.slots[d.slot];
                 slot.earliest_issue = slot.earliest_issue.max(now + depth);
                 slot.block = None;
-                self.ready.insert(d.slot);
-            } else if matches!(self.slots[d.slot].block, Some(b) if b.reason == StallReason::Fetch)
-            {
+            } else if matches!(slot.block, Some(b) if b.reason == StallReason::Fetch) {
                 // A refill ends fetch starvation; other blocks are
                 // unaffected by a plain delivery (their conditions
                 // don't read the credit count).
-                self.slots[d.slot].block = None;
-                self.ready.insert(d.slot);
+                slot.block = None;
             }
             if TRACED {
                 if let Some(sink) = self.sink.as_deref_mut() {
@@ -872,24 +848,20 @@ impl Machine {
         lap.lap::<PROF>(&mut prof.fetch);
         self.wake_and_bind::<TRACED>(now);
         lap.lap::<PROF>(&mut prof.wake_bind);
-        // One priority-order snapshot serves both the issue phase and
-        // arbitration: nothing reorders the levels in between (chgpri
-        // is deferred to cycle end, implicit/forced rotations happened
-        // above).
-        let mut order = std::mem::take(&mut self.scratch.order);
-        order.clear();
-        order.extend_from_slice(self.prio.order());
+        // The issue phase and arbitration both walk the slots in
+        // priority order from the highest level, which nothing moves
+        // in between (chgpri is deferred to cycle end, implicit/forced
+        // rotations happened above).
         let mut cands = std::mem::take(&mut self.scratch.cands);
         cands.clear();
         let issued_before = self.stats.instructions;
-        let issue_res = self.issue_phase::<TRACED>(&order, now, &mut cands);
+        let issue_res = self.issue_phase::<TRACED>(now, &mut cands);
         lap.lap::<PROF>(&mut prof.issue);
         let arb_res = match issue_res {
-            Ok(()) => self.arbitrate::<PROF, TRACED>(&order, &mut cands, now),
+            Ok(()) => self.arbitrate::<PROF, TRACED>(&mut cands, now),
             Err(e) => Err(e),
         };
         lap.lap::<PROF>(&mut prof.arbitrate);
-        self.scratch.order = order;
         self.scratch.cands = cands;
         let wb = arb_res?;
         if PROF {
@@ -918,36 +890,21 @@ impl Machine {
         if self.is_done() {
             return Ok(true);
         }
-        // Loop-warp (see `machine/warp.rs`): watch for a recurring
-        // timing fingerprint, record candidate periods, and leap over
-        // proven steady-state loops. Under a trace sink the engine
-        // only observes (for `--warp-debug` reports) and never leaps.
-        // While it records, the event wheel below stays suppressed so
-        // period boundaries are reached by plain stepping — an
-        // identity-safe throttle, as the wheel only skips
-        // provably-inert work.
-        if self.warp.is_some() && (!TRACED || self.warp_debug) {
-            self.warp_observe(!TRACED);
-        }
         // Event-wheel fast-forward (see `machine/wheel.rs`): if every
         // slot is provably stalled past the next cycle — by a live
         // block, a probed window head, a branch shadow, or fetch
         // starvation — jump straight to the earliest wake,
-        // synthesizing the skipped cycles' stall accounting. On a
-        // single-slot machine it runs after issuing cycles too:
+        // synthesizing the skipped cycles' stall accounting. With a
+        // single live slot it runs after issuing cycles too:
         // single-issue decode drains the window every cycle, so the
         // next head can be probed (and the probe's verdict reused by
         // the next step) without waiting for a step to discover the
-        // stall. Multi-slot machines attempt it only after a cycle
-        // that issued nothing — with several slots the per-slot probes
-        // rarely pay for themselves while any slot is making progress
-        // — and back off exponentially while attempts keep failing.
-        // An empty ready frontier bypasses the backoff: every slot
-        // holds a live block, so the probe is a handful of mask and
-        // descriptor reads with no `check_issue` calls.
+        // stall. With several live slots it runs only after a cycle
+        // that issued nothing — the per-slot probes rarely pay for
+        // themselves while any slot is making progress — and backs off
+        // exponentially while attempts keep failing.
         if self.config.fast_forward
-            && !self.warp_recording
-            && (self.slots.len() == 1
+            && (self.single_live_slot()
                 || (self.stats.instructions == issued_before && self.cycle >= self.ff_next))
         {
             self.fast_forward();
@@ -1070,17 +1027,16 @@ impl Machine {
     }
 
     /// The ready frontier: the slots *not* currently holding a proven
-    /// stall block. An empty set means every slot is provably stalled
-    /// until its block's wake cycle or a machine event — the condition
-    /// [`crate::MachineBatch`] uses to yield a lane's remaining round
-    /// to its siblings.
+    /// stall block. Unbound slots never hold one, so an empty set
+    /// means every slot is bound and provably stalled until its
+    /// block's wake cycle or a machine event.
     pub fn ready_slots(&self) -> SlotSet {
-        self.ready
+        (0..self.slots.len()).filter(|&s| self.slots[s].block.is_none()).collect()
     }
 
     /// Current schedule-unit priority order (highest first).
     pub fn priority_order(&self) -> Vec<usize> {
-        self.prio.order().to_vec()
+        self.prio.order().collect()
     }
 
     /// Entries currently in each queue-register link (including
@@ -1125,9 +1081,6 @@ impl Machine {
         pc: Option<u32>,
     ) {
         self.stats.record_stall(reason, now);
-        if self.warp_recording {
-            self.warp_note_stall(reason, now);
-        }
         if TRACED {
             if let Some(sink) = self.sink.as_deref_mut() {
                 sink.event(&TraceEvent::Stall { cycle: now, slot, reason, pc });
@@ -1144,19 +1097,18 @@ impl Machine {
     /// and every priority-interlocked instruction (`chgpri`,
     /// `killothers`, gated stores) would wedge. The schedule units
     /// therefore skip past slots with no thread and nothing left in
-    /// their standby stations.
+    /// their standby stations, landing on the first slot in priority
+    /// order that has either.
     fn skip_empty_priority_slots<const TRACED: bool>(&mut self, now: u64) {
-        for _ in 0..self.slots.len() {
-            let h = self.prio.highest();
-            let skippable = self.slots[h].ctx.is_none() && !self.slot_has_standby(h);
-            if !skippable {
-                break;
-            }
-            // With no bound slot anywhere the token has nowhere useful
-            // to land; leave it parked rather than spinning forever.
-            if !self.slots.iter().any(|s| s.ctx.is_some()) {
-                break;
-            }
+        let h = self.prio.highest();
+        // With no bound slot anywhere the token has nowhere useful to
+        // land; leave it parked rather than spinning forever.
+        if self.bound.contains(h) || self.slot_has_standby(h) || self.bound.is_empty() {
+            return;
+        }
+        let live = self.bound.union(self.standby_slots());
+        let rank = live.next_in_rotation(h, self.slots.len(), 0).expect("a bound slot exists");
+        for _ in 0..rank {
             self.prio.force_rotate(now);
             let highest = self.prio.highest();
             if TRACED {
@@ -1194,12 +1146,10 @@ impl Machine {
                 }
             }
         }
-        for s in 0..self.slots.len() {
-            if self.slots[s].ctx.is_some() || self.slot_has_standby(s) {
-                continue;
-            }
+        let free = SlotSet::first(self.slots.len()).minus(self.bound).minus(self.standby_slots());
+        for s in free.iter() {
             let Some(c) = self.contexts.iter().position(|c| c.state == CtxState::Ready) else {
-                continue;
+                break;
             };
             let penalty =
                 if self.contexts[c].started { self.config.switch_penalty as u64 } else { 0 };
@@ -1217,7 +1167,7 @@ impl Machine {
             }
             slot.earliest_issue = now + penalty;
             let pc = slot.fetch_pc;
-            self.ready.insert(s);
+            self.bound.insert(s);
             self.fetch.set_active(s, true);
             self.fetch.request_redirect(s, now);
             if TRACED {
@@ -1228,25 +1178,40 @@ impl Machine {
         }
     }
 
-    /// Lets every slot (in priority order) issue up to `D`
+    /// Lets every bound slot (in priority order) issue up to `D`
     /// instructions; decode-unit instructions execute immediately,
     /// functional-unit instructions become schedule-unit candidates
-    /// (appended to `cands`).
+    /// (appended to `cands`). Unbound slots record their NoThread
+    /// stalls in bulk.
     fn issue_phase<const TRACED: bool>(
         &mut self,
-        order: &[usize],
         now: u64,
         cands: &mut Vec<InFlight>,
     ) -> Result<(), MachineError> {
         #[cfg(debug_assertions)]
         for s in 0..self.slots.len() {
             assert_eq!(
-                self.ready.contains(s),
-                self.slots[s].block.is_none(),
-                "ready mask out of sync with slot {s}'s block descriptor"
+                self.bound.contains(s),
+                self.slots[s].ctx.is_some(),
+                "bound mask out of sync with slot {s}'s context"
+            );
+            assert!(
+                self.slots[s].ctx.is_some() || self.slots[s].block.is_none(),
+                "unbound slot {s} holds a block"
             );
         }
-        for &s in order {
+        let slots = self.slots.len();
+        let highest = self.prio.highest();
+        // `rank` walks the priority order; the mask is re-read after
+        // every visit, because a `fastfork` binds slots further down
+        // the order (visited this cycle) and a `killothers` or `halt`
+        // unbinds them (idle from then on) — exactly the slots a full
+        // scan would have found bound or unbound on reaching them.
+        let mut rank = 0;
+        while let Some(next) = self.bound.next_in_rotation(highest, slots, rank) {
+            self.record_idle_slots::<TRACED>(now, highest, rank, next);
+            rank = next + 1;
+            let s = if highest + next >= slots { highest + next - slots } else { highest + next };
             // A live block short-circuits the whole issue path for its
             // slot: until `wake` (or a clearing event, which re-reads
             // the descriptor as `None` here — mid-phase unblocks, e.g.
@@ -1272,7 +1237,37 @@ impl Machine {
             }
             self.issue_slot::<TRACED>(s, now, cands)?;
         }
+        self.record_idle_slots::<TRACED>(now, highest, rank, slots);
         Ok(())
+    }
+
+    /// Records the NoThread stalls of the unbound slots at priority
+    /// ranks `from..to` of cycle `now`: one bulk add to the stats, and
+    /// with a sink one `Stall` event per slot in priority order.
+    fn record_idle_slots<const TRACED: bool>(
+        &mut self,
+        now: u64,
+        highest: usize,
+        from: usize,
+        to: usize,
+    ) {
+        if from == to {
+            return;
+        }
+        self.stats.record_stalls(StallReason::NoThread, now, (to - from) as u64);
+        if TRACED {
+            let slots = self.slots.len();
+            if let Some(sink) = self.sink.as_deref_mut() {
+                for rank in from..to {
+                    sink.event(&TraceEvent::Stall {
+                        cycle: now,
+                        slot: (highest + rank) % slots,
+                        reason: StallReason::NoThread,
+                        pc: None,
+                    });
+                }
+            }
+        }
     }
 
     fn issue_slot<const TRACED: bool>(
@@ -1281,12 +1276,7 @@ impl Machine {
         now: u64,
         cands: &mut Vec<InFlight>,
     ) -> Result<(), MachineError> {
-        let Some(ctx_i) = self.slots[s].ctx else {
-            self.record_stall::<TRACED>(now, s, StallReason::NoThread, None);
-            // Only a bind gives the slot work, and binds unblock.
-            self.block_slot(s, StallReason::NoThread, None, u64::MAX);
-            return Ok(());
-        };
+        let ctx_i = self.slots[s].ctx.expect("the issue phase visits bound slots");
         if now < self.slots[s].earliest_issue {
             // The redirect (or rebind) has been delivered but the
             // decode pipeline is still refilling: the branch-shadow
@@ -1367,11 +1357,8 @@ impl Machine {
             // all-clear accumulators) and proven it passes; reuse the
             // proof instead of repeating it. Debug builds repeat it
             // anyway and check agreement.
-            let probe_passed = i == 0
-                && issued == 0
-                && preset.is_none()
-                && self.head_pass == Some((now, pc))
-                && self.slots.len() == 1;
+            let probe_passed =
+                i == 0 && issued == 0 && preset.is_none() && self.head_pass == Some((now, s, pc));
             let check = if probe_passed {
                 #[cfg(debug_assertions)]
                 assert!(
@@ -1407,7 +1394,9 @@ impl Machine {
             };
             match check {
                 Err(IssueBlock::Fault(mut e)) => {
-                    if let MachineError::QueueMisuse { pc: epc, .. } = &mut e {
+                    if let MachineError::QueueMisuse { pc: epc, .. }
+                    | MachineError::NoFunctionalUnit { pc: epc, .. } = &mut e
+                    {
                         *epc = pc;
                     }
                     return Err(e);
@@ -1441,9 +1430,6 @@ impl Machine {
                     issued += 1;
                     self.stats.instructions += 1;
                     self.stats.per_slot_issued[s] += 1;
-                    if self.warp_recording {
-                        self.warp_note_issue(&di, s, ctx_i, pc, now);
-                    }
                     if let Some(trace) = &mut self.trace {
                         trace.push(IssueEvent { cycle: now, slot: s, ctx: ctx_i, pc });
                     }
@@ -1493,10 +1479,6 @@ impl Machine {
     fn assert_block_matches_fresh_eval(&self, s: usize, b: &SlotBlock, now: u64) {
         let slot = &self.slots[s];
         match b.reason {
-            StallReason::NoThread => {
-                assert!(slot.ctx.is_none(), "NoThread block on a bound slot {s}");
-                assert_eq!(b.pc, None, "NoThread block carries a pc");
-            }
             StallReason::BranchShadow => {
                 assert!(slot.ctx.is_some(), "BranchShadow block on an unbound slot {s}");
                 assert!(now < slot.earliest_issue, "BranchShadow block past the shadow expiry");
@@ -1687,7 +1669,27 @@ impl Machine {
                     return Err(Stall(StallReason::Data, None));
                 }
                 if ctx.qwrite == Some(d) {
-                    if !self.queues.can_write(self.queues.write_link(s)) {
+                    let link = self.queues.write_link(s);
+                    if !self.queues.can_write(link) {
+                        // On a one-slot ring the consumer is this slot:
+                        // with single-issue decode and nothing in
+                        // flight (so no trap can switch the context
+                        // out) nothing behind this head ever issues to
+                        // pop the link — a certain deadlock, reported
+                        // now rather than by the watchdog.
+                        if self.slots.len() == 1
+                            && self.config.issue_width == 1
+                            && !self.slot_has_standby(s)
+                        {
+                            return Err(Fault(MachineError::QueueMisuse {
+                                slot: s,
+                                pc: 0,
+                                detail: format!(
+                                    "write to full queue link {link}, which only this slot drains \
+                                     (a one-slot ring deadlock)"
+                                ),
+                            }));
+                        }
                         // Only the consumer's pop can free a full link,
                         // and pops clear the block.
                         return Err(Stall(StallReason::QueueFull, Some(u64::MAX)));
@@ -1705,6 +1707,11 @@ impl Machine {
             }
         }
         if let Some(class) = di.fu {
+            // A class with no instances would park the instruction in
+            // standby forever (until the watchdog): fail it instead.
+            if self.config.fu.count(class) == 0 {
+                return Err(Fault(MachineError::NoFunctionalUnit { slot: s, pc: 0, class }));
+            }
             if self.station(s, class.index()).len() >= self.config.standby_depth
                 || class_taken[class.index()]
             {
@@ -1767,8 +1774,7 @@ impl Machine {
                     // (the predecessor slot) may hold a QueueFull
                     // block that now lifts.
                     let writer = (link + self.slots.len() - 1) % self.slots.len();
-                    self.slots[writer].block = None;
-                    self.ready.insert(writer);
+                    self.unblock(writer);
                     if TRACED {
                         let depth = self.queues.len(link);
                         if let Some(sink) = self.sink.as_deref_mut() {
@@ -1813,11 +1819,7 @@ impl Machine {
                     Inst::Branch { target, .. } => target,
                     _ => unreachable!(),
                 };
-                let taken = branch_taken(cond, vals);
-                if self.warp_recording {
-                    self.warp_note_branch(pc, cond, vals, taken);
-                }
-                if taken {
+                if branch_taken(cond, vals) {
                     self.redirect(s, target, now);
                     Ok(true)
                 } else if self.config.refetch_fallthrough {
@@ -1907,8 +1909,7 @@ impl Machine {
         if dequeued.is_some() {
             // As in `capture`: the writer's QueueFull block may lift.
             let writer = (link + self.slots.len() - 1) % self.slots.len();
-            self.slots[writer].block = None;
-            self.ready.insert(writer);
+            self.unblock(writer);
             if TRACED {
                 let depth = self.queues.len(link);
                 if let Some(sink) = self.sink.as_deref_mut() {
@@ -1924,7 +1925,6 @@ impl Machine {
         slot.fetch_pc = next_pc;
         slot.window.clear();
         slot.block = None;
-        self.ready.insert(s);
         self.fetch.request_redirect(s, now);
     }
 
@@ -1932,6 +1932,7 @@ impl Machine {
         self.slots[s].ctx = None;
         self.slots[s].window.clear();
         self.unblock(s);
+        self.bound.remove(s);
         self.fetch.set_active(s, false);
     }
 
@@ -1970,7 +1971,7 @@ impl Machine {
             slot.window.clear();
             slot.block = None;
             slot.earliest_issue = 0;
-            self.ready.insert(j);
+            self.bound.insert(j);
             self.fetch.set_active(j, true);
             self.fetch.request_redirect(j, now);
         }
@@ -1995,6 +1996,8 @@ impl Machine {
             }
             self.fetch.set_active(j, false);
         }
+        self.bound = SlotSet::EMPTY;
+        self.bound.insert(s);
         // Unbound runnable/waiting contexts die too.
         let mut killed = 0usize;
         for (i, ctx) in self.contexts.iter_mut().enumerate() {
@@ -2025,7 +2028,6 @@ impl Machine {
     /// unprofiled hot path.
     fn arbitrate<const PROF: bool, const TRACED: bool>(
         &mut self,
-        order: &[usize],
         cands: &mut Vec<InFlight>,
         now: u64,
     ) -> Result<Duration, MachineError> {
@@ -2102,10 +2104,10 @@ impl Machine {
                 // (the slot's front runner) or parked behind it. The
                 // standby and sink fields borrow disjointly, so losses
                 // emit directly without buffering.
-                let highest = self.prio.highest();
+                let parked = self.standby_mask[ci];
                 let standby = &self.standby;
                 if let Some(sink) = self.sink.as_deref_mut() {
-                    for &s in order {
+                    for s in parked.iter_from(highest, slots) {
                         for (i, f) in standby[s * FU_CLASS_COUNT + ci].iter().enumerate() {
                             if i == 0 {
                                 sink.event(&TraceEvent::FuLoss {
@@ -2216,9 +2218,6 @@ impl Machine {
                         pc: f.pc,
                         source,
                     })?;
-                    if self.warp_recording {
-                        self.warp_note_store(addr, bits, now);
-                    }
                     if latency as u64 > lat.issue as u64 {
                         self.fu_pool.postpone(ci, instance, now + latency as u64);
                     }
@@ -2261,8 +2260,7 @@ impl Machine {
             // may hold a QueueEmpty block keyed to the old front
             // entry; the push changes what a fresh evaluation would
             // see.
-            self.slots[link].block = None;
-            self.ready.insert(link);
+            self.unblock(link);
             if TRACED {
                 let depth = self.queues.len(link);
                 if let Some(sink) = self.sink.as_deref_mut() {
@@ -2278,16 +2276,14 @@ impl Machine {
         } else {
             self.contexts[f.ctx].regs.write(d, bits, now, result_latency);
             // A register just left the busy state: any Data block of
-            // the slot this context is bound to (which can differ
-            // from `f.slot` after a trap migration) may lift.
-            let mut ready = self.ready;
-            for (i, sl) in self.slots.iter_mut().enumerate() {
-                if sl.ctx == Some(f.ctx) {
-                    sl.block = None;
-                    ready.insert(i);
-                }
+            // the slot this context is bound to may lift. That is the
+            // issuing slot unless a trap migrated the context (or it
+            // finished); a context is bound to at most one slot.
+            if self.slots[f.slot].ctx == Some(f.ctx) {
+                self.unblock(f.slot);
+            } else if let Some(s) = self.bound.iter().find(|&s| self.slots[s].ctx == Some(f.ctx)) {
+                self.unblock(s);
             }
-            self.ready = ready;
             if TRACED {
                 if let Some(sink) = self.sink.as_deref_mut() {
                     sink.event(&TraceEvent::Writeback {
@@ -2307,9 +2303,6 @@ impl Machine {
     /// access requirement buffer and switch the thread out until the
     /// remote access completes.
     fn data_absence_trap<const TRACED: bool>(&mut self, f: InFlight, ready_at: u64) {
-        if self.warp_recording {
-            self.warp_note_veto(WarpMiss::Trap);
-        }
         let s = f.slot;
         let ls = FuClass::LoadStore.index();
         // Younger memory operations already waiting in the load/store

@@ -191,50 +191,6 @@ impl FuPool {
         self.release[lo..hi].iter().copied().min().unwrap_or(u64::MAX)
     }
 
-    /// Appends the pool's timing image rebased to `now` to `out`, for
-    /// the loop-warp fingerprint: per-class free masks, the drain
-    /// lag, and each *busy* instance's release relative to `now`.
-    /// Free instances' stale releases are excluded (encoded as 0):
-    /// they are behaviourally inert — the free bit governs
-    /// acquisition, and a stale minimum only shortens event-wheel
-    /// attempts, which are identity-safe — so images from different
-    /// periods compare equal whenever the pools behave identically.
-    pub(crate) fn warp_key_into(&self, now: u64, out: &mut Vec<u64>) {
-        out.extend_from_slice(&self.free);
-        out.push(now.saturating_sub(self.drained));
-        for ci in 0..FU_CLASS_COUNT {
-            for idx in self.base[ci] as usize..self.base[ci + 1] as usize {
-                let i = idx - self.base[ci] as usize;
-                let busy = self.free[ci] & (1u64 << i) == 0;
-                out.push(if busy { self.release[idx].saturating_sub(now) } else { 0 });
-            }
-        }
-    }
-
-    /// Shifts every busy instance's release forward by `delta` cycles
-    /// and rebuilds the calendar ring — the loop-warp leap. Buckets
-    /// are keyed by `release % RING`, so a shift that is not a
-    /// multiple of `RING` re-homes every entry; a full rebuild from
-    /// the free masks is exact (within-bucket order only affects the
-    /// order free bits are set during a drain, not behaviour). Free
-    /// instances keep their stale past releases, as everywhere else.
-    pub(crate) fn warp_shift(&mut self, delta: u64) {
-        self.drained += delta;
-        self.heads = [NONE; RING];
-        self.next.fill(NONE);
-        for ci in 0..FU_CLASS_COUNT {
-            for idx in self.base[ci] as usize..self.base[ci + 1] as usize {
-                let i = idx - self.base[ci] as usize;
-                if self.free[ci] & (1u64 << i) == 0 {
-                    self.release[idx] += delta;
-                    let bucket = (self.release[idx] % RING as u64) as usize;
-                    self.next[idx] = self.heads[bucket];
-                    self.heads[bucket] = idx as u32;
-                }
-            }
-        }
-    }
-
     /// The class owning flattened instance `idx`.
     fn class_of(&self, idx: usize) -> usize {
         debug_assert!(idx < self.base[FU_CLASS_COUNT] as usize);
@@ -354,35 +310,6 @@ mod tests {
         assert_eq!(pool.first_free(2), Some(0));
         pool.occupy(2, 0, 1001);
         assert_eq!(pool.first_free(2), Some(1));
-    }
-
-    #[test]
-    fn warp_shift_commutes_with_advancing() {
-        // A shifted pool must behave at `t + D` exactly as the
-        // original behaves at `t`, for every query the machine makes.
-        let mut pool = FuPool::new(counts(2));
-        pool.advance(9);
-        pool.occupy(0, 0, 11);
-        pool.occupy(0, 1, 10);
-        pool.occupy(6, 0, 12);
-        pool.postpone(6, 0, 9 + 70); // beyond RING
-        let mut shifted = pool.clone();
-        const D: u64 = 1234; // deliberately not a multiple of RING
-        shifted.warp_shift(D);
-        let mut a_key = Vec::new();
-        let mut b_key = Vec::new();
-        for t in 10..10 + 100 {
-            pool.advance(t);
-            shifted.advance(t + D);
-            for ci in 0..FU_CLASS_COUNT {
-                assert_eq!(pool.first_free(ci), shifted.first_free(ci), "t={t} ci={ci}");
-            }
-            a_key.clear();
-            b_key.clear();
-            pool.warp_key_into(t, &mut a_key);
-            shifted.warp_key_into(t + D, &mut b_key);
-            assert_eq!(a_key, b_key, "t={t}");
-        }
     }
 
     /// Randomized lockstep against the naive scan: interleaved

@@ -1,19 +1,20 @@
 //! The event wheel: fast-forwarding over provably stalled spans.
 //!
 //! A [`Machine::step`] that issued nothing proves the whole machine is
-//! stalled (single-slot machines also probe after issuing steps — the
-//! window drains every cycle, so the next head's verdict is knowable a
-//! step early, and a passing verdict is itself reusable as a head-issue
-//! proof). A stalled machine's future is driven entirely by timed
+//! stalled (machines with a single live slot also probe after issuing
+//! steps — the window drains every cycle, so the next head's verdict
+//! is knowable a step early, and a passing verdict is itself reusable
+//! as a head-issue proof). A stalled machine's future is driven entirely by timed
 //! events: standby instructions waking when their functional unit
 //! frees, branch shadows expiring, queue-register entries maturing,
 //! fetch deliveries, context wake-ups, and priority rotations. When
 //! every such event lies strictly after the next cycle, the machine
 //! jumps straight to the earliest one and synthesizes the accounting
 //! the skipped cycles would have produced — one `Stall` per slot per
-//! cycle (from the frozen wake reason), the per-cycle `FuLoss` events
-//! for parked standby fronts, and any implicit rotations (which are
-//! order-preserving when only one slot exists). Cycle counts,
+//! cycle (from the frozen wake reason; the unbound slots' NoThread
+//! stalls in one bulk add), the per-cycle `FuLoss` events for parked
+//! standby fronts, and any implicit rotations (which leave the
+//! priority order's head in place when only one slot is live). Cycle counts,
 //! statistics, and trace streams are byte-identical to the plain loop;
 //! debug builds re-derive the slots' stall descriptors across the span
 //! to prove the jump inert, and the differential suite runs wheel and
@@ -38,11 +39,12 @@
 //!
 //! The per-slot wake reasons come from [`super::SlotBlock`] — the
 //! ready-frontier descriptors the issue phase maintains for every
-//! provably stalled slot (no bound thread, an unexpired branch shadow,
-//! fetch starvation, and blocked head stalls with a wake hint from
-//! the scoreboard, the queue ring, or the standby occupancy). Slots
+//! provably stalled bound slot (an unexpired branch shadow, fetch
+//! starvation, and blocked head stalls with a wake hint from the
+//! scoreboard, the queue ring, or the standby occupancy). Bound slots
 //! still on the ready frontier re-derive the same facts from live
-//! state, including a head probe. Any slot in a state whose next
+//! state, including a head probe; unbound slots stay NoThread until a
+//! bind, which the jump conditions bound. Any slot in a state whose next
 //! change is not provably timed (e.g. a non-blockable head stall)
 //! vetoes the jump — correctness never depends on the wheel firing.
 //!
@@ -50,9 +52,10 @@
 //! both are pure attempt-scheduling — the cycles a skipped or vetoed
 //! attempt would have jumped are stepped plainly, with identical
 //! results: one-cycle jumps are vetoed (the walk's bookkeeping exceeds
-//! a blocked-replay step), and multi-slot machines back off exponentially
-//! while attempts keep failing (probing every slot on every no-issue
-//! cycle is wasted work in phases where some slot soon issues again).
+//! a blocked-replay step), and machines with several live slots back
+//! off exponentially while attempts keep failing (probing every slot
+//! on every no-issue cycle is wasted work in phases where some slot
+//! soon issues again).
 
 use super::*;
 
@@ -86,25 +89,24 @@ impl Machine {
         // ungate stores and emits a trace event), so never jump over
         // it.
         let h = self.prio.highest();
-        if self.slots[h].ctx.is_none()
-            && !self.slot_has_standby(h)
-            && self.slots.iter().any(|s| s.ctx.is_some())
-        {
+        if !self.bound.contains(h) && !self.slot_has_standby(h) && !self.bound.is_empty() {
             return;
         }
+        let single = self.single_live_slot();
         let mut stalls = std::mem::take(&mut self.scratch.wheel_stalls);
-        stalls.clear();
         // The watchdog trips at `max_cycles`, so a span may extend to
         // it but never past it (the real step there raises the error,
         // exactly as the plain loop would after stepping through).
         let mut target = self.config.max_cycles;
         let mut jumpable = true;
         let mut fills = 0u64;
-        for s in 0..self.slots.len() {
+        // Unbound slots stay NoThread until a bind, which the context
+        // scan below bounds; only bound slots need a horizon.
+        for s in self.bound.iter() {
             match self.slot_stall_horizon(s, from) {
                 Horizon::Stall { wake, reason, pc, fill, probed } => {
                     target = target.min(wake);
-                    stalls.push((reason, pc));
+                    stalls[s] = (reason, pc);
                     if fill {
                         fills |= 1 << s;
                     } else if probed {
@@ -120,10 +122,10 @@ impl Machine {
                 Horizon::Issues { pc } => {
                     // No jump — but the next step can reuse the proof,
                     // as nothing between here and its head evaluation
-                    // mutates state `check_issue` reads (single-slot
-                    // only: another slot issuing first would).
-                    if self.slots.len() == 1 {
-                        self.head_pass = Some((from, pc));
+                    // mutates state `check_issue` reads (single live
+                    // slot only: another slot issuing first would).
+                    if single {
+                        self.head_pass = Some((from, s, pc));
                     }
                     jumpable = false;
                     break;
@@ -144,10 +146,11 @@ impl Machine {
         }
         if jumpable {
             // An implicit rotation reorders the priorities whenever
-            // more than one slot exists; with a single slot it is
-            // order-preserving and is synthesized inside the span
-            // instead (its statistics and trace event still matter).
-            if self.slots.len() > 1 {
+            // more than one slot is live; with a single live slot the
+            // forced rotation hands the token straight back, so it is
+            // synthesized inside the span instead (its statistics and
+            // trace events still matter).
+            if !single {
                 if let Some(r) = self.prio.next_implicit_rotation(from) {
                     target = target.min(r);
                 }
@@ -156,12 +159,11 @@ impl Machine {
             // woken context; otherwise the Ready flip is deferred to
             // the jump boundary, where the plain loop's flips are
             // replayed.
-            let bindable = self
-                .slots
-                .iter()
-                .enumerate()
-                .any(|(s, slot)| slot.ctx.is_none() && !self.slot_has_standby(s));
-            if bindable {
+            let bindable = !SlotSet::first(self.slots.len())
+                .minus(self.bound)
+                .minus(self.standby_slots())
+                .is_empty();
+            if bindable && self.idle_contexts > 0 {
                 for ctx in &self.contexts {
                     match ctx.state {
                         CtxState::Ready => jumpable = false, // bind due now
@@ -178,11 +180,10 @@ impl Machine {
                 if self.standby_mask[ci].is_empty() {
                     continue;
                 }
-                let ungated = (0..self.slots.len()).any(|s| {
-                    self.standby_mask[ci].contains(s)
-                        && self.station(s, ci).front().is_some_and(|f| {
-                            !f.di.needs_highest_priority() || self.prio.highest() == s
-                        })
+                let ungated = self.standby_mask[ci].iter().any(|s| {
+                    self.station(s, ci)
+                        .front()
+                        .is_some_and(|f| !f.di.needs_highest_priority() || self.prio.highest() == s)
                 });
                 if ungated {
                     let free = self.fu_pool.min_release(ci);
@@ -201,7 +202,7 @@ impl Machine {
             self.walk_span(from, target, &mut stalls, fills);
         }
         self.scratch.wheel_stalls = stalls;
-        if self.slots.len() > 1 {
+        if !single {
             if jumped {
                 self.ff_stride = 1;
             } else {
@@ -211,8 +212,8 @@ impl Machine {
         }
     }
 
-    /// The earliest cycle (searching from `next`) at which slot `s`
-    /// could do anything other than re-record the same stall, with the
+    /// The earliest cycle (searching from `next`) at which bound slot
+    /// `s` could do anything other than re-record the same stall, with the
     /// stall descriptor every skipped cycle records — see [`Horizon`].
     /// `u64::MAX` marks states only an event (bounded elsewhere or
     /// absorbed by the span walk) can change.
@@ -235,17 +236,6 @@ impl Machine {
             // Expired at the probe cycle: fall through and re-derive
             // from live state, exactly as the next real step would
             // after unblocking.
-        }
-        if slot.ctx.is_none() {
-            // Nothing to issue until a bind (bounded by the context
-            // wake-up scan) or a forced rotation (guarded at entry).
-            return Horizon::Stall {
-                wake: u64::MAX,
-                reason: StallReason::NoThread,
-                pc: None,
-                fill: false,
-                probed: false,
-            };
         }
         if slot.earliest_issue > next {
             // Branch shadow / rebind penalty: pure cycle countdown.
@@ -296,7 +286,7 @@ impl Machine {
         if di.needs_highest_priority() {
             return Horizon::Unknown; // a rotation could ungate it mid-span
         }
-        let ctx_i = slot.ctx.expect("slot bound (checked above)");
+        let ctx_i = slot.ctx.expect("horizons are taken for bound slots");
         match self.check_issue(
             s,
             ctx_i,
@@ -328,7 +318,9 @@ impl Machine {
 
     /// Walks the span `[from, target)`, replaying the fetch system and
     /// synthesizing the skipped cycles' accounting: per-slot stalls
-    /// (stats and, with a sink, `Stall` events in priority order),
+    /// (stats — the unbound slots' NoThread stalls in one bulk add —
+    /// and, with a sink, `Stall` events for every slot in priority
+    /// order),
     /// per-cycle `FuLoss` events for standby fronts, fetch deliveries,
     /// implicit rotations, and the `Waiting -> Ready` context flips the
     /// plain loop's `wake_and_bind` would have performed. Absorbed
@@ -346,6 +338,11 @@ impl Machine {
         mut fills: u64,
     ) {
         let depth = self.config.pipeline.decode_depth();
+        let slots = self.slots.len();
+        // Binds are excluded across the span (see the jump
+        // conditions), and nothing issues, so the bound set is fixed.
+        let bound = self.bound;
+        let idle = (slots - bound.len()) as u64;
         let mut deliveries = std::mem::take(&mut self.scratch.deliveries);
         // The landing cycle: `target`, unless a refill wakes a starved
         // slot first. Cycles in `[from, end)` have their stalls
@@ -356,16 +353,14 @@ impl Machine {
             // plain loop would have emitted, in its order — rotation,
             // fetch deliveries, stalls in priority order, arbitration
             // losses per class.
-            let mut order = std::mem::take(&mut self.scratch.order);
-            order.clear();
-            order.extend_from_slice(self.prio.order());
+            let highest = self.prio.highest();
             let masks = self.standby_mask;
             let mut t = from;
             while t < target {
                 if self.prio.tick(t) {
-                    // Only reachable with one slot (multi-slot spans
-                    // stop before a rotation), where rotating is
-                    // order-preserving.
+                    // Only reachable with a single live slot (other
+                    // spans stop before a rotation), where the forced
+                    // rotations below hand the token straight back.
                     self.stats.rotations += 1;
                     let highest = self.prio.highest();
                     if let Some(sink) = self.sink.as_deref_mut() {
@@ -375,6 +370,7 @@ impl Machine {
                             highest,
                         });
                     }
+                    self.skip_empty_priority_slots::<true>(t);
                 }
                 deliveries.clear();
                 self.fetch.begin_cycle(t, &mut deliveries);
@@ -407,27 +403,26 @@ impl Machine {
                     fills &= fills - 1;
                     self.apply_fill(s);
                 }
-                for &s in order.iter() {
-                    let (reason, pc) = stalls[s];
-                    #[cfg(debug_assertions)]
-                    self.assert_slot_inert(s, t, reason, pc);
-                    self.stats.record_stall(reason, t);
+                self.stats.record_stalls(StallReason::NoThread, t, idle);
+                for s in self.prio.order() {
+                    let (reason, pc) = if bound.contains(s) {
+                        let (reason, pc) = stalls[s];
+                        #[cfg(debug_assertions)]
+                        self.assert_slot_inert(s, t, reason, pc);
+                        self.stats.record_stall(reason, t);
+                        (reason, pc)
+                    } else {
+                        (StallReason::NoThread, None)
+                    };
                     if let Some(sink) = self.sink.as_deref_mut() {
                         sink.event(&TraceEvent::Stall { cycle: t, slot: s, reason, pc });
                     }
                 }
-                let highest = self.prio.highest();
                 let standby = &self.standby;
                 if let Some(sink) = self.sink.as_deref_mut() {
                     for class in FuClass::ALL {
                         let ci = class.index();
-                        if masks[ci].is_empty() {
-                            continue;
-                        }
-                        for &s in order.iter() {
-                            if !masks[ci].contains(s) {
-                                continue;
-                            }
+                        for s in masks[ci].iter_from(highest, slots) {
                             let f = standby[s * FU_CLASS_COUNT + ci]
                                 .front()
                                 .expect("standby mask in sync with stations");
@@ -451,7 +446,6 @@ impl Machine {
             // applied above; the real step's own tick will see
             // `last_rotation == end` and do nothing.)
             end = end.min(target);
-            self.scratch.order = order;
         } else {
             // Arithmetic fast path (the steady state of untraced runs):
             // batch the rotations and the per-piece stall attribution,
@@ -467,8 +461,8 @@ impl Machine {
             // absorbs internally. Slots past the mask width stop the
             // replay unconditionally (conservative, never wrong).
             let mut wake_mask = 0u64;
-            for (s, &(reason, _)) in stalls.iter().enumerate().take(64) {
-                if reason == StallReason::Fetch {
+            for s in bound.iter() {
+                if stalls[s].0 == StallReason::Fetch {
                     wake_mask |= 1 << s;
                 }
             }
@@ -483,10 +477,10 @@ impl Machine {
                     if d.redirect {
                         if !pieced {
                             piece.clear();
-                            piece.resize(stalls.len(), from);
+                            piece.resize(slots, from);
                             pieced = true;
                         }
-                        self.stats.record_stall_span(stalls[d.slot].0, piece[d.slot], from);
+                        self.stats.record_stall_span(stalls[d.slot].0, piece[d.slot], from, 1);
                         piece[d.slot] = from;
                         target = target.min(self.absorb_redirect(d.slot, from, depth, stalls));
                     } else if stalls[d.slot].0 == StallReason::Fetch {
@@ -517,12 +511,12 @@ impl Machine {
                     if d.redirect {
                         if !pieced {
                             piece.clear();
-                            piece.resize(stalls.len(), from);
+                            piece.resize(slots, from);
                             pieced = true;
                         }
                         // Close the slot's current stall piece at the
                         // delivery cycle; the shadow piece starts here.
-                        self.stats.record_stall_span(stalls[d.slot].0, piece[d.slot], tc);
+                        self.stats.record_stall_span(stalls[d.slot].0, piece[d.slot], tc, 1);
                         piece[d.slot] = tc;
                         target = target.min(self.absorb_redirect(d.slot, tc, depth, stalls));
                     } else if stalls[d.slot].0 == StallReason::Fetch {
@@ -543,11 +537,21 @@ impl Machine {
             // stopping cycle's tick belongs to the wheel too (the real
             // step's own tick then no-ops), matching the traced path.
             let tick_end = if stopped { end + 1 } else { end };
-            self.stats.rotations += self.prio.fast_forward_ticks(from, tick_end);
-            for (s, &(reason, _)) in stalls.iter().enumerate() {
-                let start = if pieced { piece[s] } else { from };
-                self.stats.record_stall_span(reason, start, end);
+            let highest = self.prio.highest();
+            let rotations = self.prio.fast_forward_ticks(from, tick_end);
+            if rotations > 0 {
+                // Only a single live slot lets a span cross a rotation,
+                // and each rotation's forced follow-up returns the
+                // token to it (on the rotation's own cycle).
+                debug_assert!(self.single_live_slot(), "a span crossed a reordering rotation");
+                self.prio.realign(highest);
             }
+            self.stats.rotations += rotations;
+            for s in bound.iter() {
+                let start = if pieced { piece[s] } else { from };
+                self.stats.record_stall_span(stalls[s].0, start, end, 1);
+            }
+            self.stats.record_stall_span(StallReason::NoThread, from, end, idle);
             self.scratch.wheel_piece = piece;
         }
         // The plain loop's `wake_and_bind` at each skipped cycle `t`
@@ -555,10 +559,12 @@ impl Machine {
         // `Ready`; replay the flips the span's last cycle would have
         // accumulated. Binds need a free slot, which the jump
         // conditions exclude, so a flip is all that happens.
-        for ctx in &mut self.contexts {
-            if let CtxState::Waiting { until } = ctx.state {
-                if until < end {
-                    ctx.state = CtxState::Ready;
+        if self.idle_contexts > 0 {
+            for ctx in &mut self.contexts {
+                if let CtxState::Waiting { until } = ctx.state {
+                    if until < end {
+                        ctx.state = CtxState::Ready;
+                    }
                 }
             }
         }

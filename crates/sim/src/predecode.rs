@@ -39,17 +39,6 @@ pub mod flags {
     /// Executed entirely inside the decode unit (no functional-unit
     /// class).
     pub const DECODE_UNIT: u8 = 1 << 4;
-    /// Safe for the loop-warp engine (`machine::warp`): the
-    /// architectural effect is an *affine constant-coefficient* map on
-    /// the integer register file and store stream (`add`/`sub`/`li`/
-    /// `lpid`/`nlp`/stores, plus the effect-free `nop` and the
-    /// decode-unit branches and direct jumps whose outcomes warp
-    /// verifies separately). Everything else — loads, multiplies,
-    /// logic/shift ops, floating point, indirect jumps, thread and
-    /// queue control — is excluded: two equal consecutive period
-    /// deltas through a non-affine op do *not* prove the third period
-    /// repeats them, so warp must never leap across one.
-    pub const WARP_SAFE: u8 = 1 << 5;
 }
 
 /// Dense execution code of one µop: every distinct functional-unit
@@ -268,20 +257,6 @@ impl DecodedInst {
         if fu.is_none() {
             fl |= flags::DECODE_UNIT;
         }
-        let warp_safe = matches!(
-            inst,
-            Inst::Nop
-                | Inst::Jump { .. }
-                | Inst::Branch { .. }
-                | Inst::Store { .. }
-                | Inst::Li { .. }
-                | Inst::Lpid { .. }
-                | Inst::Nlp { .. }
-                | Inst::IntOp { op: IntOp::Add | IntOp::Sub, .. }
-        );
-        if warp_safe {
-            fl |= flags::WARP_SAFE;
-        }
         let mut cap = [CAP_NONE; 2];
         for (slot, r) in srcs.iter().enumerate() {
             if let Some(r) = r {
@@ -351,13 +326,6 @@ impl DecodedInst {
     #[inline]
     pub fn issue_latency(&self) -> u32 {
         self.latency.issue
-    }
-
-    /// Affine, replayable effect — safe for the loop-warp engine?
-    /// (See [`flags::WARP_SAFE`].)
-    #[inline]
-    pub fn is_warp_safe(&self) -> bool {
-        self.flags & flags::WARP_SAFE != 0
     }
 }
 
@@ -514,43 +482,6 @@ mod tests {
         // Decode-unit instructions carry the sentinel code.
         assert_eq!(DecodedInst::of(Inst::Halt).exec_op, ExecOp::DecodeUnit);
         assert_eq!(DecodedInst::of(Inst::Jump { target: 3 }).exec_op, ExecOp::DecodeUnit);
-    }
-
-    #[test]
-    fn warp_safety_classification() {
-        use hirata_isa::BranchCond;
-        let safe = [
-            Inst::Nop,
-            Inst::Jump { target: 0 },
-            Inst::Branch { cond: BranchCond::Ne, rs: GReg(1), src2: GSrc::Imm(0), target: 0 },
-            Inst::Li { rd: GReg(1), imm: 7 },
-            Inst::Lpid { rd: GReg(1) },
-            Inst::Nlp { rd: GReg(1) },
-            Inst::IntOp { op: IntOp::Add, rd: GReg(1), rs: GReg(2), src2: GSrc::Imm(1) },
-            Inst::IntOp { op: IntOp::Sub, rd: GReg(1), rs: GReg(2), src2: GSrc::Reg(GReg(3)) },
-            Inst::Store { src: Reg::G(GReg(1)), base: GReg(2), off: 0, gated: false },
-            Inst::Store { src: Reg::G(GReg(1)), base: GReg(2), off: 0, gated: true },
-        ];
-        for inst in safe {
-            assert!(DecodedInst::of(inst).is_warp_safe(), "{inst}");
-        }
-        let unsafe_ = [
-            Inst::IntOp { op: IntOp::Mul, rd: GReg(1), rs: GReg(2), src2: GSrc::Imm(3) },
-            Inst::IntOp { op: IntOp::And, rd: GReg(1), rs: GReg(2), src2: GSrc::Imm(3) },
-            Inst::IntOp { op: IntOp::Sll, rd: GReg(1), rs: GReg(2), src2: GSrc::Imm(3) },
-            Inst::Load { dst: Reg::G(GReg(1)), base: GReg(2), off: 0 },
-            Inst::LiF { fd: hirata_isa::FReg(1), imm: 1.0 },
-            Inst::JumpReg { rs: GReg(1) },
-            Inst::Halt,
-            Inst::FastFork,
-            Inst::ChgPri,
-            Inst::KillOthers,
-            Inst::QUnmap,
-            Inst::Drain,
-        ];
-        for inst in unsafe_ {
-            assert!(!DecodedInst::of(inst).is_warp_safe(), "{inst}");
-        }
     }
 
     #[test]

@@ -9,10 +9,13 @@
 
 use hirata_isa::RotationMode;
 
+/// Every rotation is a left rotation of the level order, so the order
+/// is always `0..slots` rotated: the highest slot, then the slots
+/// after it, wrapping. Only the highest slot is stored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Priorities {
-    /// `order[0]` is the highest-priority slot.
-    order: Vec<usize>,
+    highest: usize,
+    slots: usize,
     mode: RotationMode,
     /// Cycle of the most recent implicit rotation (or mode change).
     last_rotation: u64,
@@ -22,23 +25,25 @@ pub(crate) struct Priorities {
 
 impl Priorities {
     pub(crate) fn new(slots: usize, mode: RotationMode) -> Self {
-        Priorities { order: (0..slots).collect(), mode, last_rotation: 0, pending_explicit: false }
+        Priorities { highest: 0, slots, mode, last_rotation: 0, pending_explicit: false }
     }
 
     /// Slots from highest to lowest priority.
-    pub(crate) fn order(&self) -> &[usize] {
-        &self.order
+    pub(crate) fn order(&self) -> impl Iterator<Item = usize> {
+        let (highest, slots) = (self.highest, self.slots);
+        (0..slots).map(move |rank| (highest + rank) % slots)
     }
 
     /// Priority rank of `slot` (0 = highest).
     #[allow(dead_code)] // used by tests and kept for diagnostics
     pub(crate) fn rank(&self, slot: usize) -> usize {
-        self.order.iter().position(|&s| s == slot).expect("slot in priority order")
+        (slot + self.slots - self.highest) % self.slots
     }
 
     /// The highest-priority slot.
+    #[inline]
     pub(crate) fn highest(&self) -> usize {
-        self.order[0]
+        self.highest
     }
 
     /// Current rotation mode.
@@ -96,36 +101,16 @@ impl Priorities {
         }
         let count = 1 + (to - 1 - first) / interval;
         self.last_rotation = first + (count - 1) * interval;
-        let len = self.order.len() as u64;
-        self.order.rotate_left((count % len) as usize);
+        self.highest = (self.highest + (count % self.slots as u64) as usize) % self.slots;
         count
     }
 
-    /// Appends the rotation state rebased to `now` to `out`, for the
-    /// loop-warp fingerprint: the priority order, the mode, the cycles
-    /// since the last rotation, and any pending explicit request.
-    pub(crate) fn warp_key_into(&self, now: u64, out: &mut Vec<u64>) {
-        for &s in &self.order {
-            out.push(s as u64);
-        }
-        match self.mode {
-            RotationMode::Implicit { interval } => {
-                out.push(1);
-                out.push(interval as u64);
-            }
-            RotationMode::Explicit => {
-                out.push(2);
-                out.push(0);
-            }
-        }
-        out.push(now - self.last_rotation);
-        out.push(self.pending_explicit as u64);
-    }
-
-    /// Shifts the rotation timer forward by `delta` cycles — the
-    /// loop-warp leap.
-    pub(crate) fn warp_shift(&mut self, delta: u64) {
-        self.last_rotation += delta;
+    /// Makes `slot` the highest level without moving the rotation
+    /// timer: the net effect of an implicit rotation and the forced
+    /// rotations that follow it on the same cycle when `slot` is the
+    /// only slot with work.
+    pub(crate) fn realign(&mut self, slot: usize) {
+        self.highest = slot;
     }
 
     /// Requests an explicit rotation (`chgpri`), applied at cycle end.
@@ -154,7 +139,7 @@ impl Priorities {
     }
 
     fn rotate(&mut self, now: u64) {
-        self.order.rotate_left(1);
+        self.highest = if self.highest + 1 == self.slots { 0 } else { self.highest + 1 };
         self.last_rotation = now;
     }
 }
@@ -163,10 +148,14 @@ impl Priorities {
 mod tests {
     use super::*;
 
+    fn order(p: &Priorities) -> Vec<usize> {
+        p.order().collect()
+    }
+
     #[test]
     fn initial_order_is_slot_index() {
         let p = Priorities::new(3, RotationMode::Explicit);
-        assert_eq!(p.order(), [0, 1, 2]);
+        assert_eq!(order(&p), [0, 1, 2]);
         assert_eq!(p.highest(), 0);
         assert_eq!(p.rank(2), 2);
     }
@@ -177,17 +166,17 @@ mod tests {
         assert!(!p.tick(0));
         assert!(!p.tick(3));
         assert!(p.tick(4));
-        assert_eq!(p.order(), [1, 2, 0]);
+        assert_eq!(order(&p), [1, 2, 0]);
         assert!(!p.tick(7));
         assert!(p.tick(8));
-        assert_eq!(p.order(), [2, 0, 1]);
+        assert_eq!(order(&p), [2, 0, 1]);
     }
 
     #[test]
     fn rotation_demotes_previous_highest_to_lowest() {
         let mut p = Priorities::new(4, RotationMode::Implicit { interval: 1 });
         p.tick(1);
-        assert_eq!(p.order(), [1, 2, 3, 0]);
+        assert_eq!(order(&p), [1, 2, 3, 0]);
         assert_eq!(p.rank(0), 3);
     }
 
@@ -222,7 +211,7 @@ mod tests {
     fn single_slot_rotation_is_identity() {
         let mut p = Priorities::new(1, RotationMode::Implicit { interval: 1 });
         p.tick(1);
-        assert_eq!(p.order(), [0]);
+        assert_eq!(order(&p), [0]);
         assert_eq!(p.highest(), 0);
     }
 }
@@ -267,7 +256,7 @@ mod properties {
                 }
                 let mut expected: Vec<usize> = (0..slots).collect();
                 expected.rotate_left(rotations % slots);
-                prop_assert_eq!(p.order(), expected.as_slice());
+                prop_assert_eq!(p.order().collect::<Vec<_>>(), expected);
             }
         }
 
@@ -326,12 +315,11 @@ mod properties {
             }
             let ff_count = p.fast_forward_ticks(from, to);
             prop_assert_eq!(ff_count, loop_count);
-            prop_assert_eq!(p.order(), looped.order());
-            prop_assert_eq!(p.highest(), looped.highest());
+            prop_assert_eq!(&p, &looped);
             // Subsequent ticks agree too: the timer state matches.
             for now in to..to + 2 * interval as u64 {
                 prop_assert_eq!(p.tick(now), looped.tick(now));
-                prop_assert_eq!(p.order(), looped.order());
+                prop_assert_eq!(&p, &looped);
             }
         }
     }

@@ -210,40 +210,6 @@ impl RegBank {
         self.busy = 0;
     }
 
-    /// Appends the scoreboard's timing image rebased to `now` to
-    /// `out`, for the loop-warp fingerprint: per-register ready times
-    /// relative to `now`, with past times clamped to 0 (all "ready
-    /// now") and the issued-but-unselected [`BUSY`] sentinel preserved
-    /// so it compares equal across period boundaries.
-    pub(crate) fn warp_key_into(&self, now: u64, out: &mut Vec<u64>) {
-        for &r in &self.ready {
-            out.push(if r == BUSY { BUSY } else { r.saturating_sub(now) });
-        }
-    }
-
-    /// Shifts every in-flight ready time (strictly after `now`)
-    /// forward by `delta` cycles — the loop-warp leap. Past ready
-    /// times stay: they already prove readiness at every later cycle.
-    /// The packed busy mask is untouched; it remains a conservative
-    /// superset, exactly as after any other lazy period.
-    pub(crate) fn warp_shift(&mut self, delta: u64, now: u64) {
-        for r in &mut self.ready {
-            if *r != BUSY && *r > now {
-                *r += delta;
-            }
-        }
-    }
-
-    /// Adds `k·delta` to every integer register (wrapping, matching
-    /// the ALU's own wrapping arithmetic) — the loop-warp `k·Δ`
-    /// application. Values only; ready times and the scoreboard are
-    /// handled by [`RegBank::warp_shift`].
-    pub(crate) fn warp_add_gvals(&mut self, deltas: &[i64; NUM_GREGS], k: i64) {
-        for (v, &d) in self.gvals.iter_mut().zip(deltas) {
-            *v = v.wrapping_add(d.wrapping_mul(k));
-        }
-    }
-
     /// The raw architectural image of the bank: the 32 integer
     /// registers (two's complement) followed by the 32 floating
     /// registers (IEEE-754 bits). Scoreboard state is excluded, so two

@@ -207,6 +207,20 @@ impl RunStats {
         self.stall_windows[window][reason.index()] += 1;
     }
 
+    /// Records `n` stalled slot-cycles at machine time `now` — the
+    /// bulk form of [`RunStats::record_stall`] the machine uses for
+    /// its unbound slots' NoThread stalls. Equivalent to `n` calls of
+    /// `record_stall(reason, now)` (none at all when `n` is zero).
+    pub(crate) fn record_stalls(&mut self, reason: StallReason, now: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.stalls.record_n(reason, n);
+        let window = (now / STALL_WINDOW_CYCLES) as usize;
+        self.ensure_windows(window);
+        self.stall_windows[window][reason.index()] += n;
+    }
+
     /// Grows the per-window table through `last`, reserving in
     /// power-of-two window blocks (floor 64) so the growth points are
     /// sparse: a fast-forward jump covering thousands of cycles stays
@@ -220,64 +234,31 @@ impl RunStats {
         }
     }
 
-    /// Records one stalled slot-cycle for every machine cycle in the
-    /// half-open span `[from, to)` — the batched form of
+    /// Records `slots` stalled slot-cycles for every machine cycle in
+    /// the half-open span `[from, to)` — the batched form of
     /// [`RunStats::record_stall`] used when the event wheel skips a
     /// run of provably stalled cycles. Equivalent to calling
-    /// `record_stall(reason, t)` for each `t` in the span, including
-    /// the per-window attribution.
-    pub(crate) fn record_stall_span(&mut self, reason: StallReason, from: u64, to: u64) {
-        if from >= to {
+    /// `record_stalls(reason, t, slots)` for each `t` in the span,
+    /// including the per-window attribution.
+    pub(crate) fn record_stall_span(
+        &mut self,
+        reason: StallReason,
+        from: u64,
+        to: u64,
+        slots: u64,
+    ) {
+        if from >= to || slots == 0 {
             return;
         }
-        self.stalls.record_n(reason, to - from);
+        self.stalls.record_n(reason, (to - from) * slots);
         let last_window = ((to - 1) / STALL_WINDOW_CYCLES) as usize;
         self.ensure_windows(last_window);
         let mut t = from;
         while t < to {
             let w = t / STALL_WINDOW_CYCLES;
             let end = ((w + 1) * STALL_WINDOW_CYCLES).min(to);
-            self.stall_windows[w as usize][reason.index()] += end - t;
+            self.stall_windows[w as usize][reason.index()] += (end - t) * slots;
             t = end;
-        }
-    }
-
-    /// Records `count` stalled slot-cycles at the arithmetic
-    /// progression of machine times `first, first + stride, ...,
-    /// first + (count - 1) * stride` — the loop-warp form of
-    /// [`RunStats::record_stall`]: one recorded stall event inside a
-    /// detected period recurs once per leapt period, `stride` cycles
-    /// apart. Equivalent to calling `record_stall(reason, t)` at each
-    /// progression point, including the per-window attribution, but
-    /// walks windows instead of cycles.
-    pub(crate) fn record_stall_train(
-        &mut self,
-        reason: StallReason,
-        first: u64,
-        stride: u64,
-        count: u64,
-    ) {
-        if count == 0 {
-            return;
-        }
-        debug_assert!(stride > 0);
-        self.stalls.record_n(reason, count);
-        let last = first + (count - 1) * stride;
-        self.ensure_windows((last / STALL_WINDOW_CYCLES) as usize);
-        let idx = reason.index();
-        // Progression points in window `w` are those `i` with
-        // `w * W <= first + i * stride < (w + 1) * W`; count them per
-        // window by dividing the progression, not by stepping cycles.
-        let mut i = 0u64;
-        while i < count {
-            let t = first + i * stride;
-            let w = t / STALL_WINDOW_CYCLES;
-            let end = (w + 1) * STALL_WINDOW_CYCLES;
-            // Points remaining in this window: ceil((end - t) / stride),
-            // capped by the points remaining overall.
-            let in_window = ((end - t).div_ceil(stride)).min(count - i);
-            self.stall_windows[w as usize][idx] += in_window;
-            i += in_window;
         }
     }
 
@@ -415,43 +396,26 @@ mod tests {
 
     #[test]
     fn record_stall_span_equals_repeated_record_stall() {
-        // Spans crossing zero, one, and several window boundaries.
+        // Spans crossing zero, one, and several window boundaries, for
+        // one slot, several, and none.
         let w = STALL_WINDOW_CYCLES;
-        for (from, to) in
-            [(0, 0), (3, 7), (0, w), (w - 1, w + 1), (w / 2, 3 * w + 17), (5 * w, 5 * w + 1)]
-        {
-            let mut spanned = RunStats::default();
-            spanned.record_stall_span(StallReason::QueueEmpty, from, to);
-            let mut looped = RunStats::default();
-            for t in from..to {
-                looped.record_stall(StallReason::QueueEmpty, t);
+        for slots in [0, 1, 7] {
+            for (from, to) in
+                [(0, 0), (3, 7), (0, w), (w - 1, w + 1), (w / 2, 3 * w + 17), (5 * w, 5 * w + 1)]
+            {
+                let mut spanned = RunStats::default();
+                spanned.record_stall_span(StallReason::QueueEmpty, from, to, slots);
+                let mut bulk = RunStats::default();
+                let mut looped = RunStats::default();
+                for t in from..to {
+                    bulk.record_stalls(StallReason::QueueEmpty, t, slots);
+                    for _ in 0..slots {
+                        looped.record_stall(StallReason::QueueEmpty, t);
+                    }
+                }
+                assert_eq!(spanned, looped, "span [{from}, {to}) x {slots}");
+                assert_eq!(bulk, looped, "per-cycle adds [{from}, {to}) x {slots}");
             }
-            assert_eq!(spanned, looped, "span [{from}, {to})");
-        }
-    }
-
-    #[test]
-    fn record_stall_train_equals_repeated_record_stall() {
-        let w = STALL_WINDOW_CYCLES;
-        // (first, stride, count): strides below, at, and above the
-        // window width; trains crossing zero, one, and many windows.
-        for (first, stride, count) in [
-            (0, 1, 0),
-            (0, 1, 1),
-            (3, 7, 5),
-            (w - 1, 1, 3),
-            (w / 2, w, 4),
-            (17, w + 3, 6),
-            (0, 3 * w, 3),
-            (2 * w - 2, 2, 2 * w),
-        ] {
-            let mut trained = RunStats::default();
-            trained.record_stall_train(StallReason::FuConflict, first, stride, count);
-            let mut looped = RunStats::default();
-            for i in 0..count {
-                looped.record_stall(StallReason::FuConflict, first + i * stride);
-            }
-            assert_eq!(trained, looped, "train ({first}, {stride}, {count})");
         }
     }
 

@@ -33,7 +33,9 @@ use crate::stats::StallReason;
 
 /// A set of thread-slot indices packed into one 64-bit mask, so
 /// arbitration events carry their competitor/winner sets without heap
-/// allocation on the trace hot path. Slot indices stay below 64:
+/// allocation on the trace hot path, and the machine's per-slot masks
+/// (bound slots, standby occupancy) cost one word. Slot indices stay
+/// below 64:
 /// [`Config::validate`](crate::Config::validate) rejects more than
 /// [`MAX_THREAD_SLOTS`](crate::MAX_THREAD_SLOTS) slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,9 +79,59 @@ impl SlotSet {
         self.0.count_ones() as usize
     }
 
-    /// Ascending iterator over the member slot indices.
+    /// Ascending iterator over the member slot indices, one
+    /// find-first-set per member.
     pub fn iter(self) -> impl Iterator<Item = usize> {
-        (0..u64::BITS as usize).filter(move |&s| self.0 & (1 << s) != 0)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let s = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(s)
+        })
+    }
+
+    /// The slots `0..slots`.
+    pub(crate) fn first(slots: usize) -> SlotSet {
+        SlotSet(if slots >= 64 { u64::MAX } else { (1u64 << slots) - 1 })
+    }
+
+    /// The slots in either set.
+    #[must_use]
+    pub(crate) fn union(self, other: SlotSet) -> SlotSet {
+        SlotSet(self.0 | other.0)
+    }
+
+    /// The slots in `self` but not in `other`.
+    #[must_use]
+    pub(crate) fn minus(self, other: SlotSet) -> SlotSet {
+        SlotSet(self.0 & !other.0)
+    }
+
+    /// The members rotated so that bit `r` stands for slot
+    /// `(start + r) % slots`: bit order is the rotating-priority visit
+    /// order from `start`.
+    fn rotated(self, start: usize, slots: usize) -> u64 {
+        debug_assert!(slots <= 64 && (start < slots || self.0 == 0), "start within the slot range");
+        let mask = SlotSet::first(slots).0;
+        debug_assert_eq!(self.0 & !mask, 0, "members within the slot range");
+        let bits = self.0 & mask;
+        if start == 0 {
+            bits
+        } else {
+            ((bits >> start) | (bits << (slots - start))) & mask
+        }
+    }
+
+    /// The rank (position in the visit order of
+    /// [`SlotSet::iter_from`]`(start, slots)`) of the first member at
+    /// rank `from` or later, if any; its slot is `(start + rank) %
+    /// slots`.
+    pub(crate) fn next_in_rotation(self, start: usize, slots: usize, from: usize) -> Option<usize> {
+        let rest = self.rotated(start, slots).checked_shr(from as u32).unwrap_or(0);
+        (rest != 0).then(|| from + rest.trailing_zeros() as usize)
     }
 
     /// Iterator over the member slots starting at `start` and wrapping
@@ -90,12 +142,7 @@ impl SlotSet {
     /// find-first-set per member, so sparse sets visit only their
     /// members rather than scanning every slot.
     pub fn iter_from(self, start: usize, slots: usize) -> impl Iterator<Item = usize> {
-        debug_assert!(slots <= 64 && (start < slots || self.0 == 0), "start within the slot range");
-        let mask = if slots >= 64 { u64::MAX } else { (1u64 << slots) - 1 };
-        debug_assert_eq!(self.0 & !mask, 0, "members within the slot range");
-        let bits = self.0 & mask;
-        let mut rot =
-            if start == 0 { bits } else { ((bits >> start) | (bits << (slots - start))) & mask };
+        let mut rot = self.rotated(start, slots);
         std::iter::from_fn(move || {
             if rot == 0 {
                 return None;

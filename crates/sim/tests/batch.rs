@@ -133,40 +133,3 @@ fn removed_lane_stops_stepping() {
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].0, b);
 }
-
-#[test]
-fn batch_aggregates_warp_counters() {
-    // A long affine counted loop: the loop-warp engine detects it and
-    // leaps, so the warp lane contributes non-zero counters.
-    let looping = assemble(
-        "
-        li r1, #20000
-        li r2, #0
-        li r3, #4096
-    loop:
-        sw r2, 0(r3)
-        add r3, r3, #1
-        add r2, r2, #3
-        sub r1, r1, #1
-        bne r1, #0, loop
-        halt
-    ",
-    )
-    .expect("assembles");
-
-    let mut solo = Machine::new(Config::multithreaded(2), &looping).expect("builds");
-    solo.run().expect("runs");
-    let solo_warp = solo.warp_stats();
-    assert!(solo_warp.leaps > 0, "the counted loop should warp");
-
-    let mut batch = MachineBatch::new();
-    batch.insert(Machine::new(Config::multithreaded(2), &looping).expect("builds"));
-    batch
-        .insert(Machine::new(Config::multithreaded(2).with_warp(false), &looping).expect("builds"));
-    while batch.step_round(4096) > 0 {}
-    // Finished-but-undrained lanes still count: the warp lane's
-    // counters plus the warp-off lane's zeros.
-    assert_eq!(batch.warp_stats(), solo_warp);
-    batch.drain_finished();
-    assert_eq!(batch.warp_stats(), Default::default());
-}

@@ -10,14 +10,12 @@
 //! and a seeded fuzz campaign of structured random programs —
 //! branches, counted loops, fig6-style eager queue-ring loops with
 //! `chgpri`, gated stores, data-absence traps through the DSM
-//! memory model, and long affine counted loops sized to bait the
-//! loop-warp engine. Fuzzed programs run **four ways**: the emulator,
-//! the plain cycle-level machine, the machine with the event-wheel
-//! fast-forward, and the machine with fast-forward *and* loop-warp;
-//! the machines must agree byte-for-byte on cycle counts, statistics,
-//! issue-event streams (and, for the two traced runs, the full trace
-//! event stream), and all must agree with the emulator on final
-//! architectural state. A fuzz
+//! memory model, and long affine counted loops. Fuzzed programs run
+//! **three ways**: the emulator, the plain cycle-level machine, and
+//! the machine with the event-wheel fast-forward; the two machines
+//! must agree byte-for-byte on cycle counts, statistics, issue-event
+//! streams and the full trace event stream, and both must agree with
+//! the emulator on final architectural state. A fuzz
 //! failure is shrunk (greedy line removal preserving the failure
 //! category) and the minimal program saved under
 //! `target/diff-failures/` for replay. On divergence the lockstep
@@ -118,12 +116,11 @@ fn examples_match_the_golden_model() {
     }
 }
 
-/// Every example also runs four-way (emulator, plain machine, wheel
-/// machine, warp machine): the event wheel and the loop-warp engine
-/// must be invisible on real control-flow-heavy programs, not just
-/// generated ones.
+/// Every example also runs three-way (emulator, plain machine, wheel
+/// machine): the event wheel must be invisible on real
+/// control-flow-heavy programs, not just generated ones.
 #[test]
-fn examples_four_way_warp_parity() {
+fn examples_three_way_parity() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/asm");
     for entry in std::fs::read_dir(dir).expect("examples/asm exists") {
         let path = entry.expect("dir entry").path();
@@ -134,7 +131,7 @@ fn examples_four_way_warp_parity() {
         let src = std::fs::read_to_string(&path).expect("example is readable");
         for slots in [1, 2, 4] {
             let case = FuzzCase { src: src.clone(), slots, remote_base: None };
-            four_way(&case, &src)
+            three_way(&case, &src)
                 .unwrap_or_else(|e| panic!("{name} at {slots} slots diverges: {e}"));
         }
     }
@@ -212,7 +209,7 @@ fn generated_straight_line_programs_match_the_golden_model() {
     }
 }
 
-// ----------------------------------------------------- four-way fuzz
+// ---------------------------------------------------- three-way fuzz
 
 /// Seeds in the default campaign; `DIFF_FUZZ_SEEDS` overrides (CI runs
 /// a larger budgeted campaign, `DIFF_FUZZ_SEEDS=50` gives a quick
@@ -234,20 +231,15 @@ struct FuzzCase {
     remote_base: Option<u64>,
 }
 
-/// Runs one machine configuration. Every run records issue events
-/// (`set_trace`); `sink` additionally attaches a [`TextSink`] — the
-/// warp run stays sink-free because a trace sink pins the engine to
-/// detection-only mode (synthesised sink events are out of scope), so
-/// the leap path would never be exercised.
+/// Runs one machine configuration, recording issue events
+/// (`set_trace`) and the full event stream through a [`TextSink`].
 fn run_machine(
     program: &Program,
     slots: usize,
     fast_forward: bool,
-    warp: bool,
-    sink: bool,
     remote_base: Option<u64>,
 ) -> Result<(Machine, String), String> {
-    let mut config = Config::multithreaded(slots).with_fast_forward(fast_forward).with_warp(warp);
+    let mut config = Config::multithreaded(slots).with_fast_forward(fast_forward);
     config.max_cycles = FUZZ_MAX_CYCLES;
     let mut machine = match remote_base {
         Some(base) => {
@@ -257,27 +249,24 @@ fn run_machine(
     }
     .map_err(|e| format!("[build] machine rejected program: {e}"))?;
     machine.set_trace(true);
-    let text_sink = sink.then(TextSink::new);
-    if let Some(s) = &text_sink {
-        machine.attach_trace_sink(Box::new(s.clone()));
-    }
-    machine.run().map_err(|e| {
-        format!("[machine-error] run (fast_forward={fast_forward}, warp={warp}) failed: {e}")
-    })?;
-    Ok((machine, text_sink.map(|s| s.text()).unwrap_or_default()))
+    let text_sink = TextSink::new();
+    machine.attach_trace_sink(Box::new(text_sink.clone()));
+    machine
+        .run()
+        .map_err(|e| format!("[machine-error] run (fast_forward={fast_forward}) failed: {e}"))?;
+    Ok((machine, text_sink.text()))
 }
 
 /// The fuzz oracle. Errors carry a stable `[category]` prefix so the
 /// shrinker can insist on preserving the original failure mode.
-fn four_way(case: &FuzzCase, src: &str) -> Result<(), String> {
+fn three_way(case: &FuzzCase, src: &str) -> Result<(), String> {
     let program =
         hirata_asm::assemble(src).map_err(|e| format!("[assemble] program rejected: {e}"))?;
     let slots = case.slots;
     let golden = Emulator::execute(&program, slots, 1 << 20, 1_000_000)
         .map_err(|e| format!("[emulator] failed: {e}"))?;
-    let (plain, plain_text) = run_machine(&program, slots, false, false, true, case.remote_base)?;
-    let (wheel, wheel_text) = run_machine(&program, slots, true, false, true, case.remote_base)?;
-    let (warp, _) = run_machine(&program, slots, true, true, false, case.remote_base)?;
+    let (plain, plain_text) = run_machine(&program, slots, false, case.remote_base)?;
+    let (wheel, wheel_text) = run_machine(&program, slots, true, case.remote_base)?;
 
     // Wheel vs plain: the event wheel must be invisible — identical
     // cycle counts, statistics tables, and trace event streams.
@@ -317,47 +306,6 @@ fn four_way(case: &FuzzCase, src: &str) -> Result<(), String> {
         return Err(format!("[memory-wheel] plain and wheel memories diverge at word {at:?}"));
     }
 
-    // Warp vs plain: the loop-warp engine must be invisible too —
-    // identical cycle counts, statistics, issue-event streams (leapt
-    // periods synthesise theirs), registers, and memory.
-    if plain.cycles() != warp.cycles() {
-        return Err(format!("[cycles-warp] plain {} vs warp {}", plain.cycles(), warp.cycles()));
-    }
-    if plain.stats() != warp.stats() {
-        return Err(format!(
-            "[stats-warp] diverge:\nplain: {:?}\nwarp: {:?}",
-            plain.stats(),
-            warp.stats()
-        ));
-    }
-    if plain.trace() != warp.trace() {
-        let at = plain
-            .trace()
-            .iter()
-            .zip(warp.trace())
-            .position(|(a, b)| a != b)
-            .map(|i| {
-                format!("event {i}:\nplain: {:?}\nwarp: {:?}", plain.trace()[i], warp.trace()[i])
-            })
-            .unwrap_or_else(|| {
-                format!(
-                    "lengths differ: plain {} events, warp {} events",
-                    plain.trace().len(),
-                    warp.trace().len()
-                )
-            });
-        return Err(format!("[issue-warp] issue-event streams diverge at {at}"));
-    }
-    for ctx in 0..slots {
-        if plain.register_image(ctx) != warp.register_image(ctx) {
-            return Err(format!("[regs-warp] context {ctx} register images diverge"));
-        }
-    }
-    if *plain.memory() != *warp.memory() {
-        let at = first_memory_mismatch(plain.memory(), warp.memory());
-        return Err(format!("[memory-warp] plain and warp memories diverge at word {at:?}"));
-    }
-
     // Plain vs the golden model: final architectural state.
     if golden.memory != *plain.memory() {
         let at = first_memory_mismatch(&golden.memory, plain.memory());
@@ -391,14 +339,14 @@ fn four_way(case: &FuzzCase, src: &str) -> Result<(), String> {
 ///   *before* reading the predecessor (so the ring never deadlocks),
 ///   `chgpri` per trip, optional priority-gated stores to the private
 ///   bank;
-/// * **warp bait** — long affine counted loops (strided stores,
-///   constant register increments, optional nesting and `fastfork`)
-///   sized so the loop-warp engine detects a period and leaps, with
-///   trip counts straddling the leap boundary.
+/// * **affine loops** — long counted loops (strided stores, constant
+///   register increments, optional nesting and `fastfork`), with trip
+///   counts from zero to thousands: long steady-state stretches for
+///   the event wheel's branch-shadow spans.
 ///
 /// The straight-line and counted-loop families may additionally
 /// address the remote region (word 4096 up) to exercise data-absence
-/// traps when the case runs on the DSM model. The ring and warp-bait
+/// traps when the case runs on the DSM model. The ring and affine-loop
 /// families never do: a trap unbinds the context and `wake_and_bind` may rebind it
 /// to a *different* slot, while the queue links form a ring between
 /// slots — so a migrated thread legitimately orphans in-flight ring
@@ -428,8 +376,8 @@ fn fuzz_case(seed: u64) -> FuzzCase {
     let choices = slot_choices();
     let slots = choices[rng.below(choices.len() as u64) as usize];
     // Traps in a third of the trap-safe cases; remote words live at
-    // 4096+. The warp-bait family (D) stays local: its banks sit above
-    // the remote boundary by construction.
+    // 4096+. The affine-loop family (D) stays local: its banks sit
+    // above the remote boundary by construction.
     let remote_base = (family < 2 && rng.below(3) == 0).then_some(4096);
     let remote = remote_base.is_some();
     let mut src = String::from(".text\n.entry main\nmain:\n");
@@ -532,14 +480,11 @@ fn fuzz_case(seed: u64) -> FuzzCase {
             src.push_str("    mv r4, r10\n    add r5, r5, r4\n");
             src.push_str("    sub r8, r8, #1\n    bne r8, #0, loop\n");
         }
-        // Family D: warp bait — affine counted loops (optionally
-        // nested, optionally forked per LP) built from warp-safe
-        // instructions only, with trip counts straddling the leap
-        // boundary: 0, 1, a few, and long runs T with a ±1 jitter so
-        // every remainder size (p−1, p, p+1 iterations left after the
-        // leap) comes up across the campaign. A quarter of the cases
-        // plant a load in the body — not warp-safe — pinning the
-        // fallback path to plain stepping.
+        // Family D: affine counted loops (optionally nested,
+        // optionally forked per LP) of adds, subtracts and strided
+        // stores, with trip counts of 0, 1, a few, and long runs T
+        // with a ±1 jitter. A quarter of the cases plant a load in
+        // the body.
         _ => {
             let multi = rng.below(2) == 0;
             if multi {
@@ -617,7 +562,7 @@ fn shrink(case: &FuzzCase, tag: &str) -> String {
                 cand.remove(i);
                 let cand_src = cand.join("\n");
                 let still_fails =
-                    matches!(four_way(case, &cand_src), Err(e) if failure_tag(&e) == tag);
+                    matches!(three_way(case, &cand_src), Err(e) if failure_tag(&e) == tag);
                 if still_fails {
                     lines = cand;
                     removed = true;
@@ -633,7 +578,7 @@ fn shrink(case: &FuzzCase, tag: &str) -> String {
 }
 
 #[test]
-fn fuzzed_programs_four_way_match() {
+fn fuzzed_programs_three_way_match() {
     let seeds: u64 = std::env::var("DIFF_FUZZ_SEEDS")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -643,7 +588,7 @@ fn fuzzed_programs_four_way_match() {
     let mut failures = Vec::new();
     for seed in 0..seeds {
         let case = fuzz_case(seed);
-        if let Err(err) = four_way(&case, &case.src) {
+        if let Err(err) = three_way(&case, &case.src) {
             let minimal = shrink(&case, failure_tag(&err));
             std::fs::create_dir_all(&out_dir).expect("create target/diff-failures");
             let path = out_dir.join(format!("seed-{seed}.s"));
