@@ -541,19 +541,20 @@ fn lab(
         .collect();
 
     let live = std::io::stderr().is_terminal();
-    let batch = engine.run_batch_observed(batch_jobs, &mut |summary| {
-        if live {
-            let provenance = match (summary.cached, summary.result.is_ok()) {
-                (true, _) => "cached",
-                (false, true) => "simulated",
-                (false, false) => "failed",
-            };
-            eprintln!(
-                "[lab] {}/{} {} ({provenance})",
-                summary.finished, summary.total, summary.name
-            );
-        }
-    });
+    let batch =
+        engine.run_batch_observed(batch_jobs, hirata_lab::Placement::Pool, &mut |summary| {
+            if live {
+                let provenance = match (summary.cached, summary.result.is_ok()) {
+                    (true, _) => "cached",
+                    (false, true) => "simulated",
+                    (false, false) => "failed",
+                };
+                eprintln!(
+                    "[lab] {}/{} {} ({provenance})",
+                    summary.finished, summary.total, summary.name
+                );
+            }
+        });
     eprintln!("[lab] {}", batch.report);
 
     let rows: Vec<hirata_serve::SweepRow> = grid

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use hirata_isa::{encode_program, Program};
 use hirata_mem::{DataMemModel, DsmMemory, FiniteCache, IdealCache, MemStats};
-use hirata_sim::{ChromeSink, Config, Machine, MachineError, RunStats};
+use hirata_sim::{ChromeSink, Config, Machine, MachineError, PredecodedProgram, RunStats};
 
 use crate::cache::CACHE_SCHEMA_TAG;
 
@@ -97,8 +97,9 @@ pub struct Job {
     pub extra_threads: Vec<u32>,
     /// Wall-clock timeout for this job.
     pub timeout: Duration,
-    /// When set, [`execute`] records a Chrome `trace_event` JSON
-    /// artifact of the run at `<dir>/<content_hash>.json`. Engine-side
+    /// When set, running the job (in a batch or through [`execute`])
+    /// records a Chrome `trace_event` JSON artifact of the run at
+    /// `<dir>/<content_hash>.json`. Engine-side
     /// only: like `name` and `timeout`, excluded from the content hash
     /// (tracing never changes the simulation outcome).
     pub trace_dir: Option<PathBuf>,
@@ -144,9 +145,20 @@ impl Job {
         self
     }
 
-    /// Path of the trace artifact this job would write, if tracing.
-    pub fn trace_path(&self) -> Option<PathBuf> {
-        self.trace_dir.as_ref().map(|dir| dir.join(format!("{}.json", self.content_hash())))
+    /// Builds this job's machine over `program`, the job's program as
+    /// lowered by [`PredecodedProgram::shared`], with no trace recorder.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Machine::with_mem_model_predecoded`] and
+    /// [`Machine::add_thread`].
+    pub fn machine(&self, program: Arc<PredecodedProgram>) -> Result<Machine, MachineError> {
+        let mut m =
+            Machine::with_mem_model_predecoded(self.config.clone(), program, self.mem.build())?;
+        for &pc in &self.extra_threads {
+            m.add_thread(pc)?;
+        }
+        Ok(m)
     }
 
     /// Stable 128-bit content hash of the job under the current cache
@@ -352,25 +364,53 @@ impl From<MachineError> for JobError {
 /// The result of one job in a batch.
 pub type JobResult = Result<JobOutput, JobError>;
 
+/// A job's program as lowered for its batch, or the error lowering it
+/// gave.
+pub(crate) type Lowered = Result<Arc<PredecodedProgram>, MachineError>;
+
+/// Builds a job's machine; the default is [`Job::machine`].
+pub(crate) type Build =
+    dyn Fn(&Job, Arc<PredecodedProgram>) -> Result<Machine, MachineError> + Send + Sync;
+
 /// Runs one job to completion on the calling thread (no cache, no
-/// timeout — the engine wraps this with both).
+/// timeout: the engine steps jobs in strides between deadline checks
+/// instead).
 pub fn execute(job: &Job) -> Result<JobOutput, MachineError> {
-    let mut m = Machine::with_mem_model(job.config.clone(), &job.program, job.mem.build())?;
-    for &pc in &job.extra_threads {
-        m.add_thread(pc)?;
-    }
+    let (mut machine, sink) = start(job, PredecodedProgram::shared(&job.program), &Job::machine)?;
+    machine.run()?;
+    Ok(finish(job, &machine, sink))
+}
+
+/// Builds `job`'s machine with `build` over `program`, the job's
+/// program as lowered for its batch, and attaches a trace recorder if
+/// the job is traced.
+///
+/// A program that does not lower fails the job with what building it
+/// from source would report: the configuration is checked first.
+pub(crate) fn start(
+    job: &Job,
+    program: Lowered,
+    build: &Build,
+) -> Result<(Machine, Option<ChromeSink>), MachineError> {
+    let program =
+        program.map_err(|e| job.config.validate().map_or_else(MachineError::from, |()| e))?;
+    let mut machine = build(job, program)?;
     let sink = job.trace_dir.as_ref().map(|_| {
         let sink = ChromeSink::new();
-        m.attach_trace_sink(Box::new(sink.clone()));
+        machine.attach_trace_sink(Box::new(sink.clone()));
         sink
     });
-    let stats = m.run()?.clone();
-    let mem = m.mem_stats();
+    Ok((machine, sink))
+}
+
+/// The output of `job`'s finished machine. A traced job's artifact is
+/// written here.
+pub(crate) fn finish(job: &Job, machine: &Machine, sink: Option<ChromeSink>) -> JobOutput {
     if let (Some(dir), Some(sink)) = (&job.trace_dir, sink) {
         let json = sink.render(job.config.thread_slots, &job.config.fu);
         write_trace(dir, &job.content_hash(), &json);
     }
-    Ok(JobOutput { stats, mem })
+    JobOutput { stats: machine.stats().clone(), mem: machine.mem_stats() }
 }
 
 /// Writes one trace artifact atomically (temp file + rename), so a

@@ -4,20 +4,24 @@
 //! simulations: the same workload swept over thread-slot counts,
 //! functional-unit pools, rotation intervals, issue widths, and memory
 //! models. This crate turns each point of such a grid into a [`Job`]
-//! and runs batches of jobs through a work-stealing thread pool with a
+//! and runs batches of jobs on long-lived worker threads with a
 //! content-addressed on-disk result cache:
 //!
 //! - a [`Job`] bundles a simulator [`Config`](hirata_sim::Config), a
 //!   [`Program`](hirata_isa::Program), and a memory-model spec, and has
 //!   a stable [content hash](Job::content_hash) derived from exactly
 //!   the inputs that determine the simulation outcome;
-//! - [`Lab::run_batch`] executes a batch on `std::thread` workers
-//!   (work stealing between per-worker deques), consulting a
-//!   [`DiskCache`] keyed by job hash first, so re-running a sweep only
-//!   simulates the points that changed;
-//! - each job runs under a wall-clock timeout and panic isolation: a
-//!   crashed or runaway job reports a [`JobError`] in the batch while
-//!   its siblings complete.
+//! - [`Lab::run_batch`] consults a [`DiskCache`] keyed by job hash
+//!   first, so re-running a sweep only simulates the points that
+//!   changed, and hands the misses to the `Lab`'s workers, which take
+//!   them from one shared queue;
+//! - a job runs as a machine stepped in strides: between strides its
+//!   deadline is checked, so a runaway job stops within one stride, and
+//!   a panic inside it is caught, so a crashed or runaway job reports a
+//!   [`JobError`] in the batch while its siblings complete;
+//! - a [`Placement`] spreads a batch's jobs over the workers or steps
+//!   them all round-robin on the calling thread, with the same
+//!   stepping code.
 //!
 //! Cached entries carry a schema tag ([`CACHE_SCHEMA_TAG`]); bumping
 //! the tag (on any change to the serialized form or to simulator
@@ -36,4 +40,4 @@ mod pool;
 
 pub use cache::{default_cache_dir, valid_key, CacheStats, DiskCache, CACHE_SCHEMA_TAG};
 pub use job::{execute, Job, JobError, JobOutput, JobResult, MemModelSpec, DEFAULT_TIMEOUT};
-pub use pool::{Batch, BatchReport, JobSummary, Lab};
+pub use pool::{Batch, BatchReport, JobSummary, Lab, Placement};

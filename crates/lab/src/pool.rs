@@ -1,47 +1,67 @@
-//! The work-stealing batch engine.
+//! The batch engine: long-lived workers stepping machines in strides.
 //!
-//! `run_batch` resolves cache hits up front, then distributes the
-//! remaining jobs round-robin over per-worker deques. Workers pop
-//! from the front of their own deque and steal from the back of their
-//! neighbours' when empty, so an uneven mix of fast and slow jobs
-//! still keeps every worker busy. Each job runs on its own thread so
-//! the worker can enforce a wall-clock timeout with `recv_timeout`,
-//! and panics are caught inside the job thread so one crash never
-//! takes down the batch.
+//! A [`Lab`] owns W worker threads that take work from one shared
+//! queue. They start with the first batch that simulates and stop when
+//! the `Lab` is dropped.
+//!
+//! A batch resolves cache hits on the calling thread first. Each
+//! remaining job becomes a lane: the job plus its program, lowered
+//! once per batch. A set of lanes is built into machines and stepped
+//! round-robin through a [`MachineBatch`], [`DEFAULT_STRIDE`] cycles
+//! per lane per round. Between rounds the stepping thread checks each
+//! lane's deadline and drops a lane past it, so a timed-out job stops
+//! using the CPU within one stride. A lane that panics fails its job
+//! alone.
+//!
+//! A [`Placement`] says where the lanes step: spread over the workers
+//! one job each (`Pool`), or all in one set on the calling thread
+//! (`Interleaved`). Either way the calling thread stores each result
+//! in the cache and reports it as it arrives.
 
-use std::collections::VecDeque;
 use std::io::{IsTerminal, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hirata_sim::MachineError;
+use hirata_isa::Program;
+use hirata_sim::batch::panic_text;
+use hirata_sim::{
+    ChromeSink, LaneError, Machine, MachineBatch, MachineError, PredecodedProgram, DEFAULT_STRIDE,
+};
 
 use crate::cache::{default_cache_dir, DiskCache};
-use crate::job::{execute, Job, JobError, JobOutput, JobResult};
+use crate::job::{finish, start, Build, Job, JobError, JobResult, Lowered};
 
-/// A function that simulates one job; the default is [`execute`].
-/// Injectable so tests can exercise the panic and timeout paths.
-type Runner = dyn Fn(&Job) -> Result<JobOutput, MachineError> + Send + Sync;
+/// Where a batch's jobs step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// Each job on its own, spread over the engine's workers.
+    Pool,
+    /// Every job as one lane of a single [`MachineBatch`], stepped
+    /// round-robin on the calling thread.
+    Interleaved,
+}
 
-/// A queued unit of work: submission index, cache key, and the job.
-type QueuedJob = (usize, String, Arc<Job>);
-
-/// The experiment-execution engine: a worker count plus an optional
-/// result cache.
+/// The experiment-execution engine: long-lived workers plus an
+/// optional result cache.
 pub struct Lab {
     workers: usize,
-    cache: Option<DiskCache>,
+    /// The result store; unset until a builder picks one or the first
+    /// batch opens the default.
+    cache: OnceLock<Option<DiskCache>>,
     progress: bool,
     report: bool,
     trace_dir: Option<std::path::PathBuf>,
+    pool: OnceLock<Workers>,
 }
 
 impl Lab {
     /// An engine with one worker per available CPU and the default
-    /// on-disk cache (`$HIRATA_LAB_CACHE` or `target/lab-cache`).
+    /// on-disk cache (`$HIRATA_LAB_CACHE` or `target/lab-cache`),
+    /// opened by the first batch unless another store (or none) is
+    /// chosen before.
     ///
     /// Cache-directory creation failure (read-only filesystem, ...)
     /// degrades to running without a cache rather than failing the
@@ -50,10 +70,11 @@ impl Lab {
         let workers = thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         Lab {
             workers,
-            cache: DiskCache::open(default_cache_dir()).ok(),
+            cache: OnceLock::new(),
             progress: std::io::stderr().is_terminal(),
             report: true,
             trace_dir: None,
+            pool: OnceLock::new(),
         }
     }
 
@@ -66,13 +87,13 @@ impl Lab {
 
     /// Disables the result cache (every job simulates).
     pub fn without_cache(mut self) -> Self {
-        self.cache = None;
+        self.cache = OnceLock::from(None);
         self
     }
 
     /// Uses a cache in the given directory instead of the default.
     pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.cache = DiskCache::open(dir).ok();
+        self.cache = OnceLock::from(DiskCache::open(dir).ok());
         self
     }
 
@@ -80,13 +101,14 @@ impl Lab {
     /// daemon shares one artifact store between the engine and its
     /// result endpoints ([`DiskCache`] handles are `Arc`-shared).
     pub fn with_cache(mut self, cache: DiskCache) -> Self {
-        self.cache = Some(cache);
+        self.cache = OnceLock::from(Some(cache));
         self
     }
 
-    /// The engine's cache handle, if caching is enabled.
+    /// The engine's cache handle, if caching is enabled. Opens the
+    /// default store if no store was chosen.
     pub fn cache(&self) -> Option<&DiskCache> {
-        self.cache.as_ref()
+        self.cache.get_or_init(|| DiskCache::open(default_cache_dir()).ok()).as_ref()
     }
 
     /// Emits a Chrome trace artifact per executed job under `dir`,
@@ -114,54 +136,79 @@ impl Lab {
         self.workers
     }
 
-    /// Runs a batch of jobs and returns per-job results in submission
-    /// order plus a batch report. See [`Lab::run_batch_with`].
-    pub fn run_batch(&self, jobs: Vec<Job>) -> Batch {
-        self.run_batch_inner(jobs, Arc::new(execute), None)
-    }
-
-    /// Runs a batch with an explicit runner function in place of
-    /// [`execute`].
+    /// Runs a batch of jobs on the workers and returns per-job results
+    /// in submission order plus a batch report.
     ///
-    /// Results come back in submission order. A job that fails —
-    /// simulator error, panic, or timeout — yields `Err(JobError)` in
-    /// its slot while the rest of the batch completes.
-    pub fn run_batch_with<F>(&self, jobs: Vec<Job>, runner: F) -> Batch
-    where
-        F: Fn(&Job) -> Result<JobOutput, MachineError> + Send + Sync + 'static,
-    {
-        self.run_batch_inner(jobs, Arc::new(runner), None)
+    /// A job that fails — simulator error, panic, or timeout — yields
+    /// `Err(JobError)` in its slot while the rest of the batch
+    /// completes.
+    pub fn run_batch(&self, jobs: Vec<Job>) -> Batch {
+        self.run_batch_inner(jobs, Placement::Pool, Arc::new(Job::machine), None)
     }
 
-    /// Runs a batch, invoking `on_job_done` on the calling thread as
-    /// each job finishes — cache hits first (in submission order),
-    /// then executed jobs in completion order. This is the live
-    /// progress feed: `hirata lab` prints `k/n` lines from it and the
+    /// Runs a batch with `build` in place of [`Job::machine`] to build
+    /// each job's machine over its lowered program (the seam tests use
+    /// to inject a panic).
+    pub fn run_batch_with<F>(&self, jobs: Vec<Job>, build: F) -> Batch
+    where
+        F: Fn(&Job, Arc<PredecodedProgram>) -> Result<Machine, MachineError>
+            + Send
+            + Sync
+            + 'static,
+    {
+        self.run_batch_inner(jobs, Placement::Pool, Arc::new(build), None)
+    }
+
+    /// Runs a batch with its jobs stepped where `placement` says,
+    /// invoking `on_job_done` on the calling thread as each job
+    /// finishes — cache hits first (in submission order), then
+    /// executed jobs in completion order. This is the live progress
+    /// feed: `hirata lab` prints `k/n` lines from it and the
     /// `hirata serve` daemon streams it to clients as chunked events.
     pub fn run_batch_observed(
         &self,
         jobs: Vec<Job>,
+        placement: Placement,
         on_job_done: &mut dyn FnMut(&JobSummary),
     ) -> Batch {
-        self.run_batch_inner(jobs, Arc::new(execute), Some(on_job_done))
+        self.run_batch_inner(jobs, placement, Arc::new(Job::machine), Some(on_job_done))
     }
 
     fn run_batch_inner(
         &self,
         jobs: Vec<Job>,
-        runner: Arc<Runner>,
+        placement: Placement,
+        build: Arc<Build>,
         mut on_job_done: Option<&mut dyn FnMut(&JobSummary)>,
     ) -> Batch {
         let start = Instant::now();
         let total = jobs.len();
-        let mut results: Vec<Option<JobResult>> = Vec::with_capacity(total);
+        let cache = self.cache();
+        let mut results: Vec<Option<JobResult>> = (0..total).map(|_| None).collect();
         let mut report = BatchReport { total, ..BatchReport::default() };
-
-        // Resolve cache hits up front; only misses go to the pool.
-        // The content hash is computed once here and travels with the
-        // job so the collector can store fresh results under it.
-        let mut pending: Vec<(usize, String, Job)> = Vec::new();
         let mut finished = 0usize;
+        let mut report_done =
+            |index: usize, job: &Job, key: &str, cached: bool, result: JobResult| {
+                finished += 1;
+                if let Some(hook) = on_job_done.as_deref_mut() {
+                    hook(&JobSummary {
+                        index,
+                        name: &job.name,
+                        key,
+                        cached,
+                        result: &result,
+                        finished,
+                        total,
+                    });
+                }
+                results[index] = Some(result);
+            };
+
+        // Resolve cache hits up front; only misses become lanes. Each
+        // distinct program is lowered once for the batch.
+        let mut jobs_and_keys = Vec::with_capacity(total);
+        let mut lanes = Vec::new();
+        let mut lowered: Vec<(Arc<Program>, Lowered)> = Vec::new();
         for (index, mut job) in jobs.into_iter().enumerate() {
             if let Some(dir) = &self.trace_dir {
                 job.trace_dir = Some(dir.clone());
@@ -170,138 +217,91 @@ impl Lab {
             // With tracing on, a hit additionally requires the trace
             // artifact on disk; a cached result without one
             // re-simulates so the artifact set comes out complete.
-            let trace_present = match job.trace_path() {
-                Some(path) => path.exists(),
-                None => true,
-            };
-            match self.cache.as_ref().and_then(|c| c.load(&key)).filter(|_| trace_present) {
+            let trace_present =
+                job.trace_dir.as_ref().is_none_or(|d| d.join(format!("{key}.json")).exists());
+            let job = Arc::new(job);
+            match cache.and_then(|c| c.load(&key)).filter(|_| trace_present) {
                 Some(out) => {
                     report.cache_hits += 1;
-                    finished += 1;
-                    let result = Ok(out);
-                    if let Some(hook) = on_job_done.as_deref_mut() {
-                        hook(&JobSummary {
-                            index,
-                            name: &job.name,
-                            key: &key,
-                            cached: true,
-                            result: &result,
-                            finished,
-                            total,
-                        });
-                    }
-                    results.push(Some(result));
+                    report_done(index, &job, &key, true, Ok(out));
                 }
                 None => {
-                    results.push(None);
-                    pending.push((index, key, job));
+                    let at = match lowered.iter().position(|(p, _)| Arc::ptr_eq(p, &job.program)) {
+                        Some(at) => at,
+                        None => {
+                            let program = PredecodedProgram::shared(&job.program);
+                            lowered.push((Arc::clone(&job.program), program));
+                            lowered.len() - 1
+                        }
+                    };
+                    let program = lowered[at].1.clone();
+                    lanes.push(Lane { index, job: Arc::clone(&job), program });
                 }
             }
+            jobs_and_keys.push((job, key));
         }
 
-        if !pending.is_empty() {
-            self.run_pending(
-                pending,
-                &mut results,
-                &mut report,
-                runner,
-                start,
-                finished,
-                &mut on_job_done,
-            );
-        }
-
-        report.wall = start.elapsed();
-        self.print_report(&report);
-        let results =
-            results.into_iter().map(|r| r.expect("every job produced a result")).collect();
-        Batch { results, report }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_pending(
-        &self,
-        pending: Vec<(usize, String, Job)>,
-        results: &mut [Option<JobResult>],
-        report: &mut BatchReport,
-        runner: Arc<Runner>,
-        start: Instant,
-        already_finished: usize,
-        on_job_done: &mut Option<&mut dyn FnMut(&JobSummary)>,
-    ) {
-        let workers = self.workers.min(pending.len());
-        let count = pending.len();
-        let total = already_finished + count;
-
-        // Striped round-robin assignment over per-worker deques.
-        let mut queues: Vec<VecDeque<QueuedJob>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (n, (index, key, job)) in pending.into_iter().enumerate() {
-            queues[n % workers].push_back((index, key, Arc::new(job)));
-        }
-        let queues: Arc<Vec<Mutex<VecDeque<QueuedJob>>>> =
-            Arc::new(queues.into_iter().map(Mutex::new).collect());
-
-        let (tx, rx) = mpsc::channel::<(usize, String, String, JobResult)>();
-        let mut handles = Vec::with_capacity(workers);
-        for me in 0..workers {
-            let queues = Arc::clone(&queues);
-            let runner = Arc::clone(&runner);
-            let tx = tx.clone();
-            handles.push(thread::spawn(move || {
-                while let Some((index, key, job)) = take_job(&queues, me) {
-                    let result = run_with_timeout(&job, &runner);
-                    if tx.send((index, key, job.name.clone(), result)).is_err() {
-                        break;
-                    }
-                }
-            }));
-        }
-        drop(tx);
-
-        let mut finished = 0;
-        for (index, key, name, result) in rx.iter() {
+        let pending = lanes.len();
+        let mut simulated = |index: usize, result: JobResult| {
+            let (job, key) = &jobs_and_keys[index];
             match &result {
                 Ok(out) => {
                     report.simulated_cycles += out.stats.cycles;
-                    if let Some(cache) = &self.cache {
+                    if let Some(cache) = cache {
                         // Only successful runs are cached; a store
                         // failure just means a future miss.
-                        let _ = cache.store(&key, out);
+                        let _ = cache.store(key, out);
                     }
                 }
                 Err(err) => {
                     report.failed += 1;
-                    eprintln!("[lab] job `{name}` failed: {err}");
+                    eprintln!("[lab] job `{}` failed: {err}", job.name);
                 }
             }
             report.executed += 1;
-            finished += 1;
-            if let Some(hook) = on_job_done.as_deref_mut() {
-                hook(&JobSummary {
-                    index,
-                    name: &name,
-                    key: &key,
-                    cached: false,
-                    result: &result,
-                    finished: already_finished + finished,
-                    total,
-                });
+            self.print_progress(&report, pending, start);
+            report_done(index, job, key, false, result);
+        };
+        match placement {
+            _ if lanes.is_empty() => {}
+            // Stepping here rather than handing the set to a worker
+            // measured faster for `serve`'s cold interleaved
+            // submissions (EXPERIMENTS.md, "Serving — one job engine").
+            Placement::Interleaved => step_lanes(lanes, &*build, &mut simulated),
+            Placement::Pool => {
+                let workers = self.pool.get_or_init(|| Workers::start(self.workers));
+                let (tx, rx) = mpsc::channel();
+                for lane in lanes {
+                    let (tx, build) = (tx.clone(), Arc::clone(&build));
+                    workers.push(Box::new(move || {
+                        step_lanes(vec![lane], &*build, &mut |index, result| {
+                            let _ = tx.send((index, result));
+                        })
+                    }));
+                }
+                drop(tx);
+                for (index, result) in rx {
+                    simulated(index, result);
+                }
             }
-            results[index] = Some(result);
-            self.print_progress(report, finished, count, start);
         }
 
-        for handle in handles {
-            // Workers catch job panics themselves; a panic here is an
-            // engine bug and worth propagating.
-            handle.join().expect("lab worker thread");
-        }
+        report.wall = start.elapsed();
+        self.print_report(&report);
+        // A job is missing only if its worker panicked outside the
+        // lane's own panic capture (an engine bug).
+        let results = results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|| Err(JobError::Panicked("the job's worker died".into()))))
+            .collect();
+        Batch { results, report }
     }
 
-    fn print_progress(&self, report: &BatchReport, finished: usize, count: usize, start: Instant) {
+    fn print_progress(&self, report: &BatchReport, count: usize, start: Instant) {
         if !self.progress {
             return;
         }
+        let finished = report.executed;
         let mut err = std::io::stderr().lock();
         let _ = write!(
             err,
@@ -329,61 +329,120 @@ impl Default for Lab {
     }
 }
 
-/// Pops a job from `me`'s own deque, stealing from the back of other
-/// workers' deques when it is empty.
-fn take_job(queues: &[Mutex<VecDeque<QueuedJob>>], me: usize) -> Option<QueuedJob> {
-    if let Some(job) = queues[me].lock().expect("queue lock").pop_front() {
-        return Some(job);
+/// Work for a worker thread.
+type Work = Box<dyn FnOnce() + Send>;
+
+/// Worker threads taking [`Work`] from one shared queue until the
+/// queue closes, which dropping `Workers` does before joining them.
+struct Workers {
+    queue: Option<mpsc::Sender<Work>>,
+    threads: Vec<thread::JoinHandle<()>>,
+}
+
+impl Workers {
+    fn start(count: usize) -> Workers {
+        let (tx, rx) = mpsc::channel::<Work>();
+        let rx = Arc::new(Mutex::new(rx));
+        let threads = (0..count)
+            .map(|_| {
+                let rx = Arc::clone(&rx);
+                thread::spawn(move || loop {
+                    // Holding the lock only while receiving leaves the
+                    // other workers free to take the next item.
+                    let work = rx.lock().expect("queue lock").recv();
+                    match work {
+                        // A panic that escapes a lane's own capture
+                        // loses that work, not the worker.
+                        Ok(work) => drop(catch_unwind(AssertUnwindSafe(work))),
+                        Err(_) => break,
+                    }
+                })
+            })
+            .collect();
+        Workers { queue: Some(tx), threads }
     }
-    for offset in 1..queues.len() {
-        let victim = (me + offset) % queues.len();
-        if let Some(job) = queues[victim].lock().expect("queue lock").pop_back() {
-            return Some(job);
+
+    fn push(&self, work: Work) {
+        // The workers outlive the queue's sender, so a send succeeds.
+        let _ = self.queue.as_ref().expect("queue open").send(work);
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        self.queue = None;
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
-    None
 }
 
-/// Runs one job on a dedicated thread, enforcing its wall-clock
-/// timeout and converting panics into [`JobError::Panicked`].
-fn run_with_timeout(job: &Arc<Job>, runner: &Arc<Runner>) -> JobResult {
-    let (tx, rx) = mpsc::channel();
-    let thread_job = Arc::clone(job);
-    let thread_runner = Arc::clone(runner);
-    thread::spawn(move || {
-        let outcome = catch_unwind(AssertUnwindSafe(|| thread_runner(&thread_job)));
-        let result = match outcome {
-            Ok(Ok(out)) => Ok(out),
-            Ok(Err(e)) => Err(JobError::Sim(e)),
-            Err(payload) => Err(JobError::Panicked(panic_message(&*payload))),
-        };
-        // The receiver disappears on timeout; nothing to report then.
-        let _ = tx.send(result);
-    });
-    match rx.recv_timeout(job.timeout) {
-        Ok(result) => result,
-        // The runaway thread keeps running detached until the
-        // simulator watchdog (`Config::max_cycles`) reaps it; the
-        // batch does not wait.
-        Err(RecvTimeoutError::Timeout) => Err(JobError::Timeout(job.timeout)),
-        Err(RecvTimeoutError::Disconnected) => {
-            Err(JobError::Panicked("job thread died without reporting".into()))
+/// A job on its way to a machine: its index in the batch, the job, and
+/// its program as lowered for the batch.
+struct Lane {
+    index: usize,
+    job: Arc<Job>,
+    program: Lowered,
+}
+
+/// A lane whose machine is in the [`MachineBatch`] under `id`.
+struct Stepping {
+    id: usize,
+    index: usize,
+    job: Arc<Job>,
+    sink: Option<ChromeSink>,
+    deadline: Option<Instant>,
+}
+
+/// Builds `lanes` into machines and steps them round-robin on the
+/// calling thread, handing each job's result to `done` as the job
+/// finishes, fails, or passes its deadline. Deadlines count from the
+/// call and are checked between rounds, so a timed-out lane stops
+/// within one stride. A timeout too large to add to the clock means no
+/// deadline.
+fn step_lanes(lanes: Vec<Lane>, build: &Build, done: &mut dyn FnMut(usize, JobResult)) {
+    let began = Instant::now();
+    let mut batch = MachineBatch::new();
+    let mut stepping = Vec::with_capacity(lanes.len());
+    for Lane { index, job, program } in lanes {
+        match catch_unwind(AssertUnwindSafe(|| start(&job, program, build))) {
+            Ok(Ok((machine, sink))) => stepping.push(Stepping {
+                id: batch.insert(machine),
+                index,
+                deadline: began.checked_add(job.timeout),
+                job,
+                sink,
+            }),
+            Ok(Err(e)) => done(index, Err(JobError::Sim(e))),
+            Err(payload) => done(index, Err(JobError::Panicked(panic_text(&*payload)))),
         }
     }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
+    while !stepping.is_empty() {
+        batch.step_round(DEFAULT_STRIDE);
+        for (id, outcome) in batch.drain_finished() {
+            let at = stepping.iter().position(|s| s.id == id).expect("finished lane was inserted");
+            let lane = stepping.remove(at);
+            let result = match outcome {
+                Ok(machine) => Ok(finish(&lane.job, &machine, lane.sink)),
+                Err(LaneError::Machine(e)) => Err(JobError::Sim(e)),
+                Err(LaneError::Panicked(msg)) => Err(JobError::Panicked(msg)),
+            };
+            done(lane.index, result);
+        }
+        let now = Instant::now();
+        stepping.retain(|lane| {
+            let late = lane.deadline.is_some_and(|d| now > d);
+            if late {
+                batch.remove(lane.id);
+                done(lane.index, Err(JobError::Timeout(lane.job.timeout)));
+            }
+            !late
+        });
     }
 }
 
-/// A finished job as seen by the [`Lab::run_batch_observed`] progress
-/// hook: identity, provenance, outcome, and batch position.
+/// A finished job as seen by the [`Lab::run_batch_observed`] progress hook:
+/// identity, provenance, outcome, and batch position.
 #[derive(Debug)]
 pub struct JobSummary<'a> {
     /// Submission index of the job within the batch.

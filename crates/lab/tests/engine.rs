@@ -1,13 +1,15 @@
 //! Engine-level tests: cache correctness, schema invalidation, and
-//! failure isolation (panic / timeout) in real batches.
+//! failure isolation (panic / timeout) in real batches, in both
+//! placements where it matters.
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use hirata_lab::{DiskCache, Job, JobError, JobOutput, Lab, MemModelSpec};
+use hirata_isa::{Inst, Program};
+use hirata_lab::{DiskCache, Job, JobError, JobOutput, Lab, MemModelSpec, Placement};
 use hirata_sched::Strategy;
-use hirata_sim::{Config, MachineError, RunStats, StallBreakdown};
+use hirata_sim::{Config, MachineError, RunStats, StallBreakdown, TraceEvent, TraceSink};
 use hirata_workloads::livermore;
 
 use proptest::prelude::*;
@@ -50,6 +52,16 @@ fn parallel_results_match_serial_and_cache_is_bit_identical() {
         assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
     }
 
+    // Interleaved on the calling thread: identical results.
+    let interleaved = Lab::new().without_cache().run_batch_observed(
+        kernel_batch(),
+        Placement::Interleaved,
+        &mut |_| {},
+    );
+    for (a, b) in serial.results.iter().zip(&interleaved.results) {
+        assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
+    }
+
     // Warm cache: zero simulations, bit-identical outputs.
     let warm = Lab::new().with_workers(8).with_cache_dir(&dir).run_batch(kernel_batch());
     assert_eq!(warm.report.executed, 0);
@@ -80,14 +92,26 @@ fn schema_tag_bump_invalidates_old_entries() {
     assert_eq!(batch.report.executed, 4);
 }
 
+/// A trace sink that panics at the first event, standing in for a
+/// simulator bug that strikes mid-stride.
+#[derive(Debug)]
+struct Crash(String);
+
+impl TraceSink for Crash {
+    fn event(&mut self, _: &TraceEvent) {
+        panic!("injected crash in {}", self.0);
+    }
+}
+
 #[test]
 fn panicking_job_reports_error_while_siblings_complete() {
     let jobs = kernel_batch();
-    let batch = Lab::new().with_workers(2).without_cache().run_batch_with(jobs, |job| {
+    let batch = Lab::new().with_workers(2).without_cache().run_batch_with(jobs, |job, program| {
+        let mut machine = job.machine(program)?;
         if job.name == "k1-s4" {
-            panic!("injected crash in {}", job.name);
+            machine.attach_trace_sink(Box::new(Crash(job.name.clone())));
         }
-        hirata_lab::execute(job)
+        Ok(machine)
     });
     assert_eq!(batch.report.failed, 1);
     assert_eq!(batch.report.executed, 4);
@@ -103,22 +127,34 @@ fn panicking_job_reports_error_while_siblings_complete() {
     }
 }
 
+/// A job that never finishes (`loop: j loop`) within the watchdog's
+/// 500M cycles.
+fn spinning_job(timeout: Duration) -> Job {
+    let program = Program::from_insts(vec![Inst::Jump { target: 0 }]);
+    Job::new("spin", Config::multithreaded(2), Arc::new(program)).with_timeout(timeout)
+}
+
 #[test]
 fn timed_out_job_reports_error_while_siblings_complete() {
     let timeout = Duration::from_millis(50);
-    let jobs: Vec<Job> = kernel_batch().into_iter().map(|j| j.with_timeout(timeout)).collect();
-    let batch = Lab::new().with_workers(2).without_cache().run_batch_with(jobs, |job| {
-        if job.name == "k1-s2" {
-            std::thread::sleep(Duration::from_millis(400));
-        }
-        hirata_lab::execute(job)
-    });
-    assert_eq!(batch.report.failed, 1);
-    assert_eq!(batch.results.len(), 4);
-    assert_eq!(batch.results[1], Err(JobError::Timeout(timeout)));
-    for (i, result) in batch.results.iter().enumerate() {
-        if i != 1 {
-            assert!(result.is_ok(), "sibling {i} should complete: {result:?}");
+    for placement in [Placement::Pool, Placement::Interleaved] {
+        let mut jobs = kernel_batch();
+        jobs[1] = spinning_job(timeout);
+        let start = Instant::now();
+        let batch = Lab::new().with_workers(2).without_cache().run_batch_observed(
+            jobs,
+            placement,
+            &mut |_| {},
+        );
+        // The stride deadline fires long before the watchdog would.
+        assert!(start.elapsed() < Duration::from_secs(20), "{placement:?}: {:?}", start.elapsed());
+        assert_eq!(batch.report.failed, 1, "{placement:?}");
+        assert_eq!(batch.results.len(), 4);
+        assert_eq!(batch.results[1], Err(JobError::Timeout(timeout)), "{placement:?}");
+        for (i, result) in batch.results.iter().enumerate() {
+            if i != 1 {
+                assert!(result.is_ok(), "{placement:?}: sibling {i} should complete: {result:?}");
+            }
         }
     }
 }

@@ -62,6 +62,7 @@ fn no_cache_flag_forces_simulation_every_run() {
     assert_eq!(first.stdout, second.stdout);
     let stderr = String::from_utf8_lossy(&second.stderr);
     assert!(stderr.contains(" 0 cached, "), "--no-cache run must not hit the cache: {stderr}");
+    assert!(!cache.exists(), "--no-cache opened the default store");
     let _ = std::fs::remove_dir_all(&cache);
 }
 

@@ -3,12 +3,14 @@
 //! Architecture: a blocking [`TcpListener`] accept loop hands
 //! connections to a fixed pool of HTTP worker threads over a channel.
 //! Each worker parses one request, routes it, and closes the
-//! connection. Simulation work happens on the worker thread itself —
-//! either fanned out through the shared [`Lab`] engine (`pool` mode)
-//! or round-robin interleaved through a [`MachineBatch`] (`interleaved`
-//! mode) — with per-job progress streamed back as chunked ndjson
-//! events. Results land in the shared content-addressed
-//! [`DiskCache`], so a resubmission is answered without simulating.
+//! connection. A submission's grid points run as one batch of the
+//! shared [`Lab`] engine, placed by the submission's mode: `pool`
+//! spreads the jobs over the engine's long-lived simulation workers,
+//! and `interleaved` steps them all round-robin as lanes of one
+//! `MachineBatch` on the HTTP worker itself. Either way the HTTP
+//! worker streams per-job progress back as chunked ndjson events, and
+//! results land in the shared content-addressed [`DiskCache`], so a
+//! resubmission is answered without simulating.
 //!
 //! Routes:
 //!
@@ -30,12 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hirata_lab::{
-    default_cache_dir, valid_key, DiskCache, Job, JobError, JobOutput, JobResult, Lab,
-};
-use hirata_sim::{
-    LaneError, Machine, MachineBatch, MachineError, PredecodedProgram, DEFAULT_STRIDE,
-};
+use hirata_lab::{default_cache_dir, valid_key, DiskCache, Job, JobResult, Lab, Placement};
 
 use crate::http::{
     finish_chunked, read_request, start_chunked, write_chunk, write_response, Request,
@@ -47,6 +44,10 @@ use crate::{sweep_config, sweep_grid};
 /// an HTTP worker forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Most grid points one submission may ask for: 64 slot counts (the
+/// slot-mask width) times both load/store-unit variants.
+const MAX_GRID_POINTS: usize = 128;
+
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -54,8 +55,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// HTTP worker threads (concurrent connections served).
     pub http_workers: usize,
-    /// Simulation worker threads per pool-mode submission; `None`
-    /// uses one per available CPU.
+    /// Simulation worker threads the daemon's engine keeps for
+    /// pool-mode submissions; `None` uses one per available CPU.
     pub sim_workers: Option<usize>,
     /// Artifact-store directory; `None` uses the lab default
     /// (`$HIRATA_LAB_CACHE` or `target/lab-cache`).
@@ -85,15 +86,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// Shared daemon state: the execution engines, the artifact store,
+/// Shared daemon state: the execution engine, the artifact store,
 /// and the metrics counters.
 struct AppState {
-    /// Engine for plain submissions.
     lab: Lab,
-    /// Engine for traced submissions (same cache, same workers, plus
-    /// a trace directory — kept separate so untraced batches never
-    /// pay for artifact generation).
-    lab_traced: Lab,
     cache: Option<DiskCache>,
     trace_dir: PathBuf,
     addr: SocketAddr,
@@ -140,18 +136,9 @@ impl Server {
             Some(cache) => lab.with_cache(cache.clone()),
             None => lab.without_cache(),
         };
-        let mut lab_traced = Lab::new().quiet().with_trace_dir(&config.trace_dir);
-        if let Some(workers) = config.sim_workers {
-            lab_traced = lab_traced.with_workers(workers);
-        }
-        lab_traced = match &cache {
-            Some(cache) => lab_traced.with_cache(cache.clone()),
-            None => lab_traced.without_cache(),
-        };
 
         let state = Arc::new(AppState {
             lab,
-            lab_traced,
             cache,
             trace_dir: config.trace_dir,
             addr,
@@ -325,6 +312,7 @@ fn stats_json(state: &AppState) -> Json {
 }
 
 /// A validated `/submit` request.
+#[derive(Debug)]
 struct SubmitSpec {
     name: String,
     program: Arc<hirata_isa::Program>,
@@ -344,19 +332,21 @@ fn parse_submit(body: &[u8]) -> Result<SubmitSpec, String> {
     let name = doc.get("name").and_then(Json::as_str).unwrap_or("submitted").to_string();
 
     let list = |field: &str, default: Vec<usize>| -> Result<Vec<usize>, String> {
-        match doc.get(field) {
-            None => Ok(default),
-            Some(value) => value
-                .as_arr()
-                .ok_or_else(|| format!("`{field}` must be an array"))?
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .map(|n| n as usize)
-                        .ok_or_else(|| format!("`{field}` entries must be numbers"))
-                })
-                .collect(),
+        let Some(value) = doc.get(field) else { return Ok(default) };
+        let items = value.as_arr().ok_or_else(|| format!("`{field}` must be an array"))?;
+        // Neither list alone may pass the grid cap, as the other has
+        // at least one entry; checking here bounds the work below.
+        if items.len() > MAX_GRID_POINTS {
+            return Err(too_many_points());
         }
+        items
+            .iter()
+            .map(|v| {
+                v.as_u64()
+                    .map(|n| n as usize)
+                    .ok_or_else(|| format!("`{field}` entries must be numbers"))
+            })
+            .collect()
     };
     let slots = list("slots", vec![1, 2, 4, 8])?;
     let ls = list("ls", vec![1])?;
@@ -365,6 +355,9 @@ fn parse_submit(body: &[u8]) -> Result<SubmitSpec, String> {
     }
     if ls.is_empty() || ls.iter().any(|&n| n != 1 && n != 2) {
         return Err("`ls` entries must be 1 or 2".into());
+    }
+    if slots.len() * ls.len() > MAX_GRID_POINTS {
+        return Err(too_many_points());
     }
 
     let interleaved = match doc.get("mode").and_then(Json::as_str) {
@@ -376,11 +369,11 @@ fn parse_submit(body: &[u8]) -> Result<SubmitSpec, String> {
     if trace && interleaved {
         return Err("trace capture requires pool mode".into());
     }
-    let timeout = match doc.get("timeout_secs") {
+    let timeout = match doc.get("timeout_secs").map(Json::as_u64) {
         None => hirata_lab::DEFAULT_TIMEOUT,
-        Some(v) => Duration::from_secs(
-            v.as_u64().ok_or_else(|| "`timeout_secs` must be a number".to_string())?,
-        ),
+        Some(Some(0)) => return Err("`timeout_secs` must be at least 1".into()),
+        Some(Some(secs)) => Duration::from_secs(secs),
+        Some(None) => return Err("`timeout_secs` must be a number".into()),
     };
 
     let program =
@@ -393,6 +386,10 @@ fn parse_submit(body: &[u8]) -> Result<SubmitSpec, String> {
         interleaved,
         trace,
     })
+}
+
+fn too_many_points() -> String {
+    format!("a submission may have at most {MAX_GRID_POINTS} grid points (`slots` x `ls`)")
 }
 
 /// One per-job progress event on the wire.
@@ -459,12 +456,17 @@ fn handle_submit(state: &AppState, stream: &mut TcpStream, request: &Request) {
         .grid
         .iter()
         .map(|&(slots, ls)| {
-            Job::new(
+            let job = Job::new(
                 format!("{} s{slots} {ls}LS", spec.name),
                 sweep_config(slots, ls),
                 Arc::clone(&spec.program),
             )
-            .with_timeout(spec.timeout)
+            .with_timeout(spec.timeout);
+            if spec.trace {
+                job.with_trace_dir(&state.trace_dir)
+            } else {
+                job
+            }
         })
         .collect();
     let total = jobs.len();
@@ -473,165 +475,51 @@ fn handle_submit(state: &AppState, stream: &mut TcpStream, request: &Request) {
         return;
     }
     let mut stream_ok = true;
+    let (placement, workers, mode) = if spec.interleaved {
+        (Placement::Interleaved, 1, "interleaved")
+    } else {
+        (Placement::Pool, state.lab.workers(), "pool")
+    };
     let accepted = obj(vec![
         ("event", Json::Str("accepted".into())),
         ("total", Json::u64(total as u64)),
-        ("workers", Json::u64(if spec.interleaved { 1 } else { state.lab.workers() as u64 })),
-        ("mode", Json::Str(if spec.interleaved { "interleaved".into() } else { "pool".into() })),
+        ("workers", Json::u64(workers as u64)),
+        ("mode", Json::Str(mode.into())),
     ]);
     send_event(stream, &mut stream_ok, &accepted);
 
-    let (executed, cache_hits, failed) = if spec.interleaved {
-        run_interleaved(state, stream, &mut stream_ok, &spec, jobs)
-    } else {
-        let lab = if spec.trace { &state.lab_traced } else { &state.lab };
-        let grid = &spec.grid;
-        let batch = lab.run_batch_observed(jobs, &mut |summary| {
-            let (slots, ls) = grid[summary.index];
-            let event = job_event(
-                summary.index,
-                slots,
-                ls,
-                summary.key,
-                summary.cached,
-                summary.result,
-                summary.finished,
-                summary.total,
-            );
-            send_event(stream, &mut stream_ok, &event);
-        });
-        (batch.report.executed, batch.report.cache_hits, batch.report.failed)
-    };
+    let grid = &spec.grid;
+    let batch = state.lab.run_batch_observed(jobs, placement, &mut |summary| {
+        let (slots, ls) = grid[summary.index];
+        let event = job_event(
+            summary.index,
+            slots,
+            ls,
+            summary.key,
+            summary.cached,
+            summary.result,
+            summary.finished,
+            summary.total,
+        );
+        send_event(stream, &mut stream_ok, &event);
+    });
+    let report = batch.report;
 
-    state.jobs_run.fetch_add(executed as u64, Ordering::Relaxed);
-    state.jobs_cached.fetch_add(cache_hits as u64, Ordering::Relaxed);
-    state.jobs_failed.fetch_add(failed as u64, Ordering::Relaxed);
+    state.jobs_run.fetch_add(report.executed as u64, Ordering::Relaxed);
+    state.jobs_cached.fetch_add(report.cache_hits as u64, Ordering::Relaxed);
+    state.jobs_failed.fetch_add(report.failed as u64, Ordering::Relaxed);
 
     let done = obj(vec![
         ("event", Json::Str("done".into())),
         ("total", Json::u64(total as u64)),
-        ("executed", Json::u64(executed as u64)),
-        ("cache_hits", Json::u64(cache_hits as u64)),
-        ("failed", Json::u64(failed as u64)),
+        ("executed", Json::u64(report.executed as u64)),
+        ("cache_hits", Json::u64(report.cache_hits as u64)),
+        ("failed", Json::u64(report.failed as u64)),
     ]);
     send_event(stream, &mut stream_ok, &done);
     if stream_ok {
         let _ = finish_chunked(stream);
     }
-}
-
-/// Interleaved execution: every grid point steps round-robin on this
-/// one thread in a [`MachineBatch`], so N configurations make
-/// progress together without N threads. Every point runs the
-/// submission's one program, lowered once (at the first cache miss)
-/// and shared by all lanes. Returns `(executed, cache_hits, failed)`.
-fn run_interleaved(
-    state: &AppState,
-    stream: &mut TcpStream,
-    stream_ok: &mut bool,
-    spec: &SubmitSpec,
-    jobs: Vec<Job>,
-) -> (usize, usize, usize) {
-    let total = jobs.len();
-    let mut finished = 0usize;
-    let mut executed = 0usize;
-    let mut cache_hits = 0usize;
-    let mut failed = 0usize;
-
-    let keys: Vec<String> = jobs.iter().map(Job::content_hash).collect();
-    let mut predecoded: Option<Result<Arc<PredecodedProgram>, MachineError>> = None;
-    let mut batch = MachineBatch::new();
-    // Lane id -> grid index, for jobs that reached the batch.
-    let mut lane_index: Vec<(usize, usize)> = Vec::new();
-
-    let report = |stream: &mut TcpStream,
-                  index: usize,
-                  cached: bool,
-                  result: &JobResult,
-                  finished: &mut usize,
-                  stream_ok: &mut bool| {
-        *finished += 1;
-        let (slots, ls) = spec.grid[index];
-        let event = job_event(index, slots, ls, &keys[index], cached, result, *finished, total);
-        send_event(stream, stream_ok, &event);
-    };
-
-    for (index, job) in jobs.into_iter().enumerate() {
-        if let Some(output) = state.cache.as_ref().and_then(|c| c.load(&keys[index])) {
-            cache_hits += 1;
-            report(stream, index, true, &Ok(output), &mut finished, stream_ok);
-            continue;
-        }
-        let program = predecoded.get_or_insert_with(|| PredecodedProgram::shared(&spec.program));
-        let built = match program {
-            Ok(program) => Machine::with_mem_model_predecoded(
-                job.config.clone(),
-                Arc::clone(program),
-                job.mem.build(),
-            ),
-            // The point reports what building it from source would:
-            // its configuration is checked before the program.
-            Err(e) => Err(job.config.validate().map_or_else(MachineError::from, |()| e.clone())),
-        };
-        match built {
-            Ok(machine) => {
-                let lane = batch.insert(machine);
-                lane_index.push((lane, index));
-            }
-            Err(e) => {
-                executed += 1;
-                failed += 1;
-                report(stream, index, false, &Err(JobError::Sim(e)), &mut finished, stream_ok);
-            }
-        }
-    }
-
-    // A timeout too large to add to the clock means no deadline, as
-    // in pool mode.
-    let deadline = Instant::now().checked_add(spec.timeout);
-    loop {
-        let live = batch.step_round(DEFAULT_STRIDE);
-        for (lane, outcome) in batch.drain_finished() {
-            let index = lane_index
-                .iter()
-                .find(|&&(l, _)| l == lane)
-                .map(|&(_, i)| i)
-                .expect("finished lane was inserted");
-            executed += 1;
-            let result: JobResult = match outcome {
-                Ok(machine) => {
-                    let output =
-                        JobOutput { stats: machine.stats().clone(), mem: machine.mem_stats() };
-                    if let Some(cache) = &state.cache {
-                        let _ = cache.store(&keys[index], &output);
-                    }
-                    Ok(output)
-                }
-                Err(LaneError::Machine(e)) => Err(JobError::Sim(e)),
-                Err(LaneError::Panicked(msg)) => Err(JobError::Panicked(msg)),
-            };
-            if result.is_err() {
-                failed += 1;
-            }
-            report(stream, index, false, &result, &mut finished, stream_ok);
-        }
-        if live == 0 {
-            break;
-        }
-        if deadline.is_some_and(|d| Instant::now() > d) {
-            // Abandon the still-running lanes; each reports a timeout.
-            for &(lane, index) in &lane_index {
-                if batch.remove(lane).is_some() {
-                    executed += 1;
-                    failed += 1;
-                    let result: JobResult = Err(JobError::Timeout(spec.timeout));
-                    report(stream, index, false, &result, &mut finished, stream_ok);
-                }
-            }
-            break;
-        }
-    }
-    (executed, cache_hits, failed)
 }
 
 fn handle_result(state: &AppState, stream: &mut TcpStream, key: &str) {
@@ -671,5 +559,86 @@ fn handle_trace(state: &AppState, stream: &mut TcpStream, key: &str) {
             let _ = write_response(stream, 200, "application/json", &body);
         }
         Err(_) => respond_error(stream, 404, "no such trace"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// Number spellings on or past every bound `parse_submit` reads
+    /// numbers against: zero, the slot cap and one past it, negatives,
+    /// fractions, exponents, and integers past `i64` and `f64` range.
+    const NUMBERS: &str = "0 1 2 8 64 65 -1 -0 1.5 0.0 2e0 1E+2 1e400 -1e400 9223372036854775807 \
+        9223372036854775808 -9223372036854775808 18446744073709551616 123456789012345678901234567890";
+
+    const KEYS: &[&str] = &["program", "slots", "ls", "timeout_secs", "mode", "trace", "name", "x"];
+
+    fn number() -> BoxedStrategy<String> {
+        proptest::sample::select(NUMBERS.split_whitespace().collect())
+            .prop_map(String::from)
+            .boxed()
+    }
+
+    /// A value for any field: a number, another JSON kind, a short
+    /// array of numbers, an array nested around the depth limit, or a
+    /// long array.
+    fn value() -> BoxedStrategy<String> {
+        let other = vec!["null", "true", "\"pool\"", "\"interleaved\"", "\"halt\"", "{}", "[]"];
+        prop_oneof![
+            4 => number(),
+            2 => proptest::sample::select(other).prop_map(String::from),
+            3 => proptest::collection::vec(number(), 0..6).prop_map(|ns| format!("[{}]", ns.join(","))),
+            1 => (50usize..80).prop_map(|d| format!("{}1{}", "[".repeat(d), "]".repeat(d))),
+            1 => (100usize..20_000).prop_map(|n| format!("[{}]", vec!["1"; n].join(","))),
+        ]
+        .boxed()
+    }
+
+    /// An object of random fields (keys may repeat), most often led by
+    /// a program that assembles so that the other fields decide.
+    fn object() -> BoxedStrategy<String> {
+        let field = (proptest::sample::select(KEYS.to_vec()), value())
+            .prop_map(|(key, value)| format!("\"{key}\":{value}"));
+        (proptest::collection::vec(field, 0..8), 0u8..4)
+            .prop_map(|(mut fields, lead)| {
+                if lead > 0 {
+                    fields.insert(0, "\"program\":\"halt\"".into());
+                }
+                format!("{{{}}}", fields.join(","))
+            })
+            .boxed()
+    }
+
+    /// Whole documents: objects, other roots, objects nested far past
+    /// the depth limit, and objects cut short.
+    fn document() -> BoxedStrategy<String> {
+        prop_oneof![
+            8 => object(),
+            2 => value(),
+            1 => (60usize..5_000).prop_map(|d| format!("{}1{}", "{\"a\":".repeat(d), "}".repeat(d))),
+            1 => (object(), 0usize..64).prop_map(|(doc, keep)| doc[..keep.min(doc.len())].to_string()),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every document ends in a spec within the bounds or in an
+        /// error (the 400), never in a panic.
+        #[test]
+        fn hostile_documents_end_in_a_spec_or_an_error(doc in document()) {
+            match parse_submit(doc.as_bytes()) {
+                Ok(spec) => {
+                    prop_assert!((1..=MAX_GRID_POINTS).contains(&spec.grid.len()), "{doc}");
+                    prop_assert!(spec.timeout >= Duration::from_secs(1), "{doc}");
+                    prop_assert!(!(spec.trace && spec.interleaved), "{doc}");
+                }
+                Err(msg) => prop_assert!(!msg.is_empty()),
+            }
+        }
     }
 }

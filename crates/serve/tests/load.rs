@@ -191,6 +191,28 @@ fn hostile_and_failing_traffic_is_isolated() {
     let err = submit(&addr, &bad, &mut |_, _| {}).expect_err("must be rejected");
     assert!(err.to_string().contains("assemble"), "unhelpful rejection: {err}");
 
+    // A zero timeout would fail every point at once, and a grid past
+    // the cap would build a job per point: both are clean 400s.
+    let zero = SubmitRequest { timeout_secs: Some(0), program: PROGRAM.into(), ..bad.clone() };
+    let err = submit(&addr, &zero, &mut |_, _| {}).expect_err("zero timeout must be rejected");
+    assert!(err.to_string().contains("`timeout_secs` must be at least 1"), "{err}");
+    for (slots, ls) in
+        [(vec![1; 65], vec![1, 2]), (vec![1; 129], vec![1]), (vec![1; 100_000], vec![1])]
+    {
+        let wide = SubmitRequest { slots, ls, program: PROGRAM.into(), ..bad.clone() };
+        let err =
+            submit(&addr, &wide, &mut |_, _| {}).expect_err("oversized grid must be rejected");
+        assert!(err.to_string().contains("at most 128 grid points"), "{err}");
+    }
+    let widest = SubmitRequest {
+        slots: (1..=64).collect(),
+        ls: vec![1, 2],
+        program: "halt".into(),
+        ..bad.clone()
+    };
+    let outcome = submit(&addr, &widest, &mut |_, _| {}).expect("a grid at the cap runs");
+    assert_eq!((outcome.rows.len(), outcome.failed), (128, 0));
+
     // An infinite loop hits its wall-clock timeout, failing its grid
     // point without poisoning the daemon.
     let looping = SubmitRequest {

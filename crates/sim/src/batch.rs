@@ -183,7 +183,9 @@ fn step_lane(machine: &mut Machine, stride: u64) -> Result<bool, MachineError> {
     machine.run_span(stride)
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic's payload, as [`LaneError::Panicked`]
+/// carries it.
+pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
