@@ -16,15 +16,6 @@
 //! * `throughput_check --record` — measure and rewrite the baseline.
 //! * `throughput_check --report <path>` — also write the report to
 //!   `<path>` (uploaded as a CI artifact).
-//! * `throughput_check --no-fast-forward` — disable the event-wheel
-//!   fast-forward on every grid point and gate against the separate
-//!   `BENCH_throughput_noff.json` baseline, so the plain cycle loop
-//!   stays performance-gated alongside the wheel.
-//! * `throughput_check --profile` — instead of gating, print the
-//!   per-phase wall-time shares (fetch / wake+bind / issue /
-//!   arbitrate / writeback / wheel) for every grid point, via
-//!   `Machine::step_profiled`. The breakdowns recorded in
-//!   EXPERIMENTS.md come from this mode.
 //! * `throughput_check --probe [--points k1,k2,...]` — one quick
 //!   machine-readable measurement pass: `key<TAB>cycles/sec` per
 //!   selected grid point, no gating, no baseline. This is the unit of
@@ -35,18 +26,17 @@
 //! Improvements beyond the baseline never fail the gate; run with
 //! `--record` after a deliberate performance change.
 //!
-//! Besides the per-point absolute gate, the fast-forward run also
-//! gates *scaling*: the s8/s1 cycles-per-second ratio per workload
+//! Besides the per-point absolute gate, the run also gates *scaling*: the s8/s1 cycles-per-second ratio per workload
 //! must not worsen by more than 20% against the same baseline, so
 //! multi-slot per-cycle cost cannot silently creep back even while
 //! every absolute number stays inside its own 20% band.
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hirata_isa::Program;
 use hirata_sched::Strategy;
-use hirata_sim::{Config, Machine, PhaseProfile};
+use hirata_sim::{Config, Machine};
 use hirata_workloads::linked_list::{eager_program, sequential_program, ListShape};
 use hirata_workloads::livermore::kernel1_program;
 use hirata_workloads::raytrace::{raytrace_program, RayTraceParams};
@@ -68,7 +58,7 @@ struct GridPoint {
     program: Program,
 }
 
-fn grid(fast_forward: bool) -> Vec<GridPoint> {
+fn grid() -> Vec<GridPoint> {
     let ray = raytrace_program(&RayTraceParams::default());
     let k1_n = 64;
     let fig6 = ListShape { nodes: 60, break_at: Some(59) };
@@ -76,7 +66,6 @@ fn grid(fast_forward: bool) -> Vec<GridPoint> {
     let mut points = Vec::new();
     for slots in [1usize, 2, 4, 8] {
         let config = if slots == 1 { Config::base_risc() } else { Config::multithreaded(slots) };
-        let config = config.with_fast_forward(fast_forward);
         points.push(GridPoint {
             key: format!("raytrace/s{slots}"),
             config: config.clone(),
@@ -149,44 +138,6 @@ fn probe_measure(point: &GridPoint) -> Measurement {
     Measurement { cycles, instructions, secs: best }
 }
 
-/// Profiled runs per grid point (shares converge fast; this is not a
-/// timing estimator).
-const PROFILE_RUNS: usize = 3;
-
-fn profile_report(fast_forward: bool) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<18} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>9}\n",
-        "workload/slots", "fetch", "wake", "issue", "arb", "wb", "wheel", "ns/cycle"
-    ));
-    for point in grid(fast_forward) {
-        // One unprofiled warm-up run, then accumulate shares.
-        let mut m = Machine::new(point.config.clone(), &point.program).expect("machine builds");
-        m.run().expect("program runs");
-        let mut prof = PhaseProfile::default();
-        let mut cycles = 0u64;
-        for _ in 0..PROFILE_RUNS {
-            let mut m = Machine::new(point.config.clone(), &point.program).expect("machine builds");
-            while !m.step_profiled(&mut prof).expect("program runs") {}
-            cycles += m.cycles();
-        }
-        let total = prof.total();
-        let pct = |d: Duration| 100.0 * d.as_secs_f64() / total.as_secs_f64().max(1e-12);
-        out.push_str(&format!(
-            "{:<18} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}% {:>9.1}\n",
-            point.key,
-            pct(prof.fetch),
-            pct(prof.wake_bind),
-            pct(prof.issue),
-            pct(prof.arbitrate),
-            pct(prof.writeback),
-            pct(prof.wheel),
-            total.as_nanos() as f64 / cycles.max(1) as f64,
-        ));
-    }
-    out
-}
-
 /// Minimal flat-object JSON for the baseline file: string keys mapped
 /// to finite non-negative numbers. Purpose-built so the gate needs no
 /// external serializer.
@@ -224,20 +175,17 @@ fn parse_baseline(text: &str) -> Result<BTreeMap<String, f64>, String> {
     Ok(values)
 }
 
-fn baseline_path(fast_forward: bool) -> std::path::PathBuf {
+fn baseline_path() -> std::path::PathBuf {
     if let Ok(p) = std::env::var("BENCH_THROUGHPUT_BASELINE") {
         return p.into();
     }
     // crates/bench -> repo root.
-    let name = if fast_forward { "BENCH_throughput.json" } else { "BENCH_throughput_noff.json" };
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(name)
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_throughput.json")
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let record = args.iter().any(|a| a == "--record");
-    let fast_forward = !args.iter().any(|a| a == "--no-fast-forward");
-    let profile = args.iter().any(|a| a == "--profile");
     let probe = args.iter().any(|a| a == "--probe");
     let points_filter: Option<Vec<String>> = args
         .iter()
@@ -251,7 +199,7 @@ fn main() {
         .map(std::path::PathBuf::from);
 
     if probe {
-        for point in grid(fast_forward) {
+        for point in grid() {
             if let Some(filter) = &points_filter {
                 if !filter.contains(&point.key) {
                     continue;
@@ -263,23 +211,13 @@ fn main() {
         return;
     }
 
-    if profile {
-        let report = profile_report(fast_forward);
-        print!("{report}");
-        if let Some(path) = report_path {
-            std::fs::write(&path, &report).expect("write report");
-            eprintln!("profile written to {}", path.display());
-        }
-        return;
-    }
-
     let mut report = String::new();
     report.push_str(&format!(
         "{:<18} {:>12} {:>12} {:>10} {:>12}\n",
         "workload/slots", "cycles", "cycles/sec", "MIPS", "vs baseline"
     ));
 
-    let baseline = match std::fs::read_to_string(baseline_path(fast_forward)) {
+    let baseline = match std::fs::read_to_string(baseline_path()) {
         Ok(text) => parse_baseline(&text).unwrap_or_else(|e| {
             eprintln!("warning: unreadable baseline: {e}");
             BTreeMap::new()
@@ -289,7 +227,7 @@ fn main() {
 
     let mut measured = BTreeMap::new();
     let mut failures = Vec::new();
-    for point in grid(fast_forward) {
+    for point in grid() {
         let m = measure(&point);
         let cps = m.cycles as f64 / m.secs;
         let mips = m.instructions as f64 / m.secs / 1e6;
@@ -350,17 +288,14 @@ fn main() {
     }
 
     if record {
-        let path = baseline_path(fast_forward);
+        let path = baseline_path();
         std::fs::write(&path, render_baseline(&measured)).expect("write baseline");
         eprintln!("baseline recorded to {}", path.display());
         return;
     }
 
     if baseline.is_empty() {
-        eprintln!(
-            "no baseline found at {}; run with --record first",
-            baseline_path(fast_forward).display()
-        );
+        eprintln!("no baseline found at {}; run with --record first", baseline_path().display());
         return;
     }
     if !failures.is_empty() {

@@ -30,11 +30,10 @@ use crate::CliError;
 /// Machine checks surface as [`CliError::Failure`]; malformed commands
 /// are reported inline and do not abort the session.
 pub fn debug_session(config: Config, program: &Program, input: &str) -> Result<String, CliError> {
-    // Single-stepping must be cycle-exact: `s 1` means one cycle, not
-    // "one step call that may fast-forward over a stalled span" — so
-    // the debugger always runs the plain loop.
-    let mut machine = Machine::new(config.with_fast_forward(false), program)
-        .map_err(|e| CliError::Failure(e.to_string()))?;
+    // Single-stepping is cycle-exact: `s 1` means one cycle, and
+    // `Machine::step` never fast-forwards.
+    let mut machine =
+        Machine::new(config, program).map_err(|e| CliError::Failure(e.to_string()))?;
     machine.set_trace(true);
     let mut out = String::new();
     let mut breakpoints: Vec<u32> = Vec::new();
@@ -217,6 +216,18 @@ mod tests {
         assert!(out.contains("cycle 3"), "{out}");
         assert!(out.contains("priority order"), "{out}");
         assert!(out.contains("machine finished"), "{out}");
+    }
+
+    #[test]
+    fn single_steps_advance_one_cycle_through_stalls() {
+        // One slot stalled on a 20-cycle divide: a run would jump the
+        // span, but every `s 1` is exactly one cycle.
+        let program = assemble("lif f1, #6.0\nfdiv f2, f1, f1\nfadd f3, f2, f2\nhalt").unwrap();
+        let input = "s 1\n".repeat(24);
+        let out = debug_session(Config::multithreaded(1), &program, &input).unwrap();
+        let cycles: Vec<&str> = out.lines().filter(|l| l.starts_with("cycle ")).collect();
+        let expected: Vec<String> = (1..=24).map(|c| format!("cycle {c}")).collect();
+        assert_eq!(cycles, expected, "{out}");
     }
 
     #[test]

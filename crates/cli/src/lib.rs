@@ -106,10 +106,8 @@ pub const USAGE: &str = "usage:
   hirata run    <file.s> [--slots N] [--base] [--width D] [--two-ls]
                          [--no-standby] [--private-fetch] [--trace]
                          [--timeline] [--dump A..B] [--max-cycles N]
-                         [--no-fast-forward]
   hirata trace  <file.s> [--slots N] [--width D] [--two-ls]
                          [--format chrome|text] [--max-cycles N]
-                         [--no-fast-forward]
   hirata debug  <file.s> [--slots N]    (commands on stdin: s/c/b/r/f/m/i/q)
   hirata emu    <file.s> [--slots N] [--dump A..B]
   hirata lab    <file.s> [--slots LIST] [--ls LIST] [--jobs N]
@@ -274,7 +272,6 @@ fn run(
     let mut timeline = false;
     let mut dump: Option<(u64, u64)> = None;
     let mut max_cycles: Option<u64> = None;
-    let mut fast_forward = true;
 
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
@@ -287,7 +284,6 @@ fn run(
             "--private-fetch" => private_fetch = true,
             "--trace" => trace = true,
             "--timeline" => timeline = true,
-            "--no-fast-forward" => fast_forward = false,
             "--max-cycles" => max_cycles = Some(parse_num("--max-cycles", it.next())?),
             "--dump" => {
                 let spec = it
@@ -332,7 +328,6 @@ fn run(
     }
     config.standby_stations = standby;
     config.private_fetch = private_fetch;
-    config.fast_forward = fast_forward;
     if let Some(limit) = max_cycles {
         config.max_cycles = limit;
     }
@@ -395,7 +390,6 @@ fn trace_cmd(
     let mut two_ls = false;
     let mut format = TraceFormat::Text;
     let mut max_cycles: Option<u64> = None;
-    let mut fast_forward = true;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -404,7 +398,6 @@ fn trace_cmd(
             "--width" => width = parse_num("--width", it.next())?,
             "--two-ls" => two_ls = true,
             "--max-cycles" => max_cycles = Some(parse_num("--max-cycles", it.next())?),
-            "--no-fast-forward" => fast_forward = false,
             "--format" => {
                 let value = it
                     .next()
@@ -436,7 +429,6 @@ fn trace_cmd(
     if two_ls {
         config.fu = FuConfig::paper_two_ls();
     }
-    config.fast_forward = fast_forward;
     if let Some(limit) = max_cycles {
         config.max_cycles = limit;
     }
@@ -861,15 +853,6 @@ mod tests {
     }
 
     #[test]
-    fn no_fast_forward_output_is_identical() {
-        for cmd in ["run prog.s --slots 4 --dump 100..104", "trace prog.s --slots 4"] {
-            let on = execute(&args(cmd), fake_fs(PROG)).unwrap();
-            let off = execute(&args(&format!("{cmd} --no-fast-forward")), fake_fs(PROG)).unwrap();
-            assert_eq!(on, off, "`{cmd}` output changed with the wheel off");
-        }
-    }
-
-    #[test]
     fn trace_usage_errors() {
         for bad in [
             "trace",
@@ -877,6 +860,8 @@ mod tests {
             "trace prog.s --bogus",
             "trace prog.s --warp-debug",
             "run prog.s --no-warp",
+            "run prog.s --no-fast-forward",
+            "trace prog.s --no-fast-forward",
         ] {
             let err = execute(&args(bad), fake_fs(PROG)).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "{bad:?} -> {err:?}");

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::inst::Inst;
+use crate::inst::{Inst, RotationMode};
 
 /// A contiguous run of initialized data words.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -77,6 +77,13 @@ pub enum ProgramError {
         /// Base address of the second of the overlapping segments.
         base: u64,
     },
+    /// A `setrot implicit` instruction carries a zero interval (the
+    /// assembler and `Config` validation reject one too; only a binary
+    /// program can spell it).
+    ZeroRotationInterval {
+        /// Address of the offending instruction.
+        at: u32,
+    },
 }
 
 impl fmt::Display for ProgramError {
@@ -90,6 +97,9 @@ impl fmt::Display for ProgramError {
             }
             ProgramError::OverlappingData { base } => {
                 write!(f, "data segment at word {base} overlaps an earlier segment")
+            }
+            ProgramError::ZeroRotationInterval { at } => {
+                write!(f, "instruction @{at} sets a zero rotation interval")
             }
         }
     }
@@ -120,7 +130,8 @@ impl Program {
     }
 
     /// Checks structural invariants: entry point and all control-flow
-    /// targets in range, data segments non-overlapping.
+    /// targets in range, rotation intervals positive, data segments
+    /// non-overlapping.
     ///
     /// # Errors
     ///
@@ -131,6 +142,9 @@ impl Program {
             return Err(ProgramError::EntryOutOfRange { entry: self.entry });
         }
         for (at, inst) in self.insts.iter().enumerate() {
+            if let Inst::SetRotation { mode: RotationMode::Implicit { interval: 0 } } = inst {
+                return Err(ProgramError::ZeroRotationInterval { at: at as u32 });
+            }
             let target = match *inst {
                 Inst::Branch { target, .. } | Inst::Jump { target } => Some(target),
                 _ => None,
@@ -207,6 +221,13 @@ mod tests {
         let mut prog = Program::from_insts(vec![Inst::Halt]);
         prog.entry = 3;
         assert_eq!(prog.validate(), Err(ProgramError::EntryOutOfRange { entry: 3 }));
+    }
+
+    #[test]
+    fn validate_rejects_zero_rotation_interval() {
+        let setrot = |interval| Inst::SetRotation { mode: RotationMode::Implicit { interval } };
+        let prog = Program::from_insts(vec![setrot(1), setrot(0), Inst::Halt]);
+        assert_eq!(prog.validate(), Err(ProgramError::ZeroRotationInterval { at: 1 }));
     }
 
     #[test]

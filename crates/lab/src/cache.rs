@@ -72,7 +72,10 @@ use crate::job::JobOutput;
 /// v4: `Config` lost its `warp` field, which changed the `Config`
 /// Debug text every key hashes, so every key changed again; the entry
 /// text is as in v2.
-pub const CACHE_SCHEMA_TAG: &str = "hirata-lab-cache-v4";
+///
+/// v5: `Config` lost its `fast_forward` field, for the same reason as
+/// v4; the entry text is as in v2.
+pub const CACHE_SCHEMA_TAG: &str = "hirata-lab-cache-v5";
 
 /// File-name prefix of the entry log; the log's generation follows it.
 const LOG_PREFIX: &str = "pack-";

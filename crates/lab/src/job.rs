@@ -486,7 +486,7 @@ mod tests {
         Job { program: Arc::new(program), ..job.clone() }
     }
 
-    /// The v4 key of a fixed job. It changes only with the schema tag,
+    /// The v5 key of a fixed job. It changes only with the schema tag,
     /// the hasher, or what a job's fields render to; any of those is
     /// a change every stored key has to follow.
     #[test]
@@ -494,7 +494,7 @@ mod tests {
         let key = data_job().with_extra_threads(vec![1]).content_hash();
         // Printed for `keys_are_the_same_in_another_process`.
         println!("key={key}");
-        assert_eq!(key, "6a86a31bce74ea31e036e7d52e8e6a06");
+        assert_eq!(key, "38a7d5800751f68c3aded4d7cfafd5ac");
     }
 
     /// The key of the same job, computed by a second run of this test

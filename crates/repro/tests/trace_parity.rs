@@ -4,17 +4,18 @@
 //! re-simulates jobs whose artifact is missing — reproduces the same
 //! bytes for every artifact it regenerates.
 //!
-//! The same contract holds one level down for the event-wheel
-//! fast-forward: every trace sink (Chrome, Text, Ring) must render
-//! byte-identical output with the wheel on and off — including the
-//! stall events the wheel *synthesizes* for the cycles it never
-//! actually steps.
+//! The same contract holds one level down for the ways a machine is
+//! driven: every trace sink (Chrome, Text, Ring) must render
+//! byte-identical output whether the traced machine runs to the end
+//! in one call or in strides (as the job engine runs it), and the
+//! traced statistics must equal those of an untraced run, where the
+//! event wheel skips the stalled spans that tracing steps through.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use hirata_sim::{format_event, ChromeSink, Config, Machine, RingSink, TextSink};
+use hirata_sim::{format_event, ChromeSink, Config, Machine, RingSink, RunStats, TextSink};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("repro-trace-{name}-{}", std::process::id()));
@@ -97,45 +98,57 @@ fn trace_artifacts_are_byte_identical_across_worker_counts_and_cache_states() {
     }
 }
 
-/// Renders one run of `program` through every sink at once and
-/// returns the three artifacts (Chrome JSON, text log, formatted ring
-/// tail). One machine per sink — sinks are exclusive — all sharing
-/// the same config.
+/// Runs `machine` to the end: in one `run()`, or in strides of
+/// `stride` cycles through `run_span`.
+fn drive(machine: &mut Machine, stride: Option<u64>) -> RunStats {
+    match stride {
+        None => {
+            machine.run().expect("program runs");
+        }
+        Some(stride) => while !machine.run_span(stride).expect("program runs") {},
+    }
+    machine.stats().clone()
+}
+
+/// Renders one run of `program` through every sink and returns the
+/// three artifacts (Chrome JSON, text log, formatted ring tail) with
+/// each traced machine's statistics. One machine per sink — sinks are
+/// exclusive — all sharing the same config.
 fn render_all_sinks(
     program: &hirata_isa::Program,
     slots: usize,
-    fast_forward: bool,
-) -> (String, String, String) {
-    let config = Config::multithreaded(slots).with_fast_forward(fast_forward);
+    stride: Option<u64>,
+) -> ((String, String, String), [RunStats; 3]) {
+    let config = Config::multithreaded(slots);
     let fu = config.fu.clone();
 
     let chrome = ChromeSink::new();
     let mut m = Machine::new(config.clone(), program).expect("machine builds");
     m.attach_trace_sink(Box::new(chrome.clone()));
-    m.run().expect("program runs");
+    let chrome_stats = drive(&mut m, stride);
     let chrome_json = chrome.render(slots, &fu);
 
     let text = TextSink::new();
     let mut m = Machine::new(config.clone(), program).expect("machine builds");
     m.attach_trace_sink(Box::new(text.clone()));
-    m.run().expect("program runs");
+    let text_stats = drive(&mut m, stride);
 
     let ring = RingSink::new(256);
     let mut m = Machine::new(config, program).expect("machine builds");
     m.attach_trace_sink(Box::new(ring.clone()));
-    m.run().expect("program runs");
+    let ring_stats = drive(&mut m, stride);
     let tail: Vec<String> = ring.events().iter().map(format_event).collect();
 
-    (chrome_json, text.text(), tail.join("\n"))
+    ((chrome_json, text.text(), tail.join("\n")), [chrome_stats, text_stats, ring_stats])
 }
 
 #[test]
-fn every_sink_is_byte_identical_with_the_wheel_on_and_off() {
-    // Stall-heavy programs so the wheel actually jumps and most stall
-    // events in the stream are synthesized rather than stepped: a
-    // float-divide chain with a counted loop (Data + BranchShadow
-    // wakes at one slot), and the fig6 eager list loop (queue-ring,
-    // chgpri, kills) at two and four slots.
+fn every_sink_is_byte_identical_across_drivers_and_matches_untraced_stats() {
+    // Stall-heavy programs, so the untraced run's wheel skips most of
+    // the cycles the traced runs step through: a float-divide chain
+    // with a counted loop (Data + BranchShadow wakes at one slot), and
+    // the fig6 eager list loop (queue-ring, chgpri, kills) at two and
+    // four slots, whose breaking thread leaves one slot live.
     let div_loop = "
         lif f1, #5.0
         lif f2, #3.0
@@ -158,16 +171,21 @@ fn every_sink_is_byte_identical_with_the_wheel_on_and_off() {
     let cases: Vec<(&str, &hirata_isa::Program, usize)> =
         vec![("div-loop", &div_prog, 1), ("fig6", &fig6, 2), ("fig6", &fig6, 4)];
     for (name, program, slots) in cases {
-        let on = render_all_sinks(program, slots, true);
-        let off = render_all_sinks(program, slots, false);
+        let mut untraced = Machine::new(Config::multithreaded(slots), program).expect("builds");
+        let untraced = drive(&mut untraced, None);
+        let (whole, whole_stats) = render_all_sinks(program, slots, None);
+        let (strided, strided_stats) = render_all_sinks(program, slots, Some(7));
         assert!(
-            on.1.contains("stall"),
+            whole.1.contains("stall"),
             "{name}/s{slots}: expected stall events in the text log:\n{}",
-            on.1
+            whole.1
         );
-        assert_eq!(on.0, off.0, "{name}/s{slots}: Chrome JSON differs with the wheel on");
-        assert_eq!(on.1, off.1, "{name}/s{slots}: text log differs with the wheel on");
-        assert_eq!(on.2, off.2, "{name}/s{slots}: ring tail differs with the wheel on");
+        assert_eq!(whole.0, strided.0, "{name}/s{slots}: Chrome JSON differs when strided");
+        assert_eq!(whole.1, strided.1, "{name}/s{slots}: text log differs when strided");
+        assert_eq!(whole.2, strided.2, "{name}/s{slots}: ring tail differs when strided");
+        for stats in whole_stats.iter().chain(&strided_stats) {
+            assert_eq!(*stats, untraced, "{name}/s{slots}: traced stats differ from untraced");
+        }
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! The build environment has no crates.io access, so the daemon's
 //! wire format is hand-rolled: a [`Json`] value tree, a recursive
-//! descent parser with a depth limit, and a deterministic encoder
-//! (object keys keep insertion order, so responses are byte-stable).
+//! descent parser with a depth limit and an optional value budget,
+//! and a deterministic encoder (object keys keep insertion order, so
+//! responses are byte-stable).
 //!
 //! Integers and floats are kept apart — simulation counters are
 //! `u64`-sized and must survive a round trip exactly, which `f64`
@@ -126,7 +127,20 @@ impl Json {
     ///
     /// [`JsonError`] with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
+        Self::parse_bounded(text, usize::MAX)
+    }
+
+    /// [`Json::parse`] that fails as soon as the document holds more
+    /// than `max_values` values (every scalar, array and object counts
+    /// one; object keys do not), so a hostile document cannot make the
+    /// parser build a tree larger than its reader will ever accept.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Json::parse`], plus the budget error at the first value
+    /// past it.
+    pub fn parse_bounded(text: &str, max_values: usize) -> Result<Json, JsonError> {
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, max_values, values: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
@@ -286,6 +300,9 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// The value budget, and the values parsed so far.
+    max_values: usize,
+    values: usize,
 }
 
 impl Parser<'_> {
@@ -325,6 +342,10 @@ impl Parser<'_> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
+        if self.values == self.max_values {
+            return Err(self.err(format!("more than {} values", self.max_values)));
+        }
+        self.values += 1;
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
@@ -587,6 +608,21 @@ mod tests {
         assert!(Json::parse(&deep).is_err());
         let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn value_budget_is_enforced() {
+        // The root array and its three entries: four values.
+        let doc = "[1, \"two\", {\"k\": null}]";
+        assert_eq!(Json::parse_bounded("[1, 2, 3]", 4), Json::parse("[1, 2, 3]"));
+        let err = Json::parse_bounded("[1, 2, 3]", 3).unwrap_err();
+        assert_eq!((err.at, err.msg.as_str()), (7, "more than 3 values"));
+        // Objects count one, their keys none, their values one each.
+        assert!(Json::parse_bounded(doc, 5).is_ok());
+        assert!(Json::parse_bounded(doc, 4).is_err());
+        // The budget stops a long array where it runs out, not at its end.
+        let long = format!("[{}]", vec!["1"; 100_000].join(","));
+        assert_eq!(Json::parse_bounded(&long, 10).unwrap_err().at, 19);
     }
 
     #[test]

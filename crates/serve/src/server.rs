@@ -48,6 +48,13 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// slot-mask width) times both load/store-unit variants.
 const MAX_GRID_POINTS: usize = 128;
 
+/// Most JSON values a `/submit` document may hold. The largest one
+/// `parse_submit` accepts has two lists of at most `MAX_GRID_POINTS`
+/// entries, their two arrays, the root object and five scalar fields;
+/// the slack covers a few fields it ignores. A longer document fails
+/// inside the parse, before it can build a large tree.
+const MAX_SUBMIT_VALUES: usize = 2 * MAX_GRID_POINTS + 16;
+
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -324,7 +331,7 @@ struct SubmitSpec {
 
 fn parse_submit(body: &[u8]) -> Result<SubmitSpec, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not utf-8".to_string())?;
-    let doc = Json::parse(text).map_err(|e| format!("bad json: {e}"))?;
+    let doc = Json::parse_bounded(text, MAX_SUBMIT_VALUES).map_err(|e| format!("bad json: {e}"))?;
     let source = doc
         .get("program")
         .and_then(Json::as_str)
@@ -584,7 +591,8 @@ mod tests {
 
     /// A value for any field: a number, another JSON kind, a short
     /// array of numbers, an array nested around the depth limit, or a
-    /// long array.
+    /// long array, from under the grid cap to far past the value
+    /// budget.
     fn value() -> BoxedStrategy<String> {
         let other = vec!["null", "true", "\"pool\"", "\"interleaved\"", "\"halt\"", "{}", "[]"];
         prop_oneof![
@@ -593,6 +601,7 @@ mod tests {
             3 => proptest::collection::vec(number(), 0..6).prop_map(|ns| format!("[{}]", ns.join(","))),
             1 => (50usize..80).prop_map(|d| format!("{}1{}", "[".repeat(d), "]".repeat(d))),
             1 => (100usize..20_000).prop_map(|n| format!("[{}]", vec!["1"; n].join(","))),
+            1 => (100usize..400).prop_map(|n| format!("[{}]", vec!["1"; n].join(","))),
         ]
         .boxed()
     }
@@ -624,14 +633,51 @@ mod tests {
         .boxed()
     }
 
+    /// The number of values in `doc`, as the parser's budget counts
+    /// them.
+    fn values(doc: &Json) -> usize {
+        1 + match doc {
+            Json::Arr(items) => items.iter().map(values).sum(),
+            Json::Obj(fields) => fields.iter().map(|(_, v)| values(v)).sum(),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn the_largest_accepted_document_fits_the_budget() {
+        let list = |n: usize| format!("[{}]", vec!["1"; n].join(","));
+        let doc = |slots: usize, ls: usize| {
+            format!(
+                "{{\"program\":\"halt\",\"name\":\"n\",\"slots\":{},\"ls\":{},\
+                 \"mode\":\"pool\",\"trace\":false,\"timeout_secs\":5}}",
+                list(slots),
+                list(ls)
+            )
+        };
+        // Both lists at the cap pass the parse; the grid cap rejects them.
+        let err = parse_submit(doc(MAX_GRID_POINTS, MAX_GRID_POINTS).as_bytes()).err().unwrap();
+        assert!(err.contains("grid points"), "{err}");
+        assert_eq!(parse_submit(doc(MAX_GRID_POINTS, 1).as_bytes()).map(|s| s.grid.len()), Ok(128));
+        // Past the budget, the parse itself fails.
+        let err = parse_submit(doc(MAX_SUBMIT_VALUES, 1).as_bytes()).err().unwrap();
+        assert!(err.starts_with("bad json:") && err.contains("values"), "{err}");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Every document ends in a spec within the bounds or in an
-        /// error (the 400), never in a panic.
+        /// error (the 400), never in a panic; one with more values
+        /// than the budget fails inside the parse.
         #[test]
         fn hostile_documents_end_in_a_spec_or_an_error(doc in document()) {
-            match parse_submit(doc.as_bytes()) {
+            let over_budget = Json::parse(&doc).is_ok_and(|d| values(&d) > MAX_SUBMIT_VALUES);
+            let result = parse_submit(doc.as_bytes());
+            if over_budget {
+                let msg = result.as_ref().err().map(String::as_str).unwrap_or_default();
+                prop_assert!(msg.contains("values"), "{doc}: {msg}");
+            }
+            match result {
                 Ok(spec) => {
                     prop_assert!((1..=MAX_GRID_POINTS).contains(&spec.grid.len()), "{doc}");
                     prop_assert!(spec.timeout >= Duration::from_secs(1), "{doc}");

@@ -2,13 +2,14 @@
 //! daemon, plus hostile traffic, asserting that no request is dropped
 //! or double-executed and that failures stay isolated.
 
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
 use hirata_serve::client::{fetch_stats, shutdown, submit, Mode, SubmitRequest};
+use hirata_serve::http::{read_body, read_response_head, write_request};
 use hirata_serve::json::Json;
 use hirata_serve::server::{ServeConfig, Server};
 
@@ -196,13 +197,24 @@ fn hostile_and_failing_traffic_is_isolated() {
     let zero = SubmitRequest { timeout_secs: Some(0), program: PROGRAM.into(), ..bad.clone() };
     let err = submit(&addr, &zero, &mut |_, _| {}).expect_err("zero timeout must be rejected");
     assert!(err.to_string().contains("`timeout_secs` must be at least 1"), "{err}");
-    for (slots, ls) in
-        [(vec![1; 65], vec![1, 2]), (vec![1; 129], vec![1]), (vec![1; 100_000], vec![1])]
-    {
+    for (slots, ls) in [(vec![1; 65], vec![1, 2]), (vec![1; 129], vec![1])] {
         let wide = SubmitRequest { slots, ls, program: PROGRAM.into(), ..bad.clone() };
         let err =
             submit(&addr, &wide, &mut |_, _| {}).expect_err("oversized grid must be rejected");
         assert!(err.to_string().contains("at most 128 grid points"), "{err}");
+    }
+    // Lists far past the cap stop the parse itself, before it builds
+    // a tree of them: 100,000 entries, and a body of 4M entries just
+    // under the 8 MiB body cap.
+    for entries in [100_000usize, 4_000_000] {
+        let body = format!("{{\"program\":\"halt\",\"slots\":[1{}]}}", ",1".repeat(entries - 1));
+        let mut stream = TcpStream::connect(&addr).expect("connects");
+        write_request(&mut stream, "POST", "/submit", body.as_bytes()).expect("writes");
+        let mut reader = BufReader::new(stream);
+        let head = read_response_head(&mut reader).expect("response head");
+        let reply = String::from_utf8(read_body(&mut reader, &head).expect("body")).unwrap();
+        assert_eq!(head.status, 400, "{entries} entries: {reply}");
+        assert!(reply.contains("bad json") && reply.contains("values"), "{reply}");
     }
     let widest = SubmitRequest {
         slots: (1..=64).collect(),

@@ -169,11 +169,11 @@ impl MachineBatch {
 /// Steps one machine through a whole stride of `stride` cycles;
 /// `Ok(true)` means done.
 ///
-/// The stride is measured in simulated cycles, not `step` calls: an
-/// event-wheel jump can advance many cycles in one call, and counting
-/// calls would let a stalled-but-jumping lane race arbitrarily far
-/// ahead of its siblings within a round. Every `step` advances at
-/// least one cycle, so the loop is bounded. Where a round ends is pure
+/// The stride is measured in simulated cycles, not steps: in an
+/// untraced lane an event-wheel jump can follow a step and advance many
+/// cycles, and counting steps would let a stalled-but-jumping lane race
+/// arbitrarily far ahead of its siblings within a round. Every step
+/// advances at least one cycle, so the loop is bounded. Where a round ends is pure
 /// scheduling, not semantics: each machine's cycles and statistics
 /// are independent of it.
 fn step_lane(machine: &mut Machine, stride: u64) -> Result<bool, MachineError> {

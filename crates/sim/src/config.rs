@@ -101,14 +101,6 @@ pub struct Config {
     pub icache_cycles: u32,
     /// Watchdog: abort the run after this many cycles.
     pub max_cycles: u64,
-    /// Event-wheel fast-forward: when no slot can issue and no
-    /// micro-architectural event is pending, the machine jumps
-    /// directly to the next event instead of stepping through the
-    /// stalled cycles one by one. Cycle counts, statistics, and trace
-    /// streams are byte-identical either way (the skipped stalls are
-    /// synthesized from the wake reasons); disable to force the plain
-    /// cycle-by-cycle loop when debugging the simulator itself.
-    pub fast_forward: bool,
 }
 
 /// Error from [`Config::validate`].
@@ -144,7 +136,6 @@ impl Config {
             mem_words: 1 << 20,
             icache_cycles: 2,
             max_cycles: 500_000_000,
-            fast_forward: true,
         }
     }
 
@@ -185,14 +176,6 @@ impl Config {
     /// Enables private per-slot instruction caches and fetch units.
     pub fn with_private_fetch(mut self, on: bool) -> Self {
         self.private_fetch = on;
-        self
-    }
-
-    /// Enables or disables the event-wheel fast-forward (see
-    /// [`Config::fast_forward`]). On by default; purely a simulator
-    /// throughput control with no architectural effect.
-    pub fn with_fast_forward(mut self, on: bool) -> Self {
-        self.fast_forward = on;
         self
     }
 

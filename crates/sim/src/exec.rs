@@ -3,30 +3,17 @@
 //! The machine captures operand *values* at issue time (operands are
 //! read in stage S and carried into standby stations, §2.1.1), so
 //! execution here is a pure function of the instruction and its
-//! captured operand bits.
-//!
-//! Execution has two equivalent implementations:
-//!
-//! * [`fu_action`] — the readable enum-match **oracle**, one nested
-//!   `match` over the instruction forms;
-//! * [`dispatch`] — the **µop handler table**, an array of function
-//!   pointers indexed by the predecoded [`ExecOp`] code, which is what
-//!   the machine's hot path calls (one indexed load and an indirect
-//!   call, no enum matches).
-//!
-//! Debug builds cross-check every dispatch against a fresh oracle
-//! evaluation, and the `uop` integration test sweeps every instruction
-//! form plus seeded random programs through both.
+//! captured operand bits: [`fu_action`], which the cycle-level machine
+//! and the architectural emulator both call.
 
 use hirata_isa::{BranchCond, FpBinOp, FpUnOp, GSrc, Inst, IntOp};
 
-use crate::predecode::{DecodedInst, ExecOp, EXEC_OP_COUNT};
+use crate::predecode::DecodedInst;
 
 /// Debug-only check that a predecoded entry still matches a fresh
 /// decode of its instruction — the differential guard for the
-/// predecode pass (since the µop extension this covers the `exec_op`
-/// code, the capture plan, and the pre-folded immediate too). Release
-/// builds compile this to nothing.
+/// predecode pass (including the capture plan and the pre-folded
+/// immediate). Release builds compile this to nothing.
 #[inline]
 pub(crate) fn debug_assert_fresh_decode(d: &DecodedInst) {
     debug_assert_eq!(
@@ -130,9 +117,8 @@ fn fp_cmp(cond: BranchCond, a: f64, b: f64) -> bool {
 }
 
 /// Computes the effect of a functional-unit instruction from its
-/// captured operand bits — the enum-match oracle the µop handler
-/// table ([`dispatch`]) is differentially tested against. `lpid` and
-/// `nlp` feed the `lpid`/`nlp` special reads.
+/// captured operand bits. `lpid` and `nlp` feed the `lpid`/`nlp`
+/// special reads.
 ///
 /// Returns `None` for decode-unit instructions (those never reach a
 /// functional unit); callers surface that as
@@ -180,171 +166,6 @@ pub fn fu_action(inst: &Inst, vals: [u64; 2], lpid: i64, nlp: i64) -> Option<FuA
         }
         _ => return None,
     })
-}
-
-// ----------------------------------------------------------------------
-// The µop handler table: one function per ExecOp code, dispatched by a
-// single indexed load. Each handler computes exactly what the oracle's
-// matching arm computes (same wrapping/IEEE operations on the same
-// bits), so the two paths are bit-identical — including NaN patterns.
-// ----------------------------------------------------------------------
-
-/// A µop handler: captured operand bits, the predecoded immediate,
-/// and the `lpid`/`nlp` specials in; the functional-unit effect out
-/// (`None` only for the [`ExecOp::DecodeUnit`] sentinel).
-type Handler = fn(vals: [u64; 2], imm: u64, lpid: i64, nlp: i64) -> Option<FuAction>;
-
-macro_rules! int_handler {
-    ($name:ident, $f:expr) => {
-        fn $name(vals: [u64; 2], _imm: u64, _lpid: i64, _nlp: i64) -> Option<FuAction> {
-            let f: fn(i64, i64) -> i64 = $f;
-            Some(FuAction::Write(f(vals[0] as i64, vals[1] as i64) as u64))
-        }
-    };
-}
-
-macro_rules! fp_bin_handler {
-    ($name:ident, $f:expr) => {
-        fn $name(vals: [u64; 2], _imm: u64, _lpid: i64, _nlp: i64) -> Option<FuAction> {
-            let f: fn(f64, f64) -> f64 = $f;
-            Some(FuAction::Write(f(f64::from_bits(vals[0]), f64::from_bits(vals[1])).to_bits()))
-        }
-    };
-}
-
-macro_rules! fp_un_handler {
-    ($name:ident, $f:expr) => {
-        fn $name(vals: [u64; 2], _imm: u64, _lpid: i64, _nlp: i64) -> Option<FuAction> {
-            let f: fn(f64) -> f64 = $f;
-            Some(FuAction::Write(f(f64::from_bits(vals[0])).to_bits()))
-        }
-    };
-}
-
-macro_rules! fp_cmp_handler {
-    ($name:ident, $f:expr) => {
-        fn $name(vals: [u64; 2], _imm: u64, _lpid: i64, _nlp: i64) -> Option<FuAction> {
-            let f: fn(f64, f64) -> bool = $f;
-            Some(FuAction::Write(f(f64::from_bits(vals[0]), f64::from_bits(vals[1])) as u64))
-        }
-    };
-}
-
-fn h_decode_unit(_vals: [u64; 2], _imm: u64, _lpid: i64, _nlp: i64) -> Option<FuAction> {
-    None
-}
-
-int_handler!(h_int_add, |a, b| a.wrapping_add(b));
-int_handler!(h_int_sub, |a, b| a.wrapping_sub(b));
-int_handler!(h_int_and, |a, b| a & b);
-int_handler!(h_int_or, |a, b| a | b);
-int_handler!(h_int_xor, |a, b| a ^ b);
-int_handler!(h_int_slt, |a, b| (a < b) as i64);
-int_handler!(h_int_sle, |a, b| (a <= b) as i64);
-int_handler!(h_int_seq, |a, b| (a == b) as i64);
-int_handler!(h_int_sne, |a, b| (a != b) as i64);
-int_handler!(h_int_sll, |a, b| a.wrapping_shl(b as u32 & 63));
-int_handler!(h_int_srl, |a, b| ((a as u64).wrapping_shr(b as u32 & 63)) as i64);
-int_handler!(h_int_sra, |a, b| a.wrapping_shr(b as u32 & 63));
-int_handler!(h_int_mul, |a, b| a.wrapping_mul(b));
-int_handler!(h_int_div, |a, b| if b == 0 { 0 } else { a.wrapping_div(b) });
-int_handler!(h_int_rem, |a, b| if b == 0 { 0 } else { a.wrapping_rem(b) });
-
-fn h_load_imm(_vals: [u64; 2], imm: u64, _lpid: i64, _nlp: i64) -> Option<FuAction> {
-    Some(FuAction::Write(imm))
-}
-
-fp_bin_handler!(h_fadd, |a, b| a + b);
-fp_bin_handler!(h_fsub, |a, b| a - b);
-fp_bin_handler!(h_fmul, |a, b| a * b);
-fp_bin_handler!(h_fdiv, |a, b| a / b);
-
-fp_un_handler!(h_fabs, |a| a.abs());
-fp_un_handler!(h_fneg, |a| -a);
-fp_un_handler!(h_fmov, |a| a);
-
-fp_cmp_handler!(h_fcmp_eq, |a, b| a == b);
-fp_cmp_handler!(h_fcmp_ne, |a, b| a != b);
-fp_cmp_handler!(h_fcmp_lt, |a, b| a < b);
-fp_cmp_handler!(h_fcmp_le, |a, b| a <= b);
-fp_cmp_handler!(h_fcmp_gt, |a, b| a > b);
-fp_cmp_handler!(h_fcmp_ge, |a, b| a >= b);
-
-fn h_cvt_if(vals: [u64; 2], _imm: u64, _lpid: i64, _nlp: i64) -> Option<FuAction> {
-    Some(FuAction::Write(((vals[0] as i64) as f64).to_bits()))
-}
-
-fn h_cvt_fi(vals: [u64; 2], _imm: u64, _lpid: i64, _nlp: i64) -> Option<FuAction> {
-    Some(FuAction::Write((f64::from_bits(vals[0]) as i64) as u64))
-}
-
-fn h_lpid(_vals: [u64; 2], _imm: u64, lpid: i64, _nlp: i64) -> Option<FuAction> {
-    Some(FuAction::Write(lpid as u64))
-}
-
-fn h_nlp(_vals: [u64; 2], _imm: u64, _lpid: i64, nlp: i64) -> Option<FuAction> {
-    Some(FuAction::Write(nlp as u64))
-}
-
-fn h_load(vals: [u64; 2], imm: u64, _lpid: i64, _nlp: i64) -> Option<FuAction> {
-    Some(FuAction::Load { addr: (vals[0] as i64).wrapping_add(imm as i64) as u64 })
-}
-
-fn h_store(vals: [u64; 2], imm: u64, _lpid: i64, _nlp: i64) -> Option<FuAction> {
-    Some(FuAction::Store { addr: (vals[1] as i64).wrapping_add(imm as i64) as u64, bits: vals[0] })
-}
-
-/// The threaded-dispatch table, indexed by `ExecOp as usize`. Order
-/// must match the [`ExecOp`] declaration exactly; `dispatch_order`
-/// below and the `uop` integration test prove it against the oracle
-/// for every code.
-static HANDLERS: [Handler; EXEC_OP_COUNT] = [
-    h_decode_unit,
-    h_int_add,
-    h_int_sub,
-    h_int_and,
-    h_int_or,
-    h_int_xor,
-    h_int_slt,
-    h_int_sle,
-    h_int_seq,
-    h_int_sne,
-    h_int_sll,
-    h_int_srl,
-    h_int_sra,
-    h_int_mul,
-    h_int_div,
-    h_int_rem,
-    h_load_imm,
-    h_fadd,
-    h_fsub,
-    h_fmul,
-    h_fdiv,
-    h_fabs,
-    h_fneg,
-    h_fmov,
-    h_fcmp_eq,
-    h_fcmp_ne,
-    h_fcmp_lt,
-    h_fcmp_le,
-    h_fcmp_gt,
-    h_fcmp_ge,
-    h_cvt_if,
-    h_cvt_fi,
-    h_lpid,
-    h_nlp,
-    h_load,
-    h_store,
-];
-
-/// Executes one µop through the handler table: the hot-path
-/// equivalent of [`fu_action`], taking the predecoded
-/// [`ExecOp`] code and pre-extracted immediate instead of re-matching
-/// the instruction enum. Returns `None` only for
-/// [`ExecOp::DecodeUnit`].
-#[inline]
-pub fn dispatch(op: ExecOp, vals: [u64; 2], imm: u64, lpid: i64, nlp: i64) -> Option<FuAction> {
-    HANDLERS[op as usize](vals, imm, lpid, nlp)
 }
 
 #[cfg(test)]
@@ -485,84 +306,5 @@ mod tests {
     fn decode_op_is_rejected() {
         assert_eq!(fu_action(&Inst::Halt, [0, 0], 0, 1), None);
         assert_eq!(fu_action(&Inst::Nop, [0, 0], 0, 1), None);
-    }
-
-    /// Every µop code's handler agrees bit-for-bit with the oracle arm
-    /// it replaces, on operand patterns that exercise the interesting
-    /// edges (wrapping, zero divisors, NaN, negative offsets).
-    #[test]
-    fn dispatch_matches_oracle_for_every_code() {
-        use hirata_isa::FpBinOp as FB;
-        use hirata_isa::FpUnOp as FU;
-        let f = |n| Reg::F(FReg(n));
-        let int_ops = [
-            IntOp::Add,
-            IntOp::Sub,
-            IntOp::And,
-            IntOp::Or,
-            IntOp::Xor,
-            IntOp::Slt,
-            IntOp::Sle,
-            IntOp::Seq,
-            IntOp::Sne,
-            IntOp::Sll,
-            IntOp::Srl,
-            IntOp::Sra,
-            IntOp::Mul,
-            IntOp::Div,
-            IntOp::Rem,
-        ];
-        let mut insts: Vec<Inst> = int_ops
-            .iter()
-            .map(|&op| Inst::IntOp { op, rd: GReg(1), rs: GReg(2), src2: GSrc::Reg(GReg(3)) })
-            .collect();
-        insts.push(Inst::Li { rd: GReg(1), imm: -99 });
-        insts.push(Inst::LiF { fd: FReg(1), imm: 2.5 });
-        for op in [FB::FAdd, FB::FSub, FB::FMul, FB::FDiv] {
-            insts.push(Inst::FpBin { op, fd: FReg(0), fs: FReg(1), ft: FReg(2) });
-        }
-        for op in [FU::FAbs, FU::FNeg, FU::FMov] {
-            insts.push(Inst::FpUn { op, fd: FReg(0), fs: FReg(1) });
-        }
-        for cond in [
-            BranchCond::Eq,
-            BranchCond::Ne,
-            BranchCond::Lt,
-            BranchCond::Le,
-            BranchCond::Gt,
-            BranchCond::Ge,
-        ] {
-            insts.push(Inst::FpCmp { cond, rd: GReg(1), fs: FReg(0), ft: FReg(1) });
-        }
-        insts.push(Inst::CvtIF { fd: FReg(0), rs: GReg(1) });
-        insts.push(Inst::CvtFI { rd: GReg(1), fs: FReg(0) });
-        insts.push(Inst::Lpid { rd: GReg(1) });
-        insts.push(Inst::Nlp { rd: GReg(1) });
-        insts.push(Inst::Load { dst: f(1), base: GReg(2), off: -16 });
-        insts.push(Inst::Store { src: g(1), base: GReg(2), off: 24, gated: true });
-        // Decode-unit forms map to the sentinel and must dispatch to None.
-        insts.push(Inst::Halt);
-        insts.push(Inst::Nop);
-
-        let operand_sets: [[u64; 2]; 5] = [
-            [0, 0],
-            [7, 2],
-            [(-1i64) as u64, 60],
-            [i64::MAX as u64, 1],
-            [f64::NAN.to_bits(), 1.5f64.to_bits()],
-        ];
-        let mut codes_seen = [false; EXEC_OP_COUNT];
-        for inst in &insts {
-            let di = DecodedInst::of(*inst);
-            codes_seen[di.exec_op as usize] = true;
-            for vals in operand_sets {
-                assert_eq!(
-                    dispatch(di.exec_op, vals, di.imm, 3, 4),
-                    fu_action(inst, vals, 3, 4),
-                    "µop/oracle divergence for {inst:?} on {vals:?}"
-                );
-            }
-        }
-        assert!(codes_seen.iter().all(|&seen| seen), "some ExecOp code never exercised");
     }
 }

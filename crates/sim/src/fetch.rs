@@ -264,22 +264,21 @@ impl FetchSystem {
     }
 
     /// Replays the fetch activity of `[t, target)` in one call — the
-    /// event wheel's untraced fast path. Internal bookkeeping (service
-    /// starts, refill deliveries to slots the caller is not watching)
-    /// is applied directly, visiting only event cycles; the call
-    /// returns at the first cycle with a delivery the caller must
-    /// inspect — any redirect, or a refill to a slot in the `wake`
-    /// bitmask — with that cycle's deliveries in `out` (`begin_cycle`
-    /// applied, `end_cycle` not, exactly the state a per-cycle replay
-    /// stopping there would leave). Returns `None` when the span
-    /// completes without such a cycle; either way the final state is
-    /// byte-identical to calling `begin_cycle`/`end_cycle` for every
-    /// cycle up to the stop point.
+    /// event wheel's span walk. Internal bookkeeping (service starts,
+    /// refill deliveries unless `stop_on_refill`) is applied directly,
+    /// visiting only event cycles; the call returns at the first cycle
+    /// with a delivery the caller must inspect — any redirect, or any
+    /// refill when `stop_on_refill` — with that cycle's deliveries in
+    /// `out` (`begin_cycle` applied, `end_cycle` not, exactly the state
+    /// a per-cycle replay stopping there would leave). Returns `None`
+    /// when the span completes without such a cycle; either way the
+    /// final state is byte-identical to calling
+    /// `begin_cycle`/`end_cycle` for every cycle up to the stop point.
     pub(crate) fn advance_span(
         &mut self,
         mut t: u64,
         target: u64,
-        wake: u64,
+        stop_on_refill: bool,
         out: &mut Vec<Delivery>,
     ) -> Option<u64> {
         loop {
@@ -294,7 +293,7 @@ impl FetchSystem {
                 // `begin_cycle` runs before `end_cycle` in a cycle).
                 out.clear();
                 self.begin_cycle(next_del, out);
-                if out.iter().any(|d| d.redirect || d.slot >= 64 || (wake >> d.slot) & 1 == 1) {
+                if stop_on_refill || out.iter().any(|d| d.redirect) {
                     // Units that went free on a skipped cycle never
                     // restarted (no eligible pick before this one).
                     self.release_idle_units(next_del);

@@ -65,8 +65,8 @@ pub use batch::{LaneError, LaneResult, MachineBatch, DEFAULT_STRIDE};
 pub use config::{Config, ConfigError, PipelineKind, MAX_STANDBY_DEPTH, MAX_THREAD_SLOTS};
 pub use emu::{EmuOutcome, Emulator};
 pub use error::MachineError;
-pub use machine::{IssueEvent, Machine, PhaseProfile, SlotView};
-pub use predecode::{DecodedInst, ExecOp, PredecodedProgram, EXEC_OP_COUNT};
+pub use machine::{IssueEvent, Machine, SlotView};
+pub use predecode::{DecodedInst, PredecodedProgram};
 pub use stats::{
     RunStats, StallBreakdown, StallReason, StallWindow, STALL_REASON_COUNT, STALL_WINDOW_CYCLES,
 };

@@ -4,7 +4,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use hirata_isa::{FuClass, GReg, Inst, Program, Reg, FU_CLASS_COUNT};
 use hirata_mem::{Access, DataMemModel, IdealCache, MemStats, Memory};
@@ -14,9 +13,7 @@ mod wheel;
 
 use crate::config::{Config, MAX_STANDBY_DEPTH};
 use crate::error::MachineError;
-use crate::exec::{
-    branch_taken, debug_assert_fresh_decode, dispatch, fu_action, resolve_operands, FuAction,
-};
+use crate::exec::{branch_taken, debug_assert_fresh_decode, fu_action, resolve_operands, FuAction};
 use crate::fetch::{Delivery, FetchSystem};
 use crate::machine::fupool::FuPool;
 use crate::predecode::{DecodedInst, PredecodedProgram, CAP_IMM, CAP_NONE};
@@ -134,14 +131,6 @@ struct Scratch {
     cands: Vec<InFlight>,
     /// Fetch deliveries surfacing this cycle.
     deliveries: Vec<Delivery>,
-    /// Per-slot stall descriptors for an event-wheel jump (indexed by
-    /// slot; only bound slots' entries are meaningful): the reason and
-    /// blocking PC every skipped cycle records.
-    wheel_stalls: Vec<(StallReason, Option<u32>)>,
-    /// Per-slot start cycle of the current stall piece within a jump
-    /// span (descriptors can change mid-span when the wheel absorbs a
-    /// redirect delivery).
-    wheel_piece: Vec<u64>,
 }
 
 /// A proven slot block (the ready-frontier entry for one bound slot):
@@ -333,7 +322,7 @@ pub struct Machine {
     /// `Some` — kept in lockstep at every bind (`wake_and_bind`,
     /// `fastfork`) and unbind (`detach`, `killothers`). Every per-cycle
     /// path (issue, forced rotation, fetch round-robin, writeback
-    /// unblocking, the event wheel's probes and stall synthesis)
+    /// unblocking, the event wheel's probe and stall accounting)
     /// visits only these slots; the others record a NoThread stall
     /// each, counted in one bulk add per cycle or skipped span. Debug
     /// builds rescan the slots each issue phase to prove the mirror
@@ -341,23 +330,14 @@ pub struct Machine {
     bound: SlotSet,
     /// A head-issue proof from the event wheel: `(cycle, slot, pc)`
     /// means the wheel's end-of-step probe ran `check_issue` on the
-    /// head `slot` will evaluate at `cycle` and it passed. Taken only
-    /// with a single live slot (see [`Machine::single_live_slot`]):
-    /// nothing between the probe and that evaluation mutates state
-    /// `check_issue` reads (a slot bound in between cannot issue on
-    /// its bind cycle). Purely an optimization — the issue path skips
-    /// its own head check instead of repeating it.
+    /// head `slot` will evaluate at `cycle` and it passed. The wheel
+    /// runs only with a single live slot (see
+    /// [`Machine::single_live_slot`]), so nothing between the probe and
+    /// that evaluation mutates state `check_issue` reads (a slot bound
+    /// in between cannot issue on its bind cycle). Purely an
+    /// optimization — the issue path skips its own head check instead
+    /// of repeating it.
     head_pass: Option<(u64, usize, u32)>,
-    /// Earliest cycle at which a machine with several live slots may
-    /// next attempt a fast-forward, and the current backoff stride.
-    /// Probing every slot on every no-issue cycle is wasted work in
-    /// phases where some slot always issues again within a cycle or
-    /// two; failed attempts double the stride (capped), a successful
-    /// jump resets it. Deterministic, and only delays *attempts* — the cycles a
-    /// skipped attempt would have jumped are stepped plainly instead,
-    /// producing identical statistics and traces by construction.
-    ff_next: u64,
-    ff_stride: u32,
     scratch: Scratch,
     trace: Option<Vec<IssueEvent>>,
     sink: Option<Box<dyn TraceSink>>,
@@ -377,60 +357,6 @@ pub struct IssueEvent {
     pub ctx: usize,
     /// Instruction address.
     pub pc: u32,
-}
-
-/// Per-phase wall-time breakdown of the cycle loop, accumulated by
-/// [`Machine::step_profiled`]. Durations include the profiler's own
-/// clock reads (one per phase boundary), so shares are approximate —
-/// meaningful for "where does the time go", not for absolute ns.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PhaseProfile {
-    /// Cycle framing: rotation ticks, empty-slot skipping, fetch
-    /// begin/end and delivery application.
-    pub fetch: Duration,
-    /// Context wake-ups and slot binding.
-    pub wake_bind: Duration,
-    /// The per-slot issue phase (window fill, hazard checks,
-    /// decode-unit execution, stall recording).
-    pub issue: Duration,
-    /// Schedule-unit arbitration, minus the selected instructions'
-    /// execution time.
-    pub arbitrate: Duration,
-    /// Execution of arbitration winners, including result writeback.
-    pub writeback: Duration,
-    /// Event-wheel fast-forward attempts and jumps.
-    pub wheel: Duration,
-    /// Number of [`Machine::step_profiled`] calls accumulated (a wheel
-    /// jump can advance many cycles in one step).
-    pub steps: u64,
-}
-
-impl PhaseProfile {
-    /// Sum of all phase durations.
-    pub fn total(&self) -> Duration {
-        self.fetch + self.wake_bind + self.issue + self.arbitrate + self.writeback + self.wheel
-    }
-}
-
-/// Phase timer for `step_impl`: compiles to nothing unless `PROF`.
-struct Lap(Option<Instant>);
-
-impl Lap {
-    #[inline]
-    fn start<const PROF: bool>() -> Self {
-        Lap(if PROF { Some(Instant::now()) } else { None })
-    }
-
-    /// Adds the time since the previous mark to `acc` and re-marks.
-    #[inline]
-    fn lap<const PROF: bool>(&mut self, acc: &mut Duration) {
-        if PROF {
-            let now = Instant::now();
-            if let Some(t) = self.0.replace(now) {
-                *acc += now.duration_since(t);
-            }
-        }
-    }
 }
 
 /// A point-in-time view of one thread slot (see
@@ -568,13 +494,9 @@ impl Machine {
             cycle: 0,
             bound: SlotSet::EMPTY,
             head_pass: None,
-            ff_next: 0,
-            ff_stride: 1,
             scratch: Scratch {
                 cands: Vec::with_capacity(s * 2),
                 deliveries: Vec::with_capacity(s),
-                wheel_stalls: vec![(StallReason::NoThread, None); s],
-                wheel_piece: Vec::with_capacity(s),
             },
             trace: None,
             sink: None,
@@ -721,11 +643,10 @@ impl Machine {
     pub fn run(&mut self) -> Result<&RunStats, MachineError> {
         // One sink check selects the whole loop's monomorphized
         // kernel; the untraced path then carries no sink tests at all.
-        let mut prof = PhaseProfile::default();
         if self.sink.is_some() {
-            while !self.step_impl::<false, true>(&mut prof)? {}
+            while !self.step_impl::<true>()? {}
         } else {
-            while !self.step_impl::<false, false>(&mut prof)? {}
+            while !self.step_and_jump()? {}
         }
         Ok(&self.stats)
     }
@@ -741,16 +662,15 @@ impl Machine {
     /// As for [`Machine::run`].
     pub fn run_span(&mut self, stride: u64) -> Result<bool, MachineError> {
         let end = self.cycle.saturating_add(stride.max(1));
-        let mut prof = PhaseProfile::default();
         if self.sink.is_some() {
             while self.cycle < end {
-                if self.step_impl::<false, true>(&mut prof)? {
+                if self.step_impl::<true>()? {
                     return Ok(true);
                 }
             }
         } else {
             while self.cycle < end {
-                if self.step_impl::<false, false>(&mut prof)? {
+                if self.step_and_jump()? {
                     return Ok(true);
                 }
             }
@@ -758,48 +678,42 @@ impl Machine {
         Ok(false)
     }
 
-    /// Advances one cycle. Returns true once the machine is finished.
+    /// Advances exactly one cycle. Returns true once the machine is
+    /// finished.
     ///
     /// # Errors
     ///
     /// As for [`Machine::run`].
     pub fn step(&mut self) -> Result<bool, MachineError> {
         if self.sink.is_some() {
-            self.step_impl::<false, true>(&mut PhaseProfile::default())
+            self.step_impl::<true>()
         } else {
-            self.step_impl::<false, false>(&mut PhaseProfile::default())
+            self.step_impl::<false>()
         }
     }
 
-    /// [`Machine::step`] with per-phase wall-time attribution
-    /// accumulated into `profile`. Identical simulation semantics; the
-    /// only difference is the clock reads at phase boundaries.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Machine::run`].
-    pub fn step_profiled(&mut self, profile: &mut PhaseProfile) -> Result<bool, MachineError> {
-        if self.sink.is_some() {
-            self.step_impl::<true, true>(profile)
-        } else {
-            self.step_impl::<true, false>(profile)
-        }
-    }
-
-    /// The cycle kernel, monomorphized over phase profiling (`PROF`)
-    /// and trace-sink presence (`TRACED`): the common no-sink path
-    /// compiles with every sink check statically false, so tracing
-    /// costs nothing unless a sink is attached.
-    fn step_impl<const PROF: bool, const TRACED: bool>(
-        &mut self,
-        prof: &mut PhaseProfile,
-    ) -> Result<bool, MachineError> {
-        if self.is_done() {
+    /// One untraced cycle, then — with a single live slot — an
+    /// event-wheel jump over the stalled span that follows it, if one
+    /// is provable (see `machine/wheel.rs`). With several live slots
+    /// the per-slot probes rarely pay for themselves, and traced runs
+    /// step every cycle, so the wheel never fires there.
+    fn step_and_jump(&mut self) -> Result<bool, MachineError> {
+        if self.step_impl::<false>()? {
             return Ok(true);
         }
-        let mut lap = Lap::start::<PROF>();
-        if PROF {
-            prof.steps += 1;
+        if self.single_live_slot() {
+            self.try_jump();
+        }
+        Ok(false)
+    }
+
+    /// The cycle kernel, monomorphized over trace-sink presence
+    /// (`TRACED`): the common no-sink path compiles with every sink
+    /// check statically false, so tracing costs nothing unless a sink
+    /// is attached.
+    fn step_impl<const TRACED: bool>(&mut self) -> Result<bool, MachineError> {
+        if self.is_done() {
+            return Ok(true);
         }
         let now = self.cycle;
         if now >= self.config.max_cycles {
@@ -845,31 +759,19 @@ impl Machine {
             }
         }
         self.scratch.deliveries = deliveries;
-        lap.lap::<PROF>(&mut prof.fetch);
         self.wake_and_bind::<TRACED>(now);
-        lap.lap::<PROF>(&mut prof.wake_bind);
         // The issue phase and arbitration both walk the slots in
         // priority order from the highest level, which nothing moves
         // in between (chgpri is deferred to cycle end, implicit/forced
         // rotations happened above).
         let mut cands = std::mem::take(&mut self.scratch.cands);
         cands.clear();
-        let issued_before = self.stats.instructions;
-        let issue_res = self.issue_phase::<TRACED>(now, &mut cands);
-        lap.lap::<PROF>(&mut prof.issue);
-        let arb_res = match issue_res {
-            Ok(()) => self.arbitrate::<PROF, TRACED>(&mut cands, now),
+        let res = match self.issue_phase::<TRACED>(now, &mut cands) {
+            Ok(()) => self.arbitrate::<TRACED>(&mut cands, now),
             Err(e) => Err(e),
         };
-        lap.lap::<PROF>(&mut prof.arbitrate);
         self.scratch.cands = cands;
-        let wb = arb_res?;
-        if PROF {
-            // The arbitration lap included the winners' execution,
-            // which `arbitrate` timed separately.
-            prof.writeback += wb;
-            prof.arbitrate = prof.arbitrate.saturating_sub(wb);
-        }
+        res?;
         if self.prio.apply_pending(now) {
             self.stats.rotations += 1;
             let highest = self.prio.highest();
@@ -886,31 +788,7 @@ impl Machine {
         self.fetch.end_cycle(now);
         self.cycle += 1;
         self.stats.cycles = self.cycle;
-        lap.lap::<PROF>(&mut prof.fetch);
-        if self.is_done() {
-            return Ok(true);
-        }
-        // Event-wheel fast-forward (see `machine/wheel.rs`): if every
-        // slot is provably stalled past the next cycle — by a live
-        // block, a probed window head, a branch shadow, or fetch
-        // starvation — jump straight to the earliest wake,
-        // synthesizing the skipped cycles' stall accounting. With a
-        // single live slot it runs after issuing cycles too:
-        // single-issue decode drains the window every cycle, so the
-        // next head can be probed (and the probe's verdict reused by
-        // the next step) without waiting for a step to discover the
-        // stall. With several live slots it runs only after a cycle
-        // that issued nothing — the per-slot probes rarely pay for
-        // themselves while any slot is making progress — and backs off
-        // exponentially while attempts keep failing.
-        if self.config.fast_forward
-            && (self.single_live_slot()
-                || (self.stats.instructions == issued_before && self.cycle >= self.ff_next))
-        {
-            self.fast_forward();
-            lap.lap::<PROF>(&mut prof.wheel);
-        }
-        Ok(false)
+        Ok(self.is_done())
     }
 
     /// True when every context has finished and all standby stations
@@ -2022,16 +1900,11 @@ impl Machine {
     /// Per-class dynamic scheduling with rotating priorities (§2.2):
     /// standby occupants and this cycle's issues compete; winners start
     /// execution, losers (or survivors) sit in standby stations.
-    /// Returns the wall time spent executing arbitration winners (zero
-    /// unless `PROF`), so the profiled step can split "arbitrate" from
-    /// "writeback" without threading a profile reference through the
-    /// unprofiled hot path.
-    fn arbitrate<const PROF: bool, const TRACED: bool>(
+    fn arbitrate<const TRACED: bool>(
         &mut self,
         cands: &mut Vec<InFlight>,
         now: u64,
-    ) -> Result<Duration, MachineError> {
-        let mut wb = Duration::ZERO;
+    ) -> Result<(), MachineError> {
         let tracing = TRACED && self.sink.is_some();
         debug_assert!(self.standby_bookkeeping_consistent(), "standby bookkeeping is in sync");
         // Every issue joins the back of its slot's standby queue up
@@ -2052,10 +1925,6 @@ impl Machine {
         let competing_by_class = self.standby_mask;
         let slots = self.slots.len();
         let highest = self.prio.highest();
-        // Make the calendar ring's free masks exact at `now` before
-        // any grant decision (frees every instance whose release has
-        // passed since the last arbitration or fast-forward landing).
-        self.fu_pool.advance(now);
         for class in FuClass::ALL {
             let ci = class.index();
             let competing = competing_by_class[ci];
@@ -2073,7 +1942,7 @@ impl Machine {
                     if front.di.needs_highest_priority() && self.prio.highest() != s {
                         break;
                     }
-                    let Some(instance) = self.fu_pool.first_free(ci) else {
+                    let Some(instance) = self.fu_pool.first_free(ci, now) else {
                         break;
                     };
                     let f = self.standby_pop(s, ci);
@@ -2092,11 +1961,7 @@ impl Machine {
                             });
                         }
                     }
-                    let t = if PROF { Some(Instant::now()) } else { None };
                     self.execute_selected::<TRACED>(f, class, instance, now)?;
-                    if let Some(t) = t {
-                        wb += t.elapsed();
-                    }
                 }
             }
             if tracing && !competing.is_empty() {
@@ -2132,7 +1997,7 @@ impl Machine {
             }
         }
         debug_assert!(cands.is_empty(), "every candidate must be selected or parked");
-        Ok(wb)
+        Ok(())
     }
 
     /// Debug-build rescan: the occupancy mask, per-slot counts, and
@@ -2179,15 +2044,9 @@ impl Machine {
         self.stats.fu_busy[ci] += lat.issue as u64;
         let nlp = self.slots.len() as i64;
         let lpid = self.contexts[f.ctx].lpid;
-        let action = dispatch(f.di.exec_op, f.vals, f.di.imm, lpid, nlp).ok_or_else(|| {
+        let action = fu_action(&f.di.inst, f.vals, lpid, nlp).ok_or_else(|| {
             MachineError::DecodeAtFu { slot: f.slot, pc: f.pc, inst: f.di.inst.to_string() }
         })?;
-        debug_assert_eq!(
-            Some(action),
-            fu_action(&f.di.inst, f.vals, lpid, nlp),
-            "µop dispatch diverged from fresh enum-match evaluation for {:?}",
-            f.di.inst
-        );
         match action {
             FuAction::Write(bits) => {
                 self.write_dest::<TRACED>(&f, bits, now, lat.result);
@@ -2204,7 +2063,7 @@ impl Machine {
                     let result = 2 + latency;
                     self.write_dest::<TRACED>(&f, bits, now, result);
                     if latency as u64 > lat.issue as u64 {
-                        self.fu_pool.postpone(ci, instance, now + latency as u64);
+                        self.fu_pool.occupy(ci, instance, now + latency as u64);
                     }
                 }
                 Access::Absent { ready_after } => {
@@ -2219,7 +2078,7 @@ impl Machine {
                         source,
                     })?;
                     if latency as u64 > lat.issue as u64 {
-                        self.fu_pool.postpone(ci, instance, now + latency as u64);
+                        self.fu_pool.occupy(ci, instance, now + latency as u64);
                     }
                 }
                 Access::Absent { ready_after } => {

@@ -1,24 +1,26 @@
 //! The event wheel: fast-forwarding over provably stalled spans.
 //!
-//! A [`Machine::step`] that issued nothing proves the whole machine is
-//! stalled (machines with a single live slot also probe after issuing
-//! steps — the window drains every cycle, so the next head's verdict
-//! is knowable a step early, and a passing verdict is itself reusable
-//! as a head-issue proof). A stalled machine's future is driven entirely by timed
-//! events: standby instructions waking when their functional unit
-//! frees, branch shadows expiring, queue-register entries maturing,
-//! fetch deliveries, context wake-ups, and priority rotations. When
+//! The wheel serves untraced [`Machine::run`] and [`Machine::run_span`]
+//! on a machine with a single live slot (see
+//! [`Machine::single_live_slot`]); [`Machine::step`] always advances
+//! exactly one cycle, and a run with a trace sink attached steps every
+//! cycle. After each step the wheel probes the live slot: single-issue
+//! decode drains the window every cycle, so the next head's verdict is
+//! knowable a step early, and a passing verdict is itself reusable as
+//! a head-issue proof. A stalled slot's future is driven entirely by
+//! timed events: a standby instruction waking when its functional unit
+//! frees, a branch shadow expiring, a queue-register entry maturing, a
+//! fetch delivery, a context wake-up, or a priority rotation. When
 //! every such event lies strictly after the next cycle, the machine
-//! jumps straight to the earliest one and synthesizes the accounting
-//! the skipped cycles would have produced — one `Stall` per slot per
-//! cycle (from the frozen wake reason; the unbound slots' NoThread
-//! stalls in one bulk add), the per-cycle `FuLoss` events for parked
-//! standby fronts, and any implicit rotations (which leave the
-//! priority order's head in place when only one slot is live). Cycle counts,
-//! statistics, and trace streams are byte-identical to the plain loop;
-//! debug builds re-derive the slots' stall descriptors across the span
-//! to prove the jump inert, and the differential suite runs wheel and
-//! plain machines in lockstep across jump boundaries.
+//! jumps straight to the earliest one and adds the accounting the
+//! skipped cycles would have produced: the slot's stall per cycle
+//! (from the frozen wake reason), the unbound slots' NoThread stalls,
+//! and the implicit rotations, which leave the head of the priority
+//! order in place when only one slot is live. Cycle counts and
+//! statistics are identical to stepping; debug builds re-derive the
+//! slot's stall from live state at every span's first cycle (and at
+//! its last, unless a refill ended it), and the differential suite
+//! compares untraced runs with traced ones.
 //!
 //! The fetch system keeps working while the machine is stalled, so the
 //! wheel *replays* it through the span rather than stopping at its
@@ -27,35 +29,26 @@
 //! bookkeeping and get special treatment:
 //!
 //! * a **redirect delivery** rewrites the slot's `earliest_issue` (the
-//!   branch shadow) — the wheel absorbs it mid-span, switching that
-//!   slot's synthesized stall from `Fetch` to `BranchShadow` at the
-//!   exact delivery cycle, and keeps jumping (this fuses the paper's
-//!   whole branch shadow — fetch wait, delivery, decode refill — into
-//!   one jump);
+//!   branch shadow) — the wheel absorbs it mid-span, switching the
+//!   slot's stall from `Fetch` to `BranchShadow` at the exact delivery
+//!   cycle, and keeps jumping (this fuses the paper's whole branch
+//!   shadow — fetch wait, delivery, decode refill — into one jump);
 //! * a **refill delivery to a fetch-starved slot** re-arms issue — the
 //!   wheel stops the span right there, absorbing only the delivery
 //!   cycle's start-of-cycle work (rotation tick and fetch events), and
 //!   the real step at that cycle issues normally.
 //!
-//! The per-slot wake reasons come from [`super::SlotBlock`] — the
-//! ready-frontier descriptors the issue phase maintains for every
-//! provably stalled bound slot (an unexpired branch shadow, fetch
-//! starvation, and blocked head stalls with a wake hint from the
-//! scoreboard, the queue ring, or the standby occupancy). Bound slots
-//! still on the ready frontier re-derive the same facts from live
-//! state, including a head probe; unbound slots stay NoThread until a
-//! bind, which the jump conditions bound. Any slot in a state whose next
-//! change is not provably timed (e.g. a non-blockable head stall)
-//! vetoes the jump — correctness never depends on the wheel firing.
-//!
-//! Two throttles keep the wheel from costing more than it saves, and
-//! both are pure attempt-scheduling — the cycles a skipped or vetoed
-//! attempt would have jumped are stepped plainly, with identical
-//! results: one-cycle jumps are vetoed (the walk's bookkeeping exceeds
-//! a blocked-replay step), and machines with several live slots back
-//! off exponentially while attempts keep failing (probing every slot
-//! on every no-issue cycle is wasted work in phases where some slot
-//! soon issues again).
+//! The slot's wake reason comes from its [`super::SlotBlock`] — the
+//! ready-frontier descriptor the issue phase maintains for a provably
+//! stalled bound slot (an unexpired branch shadow, fetch starvation,
+//! or a blocked head stall with a wake hint from the scoreboard, the
+//! queue ring, or the standby occupancy) — or from the same facts
+//! re-derived from live state, including a head probe. Unbound slots
+//! stay NoThread until a bind, which the jump conditions bound. A slot
+//! whose next change is not provably timed (e.g. a non-blockable head
+//! stall) vetoes the jump — correctness never depends on the wheel
+//! firing — and so do one-cycle jumps, whose bookkeeping costs more
+//! than the step they would save.
 
 use super::*;
 
@@ -77,39 +70,45 @@ enum Horizon {
     Unknown,
 }
 
+/// The stall the span's one bound slot records every skipped cycle.
+#[derive(Debug, Clone, Copy)]
+struct SpanStall {
+    slot: usize,
+    reason: StallReason,
+    pc: Option<u32>,
+    /// The probed head is still in the fetch buffer: the walk replays
+    /// the window fill at the span's first cycle.
+    fill: bool,
+}
+
 impl Machine {
-    /// Attempts an event-wheel jump from the current cycle. Called at
-    /// the end of a step that issued nothing; a no-op whenever any
-    /// slot's progress cannot be bounded or an event is due
-    /// immediately.
-    pub(super) fn fast_forward(&mut self) {
+    /// Attempts an event-wheel jump from the current cycle. Called by
+    /// untraced runs after every step that leaves a single live slot;
+    /// a no-op whenever the slot's progress cannot be bounded or an
+    /// event is due by the next cycle.
+    pub(super) fn try_jump(&mut self) {
+        debug_assert!(self.sink.is_none() && self.single_live_slot() && !self.is_done());
         let from = self.cycle;
         // The schedule units would force-rotate an empty highest slot
         // at the start of the next step — an event in itself (it can
-        // ungate stores and emits a trace event), so never jump over
-        // it.
+        // ungate stores), so never jump over it.
         let h = self.prio.highest();
         if !self.bound.contains(h) && !self.slot_has_standby(h) && !self.bound.is_empty() {
             return;
         }
-        let single = self.single_live_slot();
-        let mut stalls = std::mem::take(&mut self.scratch.wheel_stalls);
         // The watchdog trips at `max_cycles`, so a span may extend to
         // it but never past it (the real step there raises the error,
-        // exactly as the plain loop would after stepping through).
+        // exactly as stepping through would).
         let mut target = self.config.max_cycles;
-        let mut jumpable = true;
-        let mut fills = 0u64;
-        // Unbound slots stay NoThread until a bind, which the context
-        // scan below bounds; only bound slots need a horizon.
-        for s in self.bound.iter() {
+        // A single live slot means at most one bound slot. Unbound
+        // slots stay NoThread until a bind, which the context scan
+        // below bounds.
+        let mut stall = None;
+        if let Some(s) = self.bound.iter().next() {
             match self.slot_stall_horizon(s, from) {
                 Horizon::Stall { wake, reason, pc, fill, probed } => {
                     target = target.min(wake);
-                    stalls[s] = (reason, pc);
-                    if fill {
-                        fills |= 1 << s;
-                    } else if probed {
+                    if probed && !fill {
                         // The probe satisfied the head block's creation
                         // preconditions (single-issue, the window holds
                         // exactly this fresh non-gated head) — keep its
@@ -118,97 +117,66 @@ impl Machine {
                         let pc = pc.expect("probed stalls carry the head pc");
                         self.block_slot(s, reason, Some(pc), wake);
                     }
+                    stall = Some(SpanStall { slot: s, reason, pc, fill });
                 }
                 Horizon::Issues { pc } => {
                     // No jump — but the next step can reuse the proof,
                     // as nothing between here and its head evaluation
-                    // mutates state `check_issue` reads (single live
-                    // slot only: another slot issuing first would).
-                    if single {
-                        self.head_pass = Some((from, s, pc));
-                    }
-                    jumpable = false;
-                    break;
+                    // mutates state `check_issue` reads.
+                    self.head_pass = Some((from, s, pc));
+                    return;
                 }
-                Horizon::Unknown => {
-                    jumpable = false;
-                    break;
-                }
-            }
-        }
-        // The slot loop only ever lowers `target`, so a target already
-        // at or below `from + 1` is a veto no matter what the
-        // context/standby scans below would find — bail before paying
-        // for them (the common failure mode in stall-heavy phases:
-        // some slot's block wakes next cycle).
-        if jumpable && target <= from + 1 {
-            jumpable = false;
-        }
-        if jumpable {
-            // An implicit rotation reorders the priorities whenever
-            // more than one slot is live; with a single live slot the
-            // forced rotation hands the token straight back, so it is
-            // synthesized inside the span instead (its statistics and
-            // trace events still matter).
-            if !single {
-                if let Some(r) = self.prio.next_implicit_rotation(from) {
-                    target = target.min(r);
-                }
-            }
-            // Context wake-ups matter only if a slot could bind the
-            // woken context; otherwise the Ready flip is deferred to
-            // the jump boundary, where the plain loop's flips are
-            // replayed.
-            let bindable = !SlotSet::first(self.slots.len())
-                .minus(self.bound)
-                .minus(self.standby_slots())
-                .is_empty();
-            if bindable && self.idle_contexts > 0 {
-                for ctx in &self.contexts {
-                    match ctx.state {
-                        CtxState::Ready => jumpable = false, // bind due now
-                        CtxState::Waiting { until } => target = target.min(until.max(from)),
-                        _ => {}
-                    }
-                }
-            }
-            // Parked standby fronts win arbitration as soon as an
-            // instance of their class frees — unless gated on the
-            // priority, which only a rotation (bounded above) lifts.
-            for class in FuClass::ALL {
-                let ci = class.index();
-                if self.standby_mask[ci].is_empty() {
-                    continue;
-                }
-                let ungated = self.standby_mask[ci].iter().any(|s| {
-                    self.station(s, ci)
-                        .front()
-                        .is_some_and(|f| !f.di.needs_highest_priority() || self.prio.highest() == s)
-                });
-                if ungated {
-                    let free = self.fu_pool.min_release(ci);
-                    // Post-arbitration invariant: an ungated front and
-                    // a free instance never coexist at span start.
-                    debug_assert!(free >= from, "free FU instance left an ungated front parked");
-                    target = target.min(free.max(from));
-                }
+                Horizon::Unknown => return,
             }
         }
         // A one-cycle jump is never worth the span-walk bookkeeping —
-        // the next real step re-records the same stalls (cheaply, via
-        // the blocks the probes just installed) at the same cost.
-        let jumped = jumpable && target > from + 1;
-        if jumped {
-            self.walk_span(from, target, &mut stalls, fills);
+        // the next real step re-records the same stall (cheaply, via
+        // the block the probe just installed) at the same cost. The
+        // scans below only lower `target`, so bail before paying for
+        // them.
+        if target <= from + 1 {
+            return;
         }
-        self.scratch.wheel_stalls = stalls;
-        if !single {
-            if jumped {
-                self.ff_stride = 1;
-            } else {
-                self.ff_next = from + u64::from(self.ff_stride);
-                self.ff_stride = (self.ff_stride * 2).min(64);
+        // Context wake-ups matter only if a slot could bind the woken
+        // context; otherwise the Ready flip is deferred to the jump
+        // boundary, where the per-cycle flips are replayed.
+        let bindable = !SlotSet::first(self.slots.len())
+            .minus(self.bound)
+            .minus(self.standby_slots())
+            .is_empty();
+        if bindable && self.idle_contexts > 0 {
+            for ctx in &self.contexts {
+                match ctx.state {
+                    CtxState::Ready => return, // bind due now
+                    CtxState::Waiting { until } => target = target.min(until.max(from)),
+                    _ => {}
+                }
             }
+        }
+        // Parked standby fronts win arbitration as soon as an instance
+        // of their class frees — unless gated on the priority, which
+        // only a rotation lifts (with a single live slot, the token
+        // always comes straight back to that slot).
+        for class in FuClass::ALL {
+            let ci = class.index();
+            if self.standby_mask[ci].is_empty() {
+                continue;
+            }
+            let ungated = self.standby_mask[ci].iter().any(|s| {
+                self.station(s, ci)
+                    .front()
+                    .is_some_and(|f| !f.di.needs_highest_priority() || self.prio.highest() == s)
+            });
+            if ungated {
+                let free = self.fu_pool.min_release(ci);
+                // Post-arbitration invariant: an ungated front and a
+                // free instance never coexist at span start.
+                debug_assert!(free >= from, "free FU instance left an ungated front parked");
+                target = target.min(free.max(from));
+            }
+        }
+        if target > from + 1 {
+            self.walk_span(from, target, stall);
         }
     }
 
@@ -273,7 +241,7 @@ impl Machine {
         }
         let (pc, fill) = match slot.window.front() {
             Some(&WinEntry::Fresh(pc)) if slot.window.len() == 1 => (pc, false),
-            None if self.fetch.credits(s) > 0 && s < 64 => {
+            None if self.fetch.credits(s) > 0 => {
                 let pc = slot.fetch_pc;
                 if (pc as usize) >= self.program.len() {
                     return Horizon::Unknown; // fetched past the end: real step faults
@@ -317,246 +285,95 @@ impl Machine {
     }
 
     /// Walks the span `[from, target)`, replaying the fetch system and
-    /// synthesizing the skipped cycles' accounting: per-slot stalls
-    /// (stats — the unbound slots' NoThread stalls in one bulk add —
-    /// and, with a sink, `Stall` events for every slot in priority
-    /// order),
-    /// per-cycle `FuLoss` events for standby fronts, fetch deliveries,
-    /// implicit rotations, and the `Waiting -> Ready` context flips the
-    /// plain loop's `wake_and_bind` would have performed. Absorbed
-    /// redirect deliveries switch the slot's descriptor to
-    /// `BranchShadow` mid-span (and may shorten the span to the shadow
-    /// expiry); a refill delivery to a fetch-starved slot ends the span
-    /// at the delivery cycle, with that cycle's start (rotation tick
-    /// and fetch events) already applied so the real step continues
-    /// from the issue phase bit-exactly.
-    fn walk_span(
-        &mut self,
-        from: u64,
-        mut target: u64,
-        stalls: &mut [(StallReason, Option<u32>)],
-        mut fills: u64,
-    ) {
+    /// adding the skipped cycles' accounting: the bound slot's stalls,
+    /// the unbound slots' NoThread stalls, implicit rotations, and the
+    /// `Waiting -> Ready` context flips that stepping's `wake_and_bind`
+    /// would have performed. An absorbed redirect delivery switches the
+    /// slot's stall to `BranchShadow` mid-span (and may shorten the
+    /// span to the shadow expiry); a refill delivery to a fetch-starved
+    /// slot ends the span at the delivery cycle, with that cycle's
+    /// start (rotation tick and fetch events) already applied so the
+    /// real step continues from the issue phase bit-exactly.
+    fn walk_span(&mut self, from: u64, mut target: u64, mut stall: Option<SpanStall>) {
+        #[cfg(debug_assertions)]
+        if let Some(st) = stall {
+            self.assert_slot_inert(st.slot, from, st.reason, st.pc);
+        }
         let depth = self.config.pipeline.decode_depth();
-        let slots = self.slots.len();
-        // Binds are excluded across the span (see the jump
-        // conditions), and nothing issues, so the bound set is fixed.
-        let bound = self.bound;
-        let idle = (slots - bound.len()) as u64;
+        // Binds are excluded across the span (see the jump conditions)
+        // and nothing issues, so the bound set is fixed.
+        let idle = (self.slots.len() - self.bound.len()) as u64;
         let mut deliveries = std::mem::take(&mut self.scratch.deliveries);
-        // The landing cycle: `target`, unless a refill wakes a starved
-        // slot first. Cycles in `[from, end)` have their stalls
-        // synthesized; the real step runs at `end`.
-        let mut end = target;
-        if self.sink.is_some() {
-            // Event-exact replay: walk every cycle emitting what the
-            // plain loop would have emitted, in its order — rotation,
-            // fetch deliveries, stalls in priority order, arbitration
-            // losses per class.
-            let highest = self.prio.highest();
-            let masks = self.standby_mask;
-            let mut t = from;
-            while t < target {
-                if self.prio.tick(t) {
-                    // Only reachable with a single live slot (other
-                    // spans stop before a rotation), where the forced
-                    // rotations below hand the token straight back.
-                    self.stats.rotations += 1;
-                    let highest = self.prio.highest();
-                    if let Some(sink) = self.sink.as_deref_mut() {
-                        sink.event(&TraceEvent::Rotation {
-                            cycle: t,
-                            kind: RotationKind::Implicit,
-                            highest,
-                        });
-                    }
-                    self.skip_empty_priority_slots::<true>(t);
-                }
-                deliveries.clear();
-                self.fetch.begin_cycle(t, &mut deliveries);
-                let mut woke = false;
-                for &d in &deliveries {
-                    if d.redirect {
-                        target = target.min(self.absorb_redirect(d.slot, t, depth, stalls));
-                    } else if stalls[d.slot].0 == StallReason::Fetch {
-                        // The refill re-arms issue: lift the slot's
-                        // Fetch block (the step path's delivery loop
-                        // would, but this delivery is consumed here)
-                        // and end the span at this cycle.
-                        self.unblock(d.slot);
-                        woke = true;
-                    }
-                    if let Some(sink) = self.sink.as_deref_mut() {
-                        sink.event(&TraceEvent::Fetch {
-                            cycle: t,
-                            slot: d.slot,
-                            redirect: d.redirect,
-                        });
-                    }
-                }
-                if woke {
-                    end = t;
-                    break;
-                }
-                while fills != 0 {
-                    let s = fills.trailing_zeros() as usize;
-                    fills &= fills - 1;
-                    self.apply_fill(s);
-                }
-                self.stats.record_stalls(StallReason::NoThread, t, idle);
-                for s in self.prio.order() {
-                    let (reason, pc) = if bound.contains(s) {
-                        let (reason, pc) = stalls[s];
-                        #[cfg(debug_assertions)]
-                        self.assert_slot_inert(s, t, reason, pc);
-                        self.stats.record_stall(reason, t);
-                        (reason, pc)
-                    } else {
-                        (StallReason::NoThread, None)
-                    };
-                    if let Some(sink) = self.sink.as_deref_mut() {
-                        sink.event(&TraceEvent::Stall { cycle: t, slot: s, reason, pc });
-                    }
-                }
-                let standby = &self.standby;
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    for class in FuClass::ALL {
-                        let ci = class.index();
-                        for s in masks[ci].iter_from(highest, slots) {
-                            let f = standby[s * FU_CLASS_COUNT + ci]
-                                .front()
-                                .expect("standby mask in sync with stations");
-                            sink.event(&TraceEvent::FuLoss {
-                                cycle: t,
-                                slot: s,
-                                class,
-                                pc: f.pc,
-                                gated: f.di.needs_highest_priority() && highest != s,
-                                winners: SlotSet::EMPTY,
-                            });
-                        }
-                    }
-                }
-                self.fetch.end_cycle(t);
-                t += 1;
-            }
-            // An absorbed redirect may have pulled `target` in below
-            // the landing cycle chosen at entry. (When the walk
-            // stopped on a woken slot, cycle `end`'s tick was already
-            // applied above; the real step's own tick will see
-            // `last_rotation == end` and do nothing.)
-            end = end.min(target);
-        } else {
-            // Arithmetic fast path (the steady state of untraced runs):
-            // batch the rotations and the per-piece stall attribution,
-            // visiting only the fetch system's active cycles. The
-            // per-slot piece starts are materialized lazily — only an
-            // absorbed redirect splits a slot's span into pieces.
-            let mut piece = std::mem::take(&mut self.scratch.wheel_piece);
-            let mut pieced = false;
-            let mut t = from;
-            let mut stopped = false;
-            // The fetch replay must surface any redirect delivery and
-            // any refill to a fetch-starved slot; everything else it
-            // absorbs internally. Slots past the mask width stop the
-            // replay unconditionally (conservative, never wrong).
-            let mut wake_mask = 0u64;
-            for s in bound.iter() {
-                if stalls[s].0 == StallReason::Fetch {
-                    wake_mask |= 1 << s;
-                }
-            }
+        // The fetch replay must surface any redirect delivery, and a
+        // refill only to a fetch-starved slot; everything else it
+        // absorbs internally. Only the bound slot receives deliveries.
+        let stop_on_refill = stall.is_some_and(|st| st.reason == StallReason::Fetch);
+        // Start of the slot's current stall piece: an absorbed redirect
+        // closes one piece and opens the shadow's.
+        let mut piece = from;
+        let mut t = from;
+        // The landing cycle when a refill wakes the starved slot.
+        let mut woke = None;
+        if let Some(st) = stall.filter(|st| st.fill) {
             // A pending fill consumes a credit at `from`, which can
             // start a refill service that very cycle — so visit `from`
-            // by hand before handing the span to the fetch system.
-            if fills != 0 {
-                deliveries.clear();
-                self.fetch.begin_cycle(from, &mut deliveries);
-                let mut woke = false;
-                for &d in &deliveries {
-                    if d.redirect {
-                        if !pieced {
-                            piece.clear();
-                            piece.resize(slots, from);
-                            pieced = true;
-                        }
-                        self.stats.record_stall_span(stalls[d.slot].0, piece[d.slot], from, 1);
-                        piece[d.slot] = from;
-                        target = target.min(self.absorb_redirect(d.slot, from, depth, stalls));
-                    } else if stalls[d.slot].0 == StallReason::Fetch {
-                        self.unblock(d.slot); // as in the traced path
-                        woke = true;
-                    }
-                }
-                if woke {
-                    end = from;
-                    stopped = true;
-                } else {
-                    while fills != 0 {
-                        let s = fills.trailing_zeros() as usize;
-                        fills &= fills - 1;
-                        self.apply_fill(s);
-                    }
-                    self.fetch.end_cycle(from);
-                    t = from + 1;
-                }
-            }
-            while !stopped && t < target {
-                let Some(tc) = self.fetch.advance_span(t, target, wake_mask, &mut deliveries)
-                else {
-                    break;
-                };
-                let mut woke = false;
-                for &d in &deliveries {
-                    if d.redirect {
-                        if !pieced {
-                            piece.clear();
-                            piece.resize(slots, from);
-                            pieced = true;
-                        }
-                        // Close the slot's current stall piece at the
-                        // delivery cycle; the shadow piece starts here.
-                        self.stats.record_stall_span(stalls[d.slot].0, piece[d.slot], tc, 1);
-                        piece[d.slot] = tc;
-                        target = target.min(self.absorb_redirect(d.slot, tc, depth, stalls));
-                    } else if stalls[d.slot].0 == StallReason::Fetch {
-                        self.unblock(d.slot); // as in the traced path
-                        woke = true;
-                    }
-                }
-                if woke {
-                    end = tc;
-                    stopped = true;
-                } else {
-                    self.fetch.end_cycle(tc);
-                    t = tc + 1;
-                }
-            }
-            end = end.min(target);
-            // Rotations: when the span stopped at a woken slot, the
-            // stopping cycle's tick belongs to the wheel too (the real
-            // step's own tick then no-ops), matching the traced path.
-            let tick_end = if stopped { end + 1 } else { end };
-            let highest = self.prio.highest();
-            let rotations = self.prio.fast_forward_ticks(from, tick_end);
-            if rotations > 0 {
-                // Only a single live slot lets a span cross a rotation,
-                // and each rotation's forced follow-up returns the
-                // token to it (on the rotation's own cycle).
-                debug_assert!(self.single_live_slot(), "a span crossed a reordering rotation");
-                self.prio.realign(highest);
-            }
-            self.stats.rotations += rotations;
-            for s in bound.iter() {
-                let start = if pieced { piece[s] } else { from };
-                self.stats.record_stall_span(stalls[s].0, start, end, 1);
-            }
-            self.stats.record_stall_span(StallReason::NoThread, from, end, idle);
-            self.scratch.wheel_piece = piece;
+            // by hand before handing the span to the fetch system. A
+            // slot with credits has no redirect in flight, and a probed
+            // head is not fetch-starved, so no delivery here surfaces.
+            deliveries.clear();
+            self.fetch.begin_cycle(from, &mut deliveries);
+            debug_assert!(deliveries.iter().all(|d| !d.redirect), "redirect with credits left");
+            self.apply_fill(st.slot);
+            self.fetch.end_cycle(from);
+            t = from + 1;
         }
-        // The plain loop's `wake_and_bind` at each skipped cycle `t`
-        // flips `Waiting { until }` contexts with `until <= t` to
-        // `Ready`; replay the flips the span's last cycle would have
+        while t < target {
+            let Some(tc) = self.fetch.advance_span(t, target, stop_on_refill, &mut deliveries)
+            else {
+                break;
+            };
+            let st = stall.as_mut().expect("only a bound slot receives deliveries");
+            debug_assert!(deliveries.iter().all(|d| d.slot == st.slot));
+            if deliveries.iter().any(|d| !d.redirect) {
+                // The refill re-arms issue: lift the slot's Fetch block
+                // (the step's delivery loop would, but this delivery
+                // is consumed here) and land at this cycle.
+                self.unblock(st.slot);
+                woke = Some(tc);
+                break;
+            }
+            // Close the slot's current stall piece at the delivery
+            // cycle; the shadow piece starts here.
+            self.stats.record_stall_span(st.reason, piece, tc, 1);
+            piece = tc;
+            target = target.min(self.absorb_redirect(st, tc, depth));
+            self.fetch.end_cycle(tc);
+            t = tc + 1;
+        }
+        let end = woke.unwrap_or(target);
+        #[cfg(debug_assertions)]
+        if let (Some(st), None) = (stall, woke) {
+            self.assert_slot_inert(st.slot, end - 1, st.reason, st.pc);
+        }
+        // Rotations: when the span stopped at a woken slot, the
+        // stopping cycle's tick belongs to the wheel too (the real
+        // step's own tick then no-ops).
+        let tick_end = if woke.is_some() { end + 1 } else { end };
+        let highest = self.prio.highest();
+        let rotations = self.prio.fast_forward_ticks(from, tick_end);
+        if rotations > 0 {
+            // Each rotation's forced follow-up returns the token to
+            // the one live slot (on the rotation's own cycle).
+            self.prio.realign(highest);
+        }
+        self.stats.rotations += rotations;
+        if let Some(st) = stall {
+            self.stats.record_stall_span(st.reason, piece, end, 1);
+        }
+        self.stats.record_stall_span(StallReason::NoThread, from, end, idle);
+        // Stepping's `wake_and_bind` at each skipped cycle `t` flips
+        // `Waiting { until }` contexts with `until <= t` to `Ready`;
+        // replay the flips the span's last cycle would have
         // accumulated. Binds need a free slot, which the jump
         // conditions exclude, so a flip is all that happens.
         if self.idle_contexts > 0 {
@@ -573,48 +390,47 @@ impl Machine {
         self.stats.cycles = end;
     }
 
-    /// Applies a redirect delivery for `slot` at cycle `t` exactly as
-    /// the plain loop's delivery handling would, switches the slot's
-    /// synthesized stall to the branch shadow, and returns the new
-    /// wake cycle (the shadow expiry).
-    fn absorb_redirect(
-        &mut self,
-        slot: usize,
-        t: u64,
-        depth: u64,
-        stalls: &mut [(StallReason, Option<u32>)],
-    ) -> u64 {
+    /// Applies a redirect delivery for the span's slot at cycle `t`
+    /// exactly as the step's delivery handling would, switches the
+    /// slot's stall to the branch shadow, and returns the new wake
+    /// cycle (the shadow expiry).
+    fn absorb_redirect(&mut self, st: &mut SpanStall, t: u64, depth: u64) -> u64 {
         // A redirect lands on a slot that was starved waiting for it
         // (`Fetch`), or — when a rebind's switch penalty outlasts the
         // fetch service — on a slot still inside its shadow, which the
         // delivery then extends to cover the decode refill.
         debug_assert!(
-            matches!(stalls[slot].0, StallReason::Fetch | StallReason::BranchShadow),
+            matches!(st.reason, StallReason::Fetch | StallReason::BranchShadow),
             "redirect delivered to slot stalled on {:?}",
-            stalls[slot].0
+            st.reason
         );
-        let s = &mut self.slots[slot];
+        let s = &mut self.slots[st.slot];
         s.earliest_issue = s.earliest_issue.max(t + depth);
         let wake = s.earliest_issue;
-        let pc = self.next_window_pc(slot);
-        stalls[slot] = (StallReason::BranchShadow, Some(pc));
+        let pc = self.next_window_pc(st.slot);
+        st.reason = StallReason::BranchShadow;
+        st.pc = Some(pc);
         // The step path would unblock on the delivery, re-evaluate,
         // and re-block on the extended shadow; the span fuses that
-        // into one block rewrite with identical synthesized stalls.
-        self.block_slot(slot, StallReason::BranchShadow, Some(pc), wake);
+        // into one block rewrite with identical stalls.
+        self.block_slot(st.slot, StallReason::BranchShadow, Some(pc), wake);
         wake
     }
 
-    /// Debug-build proof that a synthesized stall is inert: the slot
-    /// re-derives exactly the frozen descriptor at cycle `t`, still
-    /// stalled past it.
+    /// Debug-build proof that a span is inert for slot `s` at cycle
+    /// `t`: re-derived from live state — not from its block — the slot
+    /// records exactly the span's stall descriptor and stays stalled
+    /// past `t`.
     #[cfg(debug_assertions)]
-    fn assert_slot_inert(&self, s: usize, t: u64, reason: StallReason, pc: Option<u32>) {
-        let Horizon::Stall { wake, reason: r, pc: p, .. } = self.slot_stall_horizon(s, t) else {
+    fn assert_slot_inert(&mut self, s: usize, t: u64, reason: StallReason, pc: Option<u32>) {
+        let block = self.slots[s].block.take();
+        let horizon = self.slot_stall_horizon(s, t);
+        self.slots[s].block = block;
+        let Horizon::Stall { wake, reason: r, pc: p, .. } = horizon else {
             panic!("slot {s} must stay provably stalled across the span (cycle {t})");
         };
         assert_eq!((r, p), (reason, pc), "slot {s} stall descriptor drifted at cycle {t}");
-        assert!(wake > t, "slot {s} woke at {wake}, at or before synthesized cycle {t}");
+        assert!(wake > t, "slot {s} woke at {wake}, at or before skipped cycle {t}");
     }
 }
 /// Property tests for the wake-time arithmetic (found regressions live
@@ -649,10 +465,12 @@ mod properties {
         hirata_asm::assemble(&src).expect("generator emits valid assembly")
     }
 
+    /// Two identical machines: one for the wheel (driven by
+    /// `run_span(1)`: one step, then a jump when one is provable) and
+    /// one stepped cycle by cycle.
     fn machines(program: &hirata_isa::Program, slots: usize) -> (Machine, Machine) {
         let wheel = Machine::new(Config::multithreaded(slots), program).unwrap();
-        let plain =
-            Machine::new(Config::multithreaded(slots).with_fast_forward(false), program).unwrap();
+        let plain = Machine::new(Config::multithreaded(slots), program).unwrap();
         (wheel, plain)
     }
 
@@ -660,11 +478,12 @@ mod properties {
         #![proptest_config(ProptestConfig { cases: 24 })]
 
         /// Next-event monotonicity and never-overshooting, checked by
-        /// lockstep: each wheel step lands at a cycle the plain
+        /// lockstep: each wheel step lands at a cycle the stepped
         /// machine reaches with identical statistics — so every jump
         /// moved strictly forward, and never past an event (an issue
         /// inside a skipped span would desynchronize
-        /// `stats.instructions` at the boundary).
+        /// `stats.instructions` at the boundary). At two and four
+        /// slots the wheel fires only in the single-live-slot phases.
         #[test]
         fn jumps_land_exactly_on_plain_loop_cycles(
             divs in 0u32..6,
@@ -676,7 +495,7 @@ mod properties {
             let (mut wheel, mut plain) = machines(&program, slots);
             let mut done = false;
             while !done {
-                done = wheel.step().unwrap();
+                done = wheel.run_span(1).unwrap();
                 prop_assert!(wheel.cycles() > plain.cycles() || done);
                 while plain.cycles() < wheel.cycles() {
                     plain.step().unwrap();
@@ -698,8 +517,7 @@ mod properties {
         /// A re-arm may legitimately advance again when the first jump
         /// stopped conservatively at a fetch delivery whose delivered
         /// head then probes as stalled — but each landing must stay
-        /// byte-identical to the plain loop, and the chain must
-        /// terminate.
+        /// identical to stepping, and the chain must terminate.
         #[test]
         fn rearming_at_a_jump_target_is_a_no_op(
             divs in 1u32..6,
@@ -711,13 +529,13 @@ mod properties {
             let mut done = false;
             while !done {
                 let before = wheel.cycles();
-                done = wheel.step().unwrap();
+                done = wheel.run_span(1).unwrap();
                 if wheel.cycles() > before + 1 {
                     jumps += 1;
                     let mut rearms = 0u32;
                     loop {
                         let landed = wheel.cycles();
-                        wheel.fast_forward();
+                        wheel.try_jump();
                         if wheel.cycles() == landed {
                             break; // fixed point: re-arming is a no-op
                         }
@@ -746,7 +564,7 @@ mod properties {
         let program = stall_program(1, 0, 1);
         let (mut wheel, mut plain) = machines(&program, 1);
         wheel.run().unwrap();
-        plain.run().unwrap();
+        while !plain.step().unwrap() {}
         assert_eq!(wheel.stats(), plain.stats());
     }
 
@@ -776,7 +594,7 @@ consume:
         let program = hirata_asm::assemble(src).expect("valid queue program");
         let (mut wheel, mut plain) = machines(&program, 2);
         wheel.run().unwrap();
-        plain.run().unwrap();
+        while !plain.step().unwrap() {}
         assert_eq!(wheel.stats(), plain.stats());
         assert_eq!(wheel.cycles(), plain.cycles());
     }

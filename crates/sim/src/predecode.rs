@@ -18,9 +18,7 @@
 
 use std::sync::Arc;
 
-use hirata_isa::{
-    BranchCond, DataSegment, FpBinOp, FpUnOp, FuClass, GSrc, Inst, IntOp, Latency, Program, Reg,
-};
+use hirata_isa::{DataSegment, FuClass, GSrc, Inst, Latency, Program, Reg};
 
 use crate::error::MachineError;
 
@@ -39,152 +37,6 @@ pub mod flags {
     /// Executed entirely inside the decode unit (no functional-unit
     /// class).
     pub const DECODE_UNIT: u8 = 1 << 4;
-}
-
-/// Dense execution code of one µop: every distinct functional-unit
-/// operation gets its own code, so execute-time dispatch is a single
-/// indexed load from the [`crate::exec`] handler table instead of the
-/// nested `Inst`/`IntOp`/`FpBinOp`/[`BranchCond`] matches it replaced.
-///
-/// Like every other [`DecodedInst`] field, the code is a pure function
-/// of the instruction (see [`ExecOp::of`]); debug builds cross-check
-/// each dispatch against a fresh enum-match evaluation
-/// (`exec::fu_action`), and the `uop` integration test sweeps every
-/// instruction form plus seeded random programs through both paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ExecOp {
-    /// Executed inside the decode unit — never dispatched to a
-    /// functional unit (the machine surfaces an attempt as
-    /// [`MachineError::DecodeAtFu`]).
-    DecodeUnit = 0,
-    /// `add` — wrapping integer add.
-    IntAdd,
-    /// `sub` — wrapping integer subtract.
-    IntSub,
-    /// `and` — bitwise and.
-    IntAnd,
-    /// `or` — bitwise or.
-    IntOr,
-    /// `xor` — bitwise exclusive or.
-    IntXor,
-    /// `slt` — set if less than (signed).
-    IntSlt,
-    /// `sle` — set if less or equal (signed).
-    IntSle,
-    /// `seq` — set if equal.
-    IntSeq,
-    /// `sne` — set if not equal.
-    IntSne,
-    /// `sll` — shift left logical (shift amount masked to 6 bits).
-    IntSll,
-    /// `srl` — shift right logical.
-    IntSrl,
-    /// `sra` — shift right arithmetic.
-    IntSra,
-    /// `mul` — wrapping integer multiply.
-    IntMul,
-    /// `div` — wrapping integer divide (0 on a zero divisor).
-    IntDiv,
-    /// `rem` — wrapping integer remainder (0 on a zero divisor).
-    IntRem,
-    /// `li` / `lif` — write the pre-extracted immediate bits.
-    LoadImm,
-    /// `fadd`.
-    FAdd,
-    /// `fsub`.
-    FSub,
-    /// `fmul`.
-    FMul,
-    /// `fdiv` (IEEE semantics; division by zero gives an infinity).
-    FDiv,
-    /// `fabs`.
-    FAbs,
-    /// `fneg`.
-    FNeg,
-    /// `fmov`.
-    FMov,
-    /// `fcmp.eq` — floating compare, writes 0/1 to an integer register.
-    FCmpEq,
-    /// `fcmp.ne`.
-    FCmpNe,
-    /// `fcmp.lt`.
-    FCmpLt,
-    /// `fcmp.le`.
-    FCmpLe,
-    /// `fcmp.gt`.
-    FCmpGt,
-    /// `fcmp.ge`.
-    FCmpGe,
-    /// `cvtif` — integer to float.
-    CvtIF,
-    /// `cvtfi` — float to integer (truncating).
-    CvtFI,
-    /// `lpid` — read the logical-processor id.
-    Lpid,
-    /// `nlp` — read the number of logical processors.
-    Nlp,
-    /// `lw` / `lf` — load from `vals[0] + imm`.
-    Load,
-    /// `sw` / `sf` (and gated variants) — store `vals[0]` to
-    /// `vals[1] + imm`.
-    Store,
-}
-
-/// Number of [`ExecOp`] codes (the handler-table length).
-pub const EXEC_OP_COUNT: usize = ExecOp::Store as usize + 1;
-
-impl ExecOp {
-    /// Lowers one instruction to its µop code — a pure derivation,
-    /// like the rest of the predecode pass.
-    pub fn of(inst: &Inst) -> Self {
-        match *inst {
-            Inst::IntOp { op, .. } => match op {
-                IntOp::Add => ExecOp::IntAdd,
-                IntOp::Sub => ExecOp::IntSub,
-                IntOp::And => ExecOp::IntAnd,
-                IntOp::Or => ExecOp::IntOr,
-                IntOp::Xor => ExecOp::IntXor,
-                IntOp::Slt => ExecOp::IntSlt,
-                IntOp::Sle => ExecOp::IntSle,
-                IntOp::Seq => ExecOp::IntSeq,
-                IntOp::Sne => ExecOp::IntSne,
-                IntOp::Sll => ExecOp::IntSll,
-                IntOp::Srl => ExecOp::IntSrl,
-                IntOp::Sra => ExecOp::IntSra,
-                IntOp::Mul => ExecOp::IntMul,
-                IntOp::Div => ExecOp::IntDiv,
-                IntOp::Rem => ExecOp::IntRem,
-            },
-            Inst::Li { .. } | Inst::LiF { .. } => ExecOp::LoadImm,
-            Inst::FpBin { op, .. } => match op {
-                FpBinOp::FAdd => ExecOp::FAdd,
-                FpBinOp::FSub => ExecOp::FSub,
-                FpBinOp::FMul => ExecOp::FMul,
-                FpBinOp::FDiv => ExecOp::FDiv,
-            },
-            Inst::FpUn { op, .. } => match op {
-                FpUnOp::FAbs => ExecOp::FAbs,
-                FpUnOp::FNeg => ExecOp::FNeg,
-                FpUnOp::FMov => ExecOp::FMov,
-            },
-            Inst::FpCmp { cond, .. } => match cond {
-                BranchCond::Eq => ExecOp::FCmpEq,
-                BranchCond::Ne => ExecOp::FCmpNe,
-                BranchCond::Lt => ExecOp::FCmpLt,
-                BranchCond::Le => ExecOp::FCmpLe,
-                BranchCond::Gt => ExecOp::FCmpGt,
-                BranchCond::Ge => ExecOp::FCmpGe,
-            },
-            Inst::CvtIF { .. } => ExecOp::CvtIF,
-            Inst::CvtFI { .. } => ExecOp::CvtFI,
-            Inst::Lpid { .. } => ExecOp::Lpid,
-            Inst::Nlp { .. } => ExecOp::Nlp,
-            Inst::Load { .. } => ExecOp::Load,
-            Inst::Store { .. } => ExecOp::Store,
-            _ => ExecOp::DecodeUnit,
-        }
-    }
 }
 
 /// Operand-capture plan entry: take the pre-folded immediate
@@ -214,18 +66,14 @@ pub struct DecodedInst {
     pub latency: Latency,
     /// Classification bits from [`flags`].
     pub flags: u8,
-    /// Dense execution code for the [`crate::exec`] handler table.
-    pub exec_op: ExecOp,
     /// Operand-capture plan: per operand slot, either a register-bank
     /// dense index (0..63), [`CAP_IMM`] for the pre-folded immediate,
     /// or [`CAP_NONE`] for an unused slot — so issue-time capture is
     /// two indexed loads with zero enum matches (queue-mapped contexts
     /// fall back to the exact resolver, which has pop side effects).
     pub cap: [u8; 2],
-    /// Pre-extracted immediate bits: the `li` value / `lif` bit
-    /// pattern, the load/store displacement, or the folded second
-    /// operand of an immediate-form `IntOp`/`Branch` (the uses never
-    /// overlap, so one field serves all three).
+    /// The folded second operand of an immediate-form `IntOp`/`Branch`
+    /// (read through [`CAP_IMM`]); 0 for every other instruction.
     pub imm: u64,
 }
 
@@ -264,16 +112,12 @@ impl DecodedInst {
             }
         }
         // The immediate second operand occupies the register-free slot
-        // (mirroring `exec::resolve_operands`); `li`/`lif` and memory
-        // displacements are consumed by the handlers instead.
+        // (mirroring `exec::resolve_operands`).
         let imm = match inst {
             Inst::IntOp { src2: GSrc::Imm(i), .. } | Inst::Branch { src2: GSrc::Imm(i), .. } => {
                 cap[1] = CAP_IMM;
                 i as u64
             }
-            Inst::Li { imm, .. } => imm as u64,
-            Inst::LiF { imm, .. } => imm.to_bits(),
-            Inst::Load { off, .. } | Inst::Store { off, .. } => off as u64,
             _ => 0,
         };
         DecodedInst {
@@ -285,7 +129,6 @@ impl DecodedInst {
             dest_mask,
             latency: inst.latency(),
             flags: fl,
-            exec_op: ExecOp::of(&inst),
             cap,
             imm,
         }
@@ -449,7 +292,6 @@ mod tests {
             src2: GSrc::Reg(GReg(3)),
         });
         assert_eq!(rr.cap, [2, 3]);
-        assert_eq!(rr.exec_op, ExecOp::IntAdd);
 
         // Immediate form: slot 1 takes the pre-folded immediate.
         let ri = DecodedInst::of(Inst::IntOp {
@@ -461,27 +303,21 @@ mod tests {
         assert_eq!(ri.cap, [2, CAP_IMM]);
         assert_eq!(ri.imm as i64, -3);
 
-        // li/lif: no sources, handler consumes the immediate bits.
+        // li/lif: no sources; the value is the instruction's own.
         let li = DecodedInst::of(Inst::Li { rd: GReg(4), imm: -9 });
-        assert_eq!(li.cap, [CAP_NONE, CAP_NONE]);
-        assert_eq!((li.exec_op, li.imm as i64), (ExecOp::LoadImm, -9));
-        let lif = DecodedInst::of(Inst::LiF { fd: hirata_isa::FReg(1), imm: 2.5 });
-        assert_eq!((lif.exec_op, lif.imm), (ExecOp::LoadImm, 2.5f64.to_bits()));
+        assert_eq!((li.cap, li.imm), ([CAP_NONE, CAP_NONE], 0));
 
-        // Memory displacement rides in `imm`; base registers in `cap`.
+        // Memory operations capture their registers; the displacement
+        // stays in the instruction.
         let lw = DecodedInst::of(Inst::Load { dst: Reg::G(GReg(5)), base: GReg(6), off: -4 });
-        assert_eq!((lw.exec_op, lw.cap[0], lw.imm as i64), (ExecOp::Load, 6, -4));
+        assert_eq!((lw.cap, lw.imm), ([6, CAP_NONE], 0));
         let sw = DecodedInst::of(Inst::Store {
             src: Reg::G(GReg(7)),
             base: GReg(8),
             off: 12,
             gated: false,
         });
-        assert_eq!((sw.exec_op, sw.cap, sw.imm as i64), (ExecOp::Store, [7, 8], 12));
-
-        // Decode-unit instructions carry the sentinel code.
-        assert_eq!(DecodedInst::of(Inst::Halt).exec_op, ExecOp::DecodeUnit);
-        assert_eq!(DecodedInst::of(Inst::Jump { target: 3 }).exec_op, ExecOp::DecodeUnit);
+        assert_eq!((sw.cap, sw.imm), ([7, 8], 0));
     }
 
     #[test]

@@ -71,27 +71,12 @@ impl Priorities {
         false
     }
 
-    /// First cycle `>= from` at which [`Self::tick`] would rotate, or
-    /// `None` in explicit mode (only a `chgpri` can rotate then, and
-    /// `chgpri` requires an issue — which the event wheel has already
-    /// ruled out). Used by the event wheel to bound fast-forward jumps.
-    pub(crate) fn next_implicit_rotation(&self, from: u64) -> Option<u64> {
-        match self.mode {
-            RotationMode::Implicit { interval } => {
-                // tick(now) fires when now > 0 && now - last >= interval.
-                Some((self.last_rotation + interval as u64).max(from).max(1))
-            }
-            RotationMode::Explicit => None,
-        }
-    }
-
     /// Applies every implicit rotation that [`Self::tick`] would have
     /// performed over the half-open cycle span `[from, to)`, in one
     /// arithmetic step. Returns the number of rotations applied.
     /// Explicit mode never rotates on its own, so the span is a no-op
-    /// there. Used by the event wheel's no-trace fast path (with a
-    /// trace sink attached the wheel calls `tick` per skipped cycle
-    /// instead, to emit the rotation events at their exact cycles).
+    /// there. Used by the event wheel (traced runs never jump, so
+    /// every rotation event is still emitted by a per-cycle `tick`).
     pub(crate) fn fast_forward_ticks(&mut self, from: u64, to: u64) -> u64 {
         let RotationMode::Implicit { interval } = self.mode else { return 0 };
         let interval = interval as u64;

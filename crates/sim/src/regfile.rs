@@ -157,7 +157,7 @@ impl RegBank {
 
     /// Reads the raw bit pattern of the register at dense index `idx`
     /// (the `Reg::dense_index` layout: G0..G31, then F0..F31). The
-    /// µop capture plans store source slots in this form, so issue-time
+    /// Capture plans store source slots in this form, so issue-time
     /// capture is one bound check and one indexed load. `idx` 0 is r0,
     /// whose slot in `gvals` is never written — no zero special-case
     /// needed.

@@ -1,8 +1,9 @@
-//! Demonstrates the ISSUE's allocation-free cycle loop: once a machine
-//! is past its warm-up transient (queue rings at their high-water mark,
+//! Demonstrates the allocation-free cycle loop: once a machine is past
+//! its warm-up transient (queue rings at their high-water mark,
 //! stall-attribution windows within reserved capacity, every touched
 //! memory chunk materialized), [`Machine::step`] performs zero heap
-//! allocations.
+//! allocations, and neither do the event wheel's jumps that
+//! [`Machine::run_span`] adds between steps.
 //!
 //! The proof is a counting `#[global_allocator]`: every allocation
 //! bumps a counter of the thread that makes it, and the steady-state
@@ -82,8 +83,7 @@ fn assert_steady_state_allocation_free(slots: usize) {
     // mark and leaves the stall-window vector (one entry per 1000
     // cycles, reserved in power-of-two blocks with a 64-window floor)
     // with capacity through at least cycle 64000 — far past anything
-    // the measured span can reach, even with fast-forward jumps
-    // covering many cycles per step.
+    // the measured span can reach.
     const WARMUP_CYCLES: u64 = 5000;
     const MEASURED_CYCLES: u64 = 1500;
     for _ in 0..WARMUP_CYCLES {
@@ -125,10 +125,10 @@ fn step_is_allocation_free_in_steady_state_s8() {
 /// structs pushed into a ring whose `VecDeque` stops growing once it
 /// first reaches capacity during warm-up, so a traced machine must be
 /// just as allocation-free in steady state as an untraced one. This
-/// also pins down that the µop store (operand-capture plans, `ExecOp`
-/// codes, pre-folded immediates) and the FU calendar ring are built
-/// once at construction — neither path may rebuild or grow anything
-/// per cycle, traced or not.
+/// also pins down that the predecoded store (operand-capture plans,
+/// pre-folded immediates) and the FU release slots are built once at
+/// construction — neither path may rebuild or grow anything per
+/// cycle, traced or not.
 fn assert_traced_steady_state_allocation_free(slots: usize) {
     let shape = ListShape { nodes: 600, break_at: Some(599) };
     let program = eager_program(shape);
@@ -173,4 +173,58 @@ fn traced_step_is_allocation_free_in_steady_state_s4() {
 #[test]
 fn traced_step_is_allocation_free_in_steady_state_s8() {
     assert_traced_steady_state_allocation_free(8);
+}
+
+/// The event wheel's jump path, driven through [`Machine::run_span`]
+/// (`step` never jumps): on one slot, a divide chain stalls on its
+/// 20-cycle results and on the branch shadow after every back edge,
+/// so most calls jump. A span walk reuses the machine's scratch
+/// buffers, so jumping must be as allocation-free as stepping.
+#[test]
+fn run_span_jumps_are_allocation_free() {
+    let program = hirata_asm::assemble(
+        "
+        lif  f1, #5.0
+        lif  f2, #1.0
+        li   r4, #2000
+    loop:
+        fdiv f1, f1, f2
+        fdiv f1, f1, f2
+        sub  r4, r4, #1
+        bne  r4, #0, loop
+        sf   f1, 300(r0)
+        halt
+    ",
+    )
+    .expect("assembles");
+    let mut machine = Machine::new(Config::multithreaded(1), &program).expect("machine builds");
+
+    // Same warm-up and window-capacity reasoning as the step probes.
+    const WARMUP_CYCLES: u64 = 5000;
+    const MEASURED_CYCLES: u64 = 20_000;
+    while machine.cycles() < WARMUP_CYCLES {
+        assert!(!machine.run_span(1).expect("machine runs"), "workload ended during warm-up");
+    }
+
+    let start = machine.cycles();
+    let mut jumps = 0u64;
+    let before = allocations();
+    while machine.cycles() < start + MEASURED_CYCLES {
+        let at = machine.cycles();
+        assert!(!machine.run_span(1).expect("machine runs"), "workload ended during measurement");
+        jumps += u64::from(machine.cycles() > at + 1);
+    }
+    let after = allocations();
+
+    assert_eq!(
+        after - before,
+        0,
+        "run_span allocated while jumping ({} allocations over {} cycles)",
+        after - before,
+        MEASURED_CYCLES
+    );
+    assert!(jumps > 100, "the event wheel barely fired: {jumps} jumps");
+
+    let stats = machine.run().expect("machine completes");
+    assert!(stats.cycles > start + MEASURED_CYCLES);
 }

@@ -91,7 +91,7 @@ fn mostly<T: Clone + 'static>(
     prop_oneof![12 => valid, 1 => any]
 }
 
-fn config() -> impl Strategy<Value = Config> {
+fn config() -> impl Strategy<Value = Case> {
     let shape = (
         prop_oneof![6 => Just(PipelineKind::Multithreaded), 1 => Just(PipelineKind::BaseRisc)],
         slots(),
@@ -122,34 +122,50 @@ fn config() -> impl Strategy<Value = Config> {
                 private_fetch,
                 switch_penalty,
             ),
-            (queue_capacity, mem_words, icache_cycles, max_cycles, fast_forward),
-        )| Config {
-            pipeline,
-            thread_slots,
-            issue_width,
-            fu,
-            standby_stations,
-            standby_depth,
-            refetch_fallthrough,
-            rotation,
-            private_fetch,
-            context_frames: (thread_slots + extra_frames).saturating_sub(frame_deficit),
-            switch_penalty,
-            queue_capacity,
-            mem_words,
-            icache_cycles,
-            max_cycles,
-            fast_forward,
+            (queue_capacity, mem_words, icache_cycles, max_cycles, stepped),
+        )| Case {
+            config: Config {
+                pipeline,
+                thread_slots,
+                issue_width,
+                fu,
+                standby_stations,
+                standby_depth,
+                refetch_fallthrough,
+                rotation,
+                private_fetch,
+                context_frames: (thread_slots + extra_frames).saturating_sub(frame_deficit),
+                switch_penalty,
+                queue_capacity,
+                mem_words,
+                icache_cycles,
+                max_cycles,
+            },
+            stepped,
         },
     )
 }
 
-/// Runs `program` on `config`; panics (failing the property) on a
-/// panic or a watchdog ending.
-fn run_case(config: &Config, name: &str, program: &Program) {
+/// One drawn configuration and how to drive it: `run()` (where the
+/// event wheel may jump) or a `step()` loop (one cycle per call).
+#[derive(Debug, Clone)]
+struct Case {
+    config: Config,
+    stepped: bool,
+}
+
+/// Runs `program` on `case.config`; panics (failing the property) on
+/// a panic or a watchdog ending.
+fn run_case(case: &Case, name: &str, program: &Program) {
+    let config = &case.config;
     let outcome = std::panic::catch_unwind(|| {
         let mut machine = Machine::new(config.clone(), program)?;
-        machine.run().map(|_| ())
+        if case.stepped {
+            while !machine.step()? {}
+            Ok(())
+        } else {
+            machine.run().map(|_| ())
+        }
     });
     match outcome {
         Err(_) => panic!("{name} panicked on {config:?}"),
@@ -176,16 +192,16 @@ proptest! {
     /// with the same error), or runs every program to a result or a
     /// typed, non-watchdog error.
     #[test]
-    fn arbitrary_configs_end_in_a_result_or_typed_error(config in config()) {
+    fn arbitrary_configs_end_in_a_result_or_typed_error(case in config()) {
         let programs = programs();
-        match config.validate() {
+        match case.config.validate() {
             Err(e) => {
-                let built = Machine::new(config.clone(), &programs[0].1);
+                let built = Machine::new(case.config.clone(), &programs[0].1);
                 prop_assert!(matches!(built, Err(MachineError::Config(ref c)) if *c == e));
             }
             Ok(()) => {
                 for (name, program) in &programs {
-                    run_case(&config, name, program);
+                    run_case(&case, name, program);
                 }
             }
         }

@@ -11,11 +11,13 @@
 //! branches, counted loops, fig6-style eager queue-ring loops with
 //! `chgpri`, gated stores, data-absence traps through the DSM
 //! memory model, and long affine counted loops. Fuzzed programs run
-//! **three ways**: the emulator, the plain cycle-level machine, and
-//! the machine with the event-wheel fast-forward; the two machines
-//! must agree byte-for-byte on cycle counts, statistics, issue-event
-//! streams and the full trace event stream, and both must agree with
-//! the emulator on final architectural state. A fuzz
+//! **three ways**: the emulator, a traced cycle-level machine (a
+//! trace sink attached, so it steps every cycle), and an untraced one
+//! (`run()`, where the event wheel jumps whenever a single slot is
+//! live); the two machines must agree exactly on cycle counts,
+//! statistics, issue-event streams (`set_trace`), registers and
+//! memory, and both must agree with the emulator on final
+//! architectural state. A fuzz
 //! failure is shrunk (greedy line removal preserving the failure
 //! category) and the minimal program saved under
 //! `target/diff-failures/` for replay. On divergence the lockstep
@@ -116,8 +118,8 @@ fn examples_match_the_golden_model() {
     }
 }
 
-/// Every example also runs three-way (emulator, plain machine, wheel
-/// machine): the event wheel must be invisible on real
+/// Every example also runs three-way (emulator, traced machine,
+/// untraced machine): the event wheel must be invisible on real
 /// control-flow-heavy programs, not just generated ones.
 #[test]
 fn examples_three_way_parity() {
@@ -231,15 +233,17 @@ struct FuzzCase {
     remote_base: Option<u64>,
 }
 
-/// Runs one machine configuration, recording issue events
-/// (`set_trace`) and the full event stream through a [`TextSink`].
+/// Runs one machine, recording issue events (`set_trace`) and — when
+/// `traced` — the full event stream through a [`TextSink`], which
+/// makes the machine step every cycle. Without a sink, `run()` lets
+/// the event wheel jump.
 fn run_machine(
     program: &Program,
     slots: usize,
-    fast_forward: bool,
+    traced: bool,
     remote_base: Option<u64>,
 ) -> Result<(Machine, String), String> {
-    let mut config = Config::multithreaded(slots).with_fast_forward(fast_forward);
+    let mut config = Config::multithreaded(slots);
     config.max_cycles = FUZZ_MAX_CYCLES;
     let mut machine = match remote_base {
         Some(base) => {
@@ -250,10 +254,10 @@ fn run_machine(
     .map_err(|e| format!("[build] machine rejected program: {e}"))?;
     machine.set_trace(true);
     let text_sink = TextSink::new();
-    machine.attach_trace_sink(Box::new(text_sink.clone()));
-    machine
-        .run()
-        .map_err(|e| format!("[machine-error] run (fast_forward={fast_forward}) failed: {e}"))?;
+    if traced {
+        machine.attach_trace_sink(Box::new(text_sink.clone()));
+    }
+    machine.run().map_err(|e| format!("[machine-error] run (traced={traced}) failed: {e}"))?;
     Ok((machine, text_sink.text()))
 }
 
@@ -265,55 +269,53 @@ fn three_way(case: &FuzzCase, src: &str) -> Result<(), String> {
     let slots = case.slots;
     let golden = Emulator::execute(&program, slots, 1 << 20, 1_000_000)
         .map_err(|e| format!("[emulator] failed: {e}"))?;
-    let (plain, plain_text) = run_machine(&program, slots, false, case.remote_base)?;
-    let (wheel, wheel_text) = run_machine(&program, slots, true, case.remote_base)?;
+    let (traced, traced_text) = run_machine(&program, slots, true, case.remote_base)?;
+    let (untraced, _) = run_machine(&program, slots, false, case.remote_base)?;
 
-    // Wheel vs plain: the event wheel must be invisible — identical
-    // cycle counts, statistics tables, and trace event streams.
-    if plain.cycles() != wheel.cycles() {
-        return Err(format!("[cycles] plain {} vs wheel {}", plain.cycles(), wheel.cycles()));
-    }
-    if plain.stats() != wheel.stats() {
+    // Traced (stepped every cycle) vs untraced (the wheel may jump):
+    // the event wheel must be invisible — identical cycle counts,
+    // statistics tables, and issue events.
+    if traced.cycles() != untraced.cycles() {
         return Err(format!(
-            "[stats] diverge:\nplain: {:?}\nwheel: {:?}",
-            plain.stats(),
-            wheel.stats()
+            "[cycles] traced {} vs untraced {}",
+            traced.cycles(),
+            untraced.cycles()
         ));
     }
-    if plain_text != wheel_text {
-        let diff = plain_text
-            .lines()
-            .zip(wheel_text.lines())
-            .enumerate()
-            .find(|(_, (a, b))| a != b)
-            .map(|(i, (a, b))| format!("line {i}:\nplain: {a}\nwheel: {b}"))
-            .unwrap_or_else(|| {
-                format!(
-                    "lengths differ: plain {} lines, wheel {} lines",
-                    plain_text.lines().count(),
-                    wheel_text.lines().count()
-                )
-            });
-        return Err(format!("[trace] event streams diverge at {diff}"));
+    if traced.stats() != untraced.stats() {
+        return Err(format!(
+            "[stats] diverge:\ntraced:   {:?}\nuntraced: {:?}",
+            traced.stats(),
+            untraced.stats()
+        ));
+    }
+    if traced.trace() != untraced.trace() {
+        let at = traced.trace().iter().zip(untraced.trace()).position(|(a, b)| a != b);
+        return Err(format!(
+            "[issues] issue events diverge at index {at:?} (traced {}, untraced {} events)\n{}",
+            traced.trace().len(),
+            untraced.trace().len(),
+            traced_text.lines().rev().take(20).collect::<Vec<_>>().join("\n")
+        ));
     }
     for ctx in 0..slots {
-        if plain.register_image(ctx) != wheel.register_image(ctx) {
+        if traced.register_image(ctx) != untraced.register_image(ctx) {
             return Err(format!("[regs-wheel] context {ctx} register images diverge"));
         }
     }
-    if *plain.memory() != *wheel.memory() {
-        let at = first_memory_mismatch(plain.memory(), wheel.memory());
-        return Err(format!("[memory-wheel] plain and wheel memories diverge at word {at:?}"));
+    if *traced.memory() != *untraced.memory() {
+        let at = first_memory_mismatch(traced.memory(), untraced.memory());
+        return Err(format!("[memory-wheel] traced and untraced memories diverge at word {at:?}"));
     }
 
-    // Plain vs the golden model: final architectural state.
-    if golden.memory != *plain.memory() {
-        let at = first_memory_mismatch(&golden.memory, plain.memory());
+    // Traced machine vs the golden model: final architectural state.
+    if golden.memory != *traced.memory() {
+        let at = first_memory_mismatch(&golden.memory, traced.memory());
         return Err(format!("[memory] emulator and machine memories diverge at word {at:?}"));
     }
     if !program.insts.iter().any(|i| matches!(i, Inst::KillOthers)) {
         for ctx in 0..slots {
-            let machine_image = plain.register_image(ctx);
+            let machine_image = traced.register_image(ctx);
             if let Some(reg) = golden.regs[ctx].iter().zip(&machine_image).position(|(a, b)| a != b)
             {
                 return Err(format!(
@@ -495,7 +497,7 @@ fn fuzz_case(seed: u64) -> FuzzCase {
             }
             let nested = rng.below(3) == 0;
             let outer = if nested { 2 + rng.below(2) } else { 1 };
-            // Keep the plain run under the cycle watchdog: per-trip
+            // Keep the runs under the cycle watchdog: per-trip
             // latency grows with slot contention on the shared fetch
             // unit, so wide machines get shorter loops (they cannot
             // leap anyway — standby stations stay occupied at ≥4

@@ -1,9 +1,9 @@
 //! Idle-slot accounting parity: unbound thread slots are skipped by
 //! every per-cycle path and their NoThread stalls counted in bulk, so
 //! the counts must come out the same however the machine is driven —
-//! untraced, traced, with the event wheel off, or batched at any
-//! stride — and must match the per-slot `Stall` events a trace sink
-//! receives, window by window.
+//! untraced (where the event wheel jumps), traced, one `step()` at a
+//! time, or batched at any stride — and must match the per-slot
+//! `Stall` events a trace sink receives, window by window.
 //!
 //! Every program here binds and unbinds slots mid-run: one thread on
 //! a wide machine, forked threads halting at different times,
@@ -131,8 +131,9 @@ fn idle_slot_accounting_matches_across_run_paths() {
         traced.attach_trace_sink(Box::new(sink.clone()));
         assert_eq!(run(&mut traced), untraced, "{name}: traced run");
 
-        let plain = run(&mut case.build(case.config.clone().with_fast_forward(false)));
-        assert_eq!(plain, untraced, "{name}: fast_forward off");
+        let mut stepped = case.build(case.config.clone());
+        while !stepped.step().expect("steps") {}
+        assert_eq!(*stepped.stats(), untraced, "{name}: step() loop");
 
         for stride in [1u64, 16, 4096] {
             let mut batch = MachineBatch::new();
