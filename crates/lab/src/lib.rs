@@ -40,4 +40,4 @@ mod pool;
 
 pub use cache::{default_cache_dir, valid_key, CacheStats, DiskCache, CACHE_SCHEMA_TAG};
 pub use job::{execute, Job, JobError, JobOutput, JobResult, MemModelSpec, DEFAULT_TIMEOUT};
-pub use pool::{Batch, BatchReport, JobSummary, Lab, Placement};
+pub use pool::{Batch, BatchEvent, BatchReport, JobSummary, Lab, Placement};

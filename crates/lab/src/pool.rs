@@ -160,18 +160,19 @@ impl Lab {
     }
 
     /// Runs a batch with its jobs stepped where `placement` says,
-    /// invoking `on_job_done` on the calling thread as each job
-    /// finishes — cache hits first (in submission order), then
-    /// executed jobs in completion order. This is the live progress
-    /// feed: `hirata lab` prints `k/n` lines from it and the
-    /// `hirata serve` daemon streams it to clients as chunked events.
+    /// invoking `observer` on the calling thread as each job finishes
+    /// — cache hits first (in submission order), then
+    /// [`BatchEvent::Simulating`] if any job missed, then executed jobs
+    /// in completion order. This is the live progress feed:
+    /// `hirata lab` prints `k/n` lines from it and the `hirata serve`
+    /// daemon streams it to clients as chunked events.
     pub fn run_batch_observed(
         &self,
         jobs: Vec<Job>,
         placement: Placement,
-        on_job_done: &mut dyn FnMut(&JobSummary),
+        observer: &mut dyn FnMut(BatchEvent),
     ) -> Batch {
-        self.run_batch_inner(jobs, placement, Arc::new(Job::machine), Some(on_job_done))
+        self.run_batch_inner(jobs, placement, Arc::new(Job::machine), Some(observer))
     }
 
     fn run_batch_inner(
@@ -179,30 +180,14 @@ impl Lab {
         jobs: Vec<Job>,
         placement: Placement,
         build: Arc<Build>,
-        mut on_job_done: Option<&mut dyn FnMut(&JobSummary)>,
+        observer: Option<&mut dyn FnMut(BatchEvent)>,
     ) -> Batch {
         let start = Instant::now();
         let total = jobs.len();
         let cache = self.cache();
-        let mut results: Vec<Option<JobResult>> = (0..total).map(|_| None).collect();
         let mut report = BatchReport { total, ..BatchReport::default() };
-        let mut finished = 0usize;
-        let mut report_done =
-            |index: usize, job: &Job, key: &str, cached: bool, result: JobResult| {
-                finished += 1;
-                if let Some(hook) = on_job_done.as_deref_mut() {
-                    hook(&JobSummary {
-                        index,
-                        name: &job.name,
-                        key,
-                        cached,
-                        result: &result,
-                        finished,
-                        total,
-                    });
-                }
-                results[index] = Some(result);
-            };
+        let mut progress =
+            Progress { observer, results: (0..total).map(|_| None).collect(), finished: 0 };
 
         // Resolve cache hits up front; only misses become lanes. Each
         // distinct program is lowered once for the batch.
@@ -223,7 +208,7 @@ impl Lab {
             match cache.and_then(|c| c.load(&key)).filter(|_| trace_present) {
                 Some(out) => {
                     report.cache_hits += 1;
-                    report_done(index, &job, &key, true, Ok(out));
+                    progress.done(index, &job, &key, true, Ok(out));
                 }
                 None => {
                     let at = match lowered.iter().position(|(p, _)| Arc::ptr_eq(p, &job.program)) {
@@ -242,6 +227,9 @@ impl Lab {
         }
 
         let pending = lanes.len();
+        if pending > 0 {
+            progress.tell(BatchEvent::Simulating);
+        }
         let mut simulated = |index: usize, result: JobResult| {
             let (job, key) = &jobs_and_keys[index];
             match &result {
@@ -260,7 +248,7 @@ impl Lab {
             }
             report.executed += 1;
             self.print_progress(&report, pending, start);
-            report_done(index, job, key, false, result);
+            progress.done(index, job, key, false, result);
         };
         match placement {
             _ if lanes.is_empty() => {}
@@ -290,7 +278,8 @@ impl Lab {
         self.print_report(&report);
         // A job is missing only if its worker panicked outside the
         // lane's own panic capture (an engine bug).
-        let results = results
+        let results = progress
+            .results
             .into_iter()
             .map(|r| r.unwrap_or_else(|| Err(JobError::Panicked("the job's worker died".into()))))
             .collect();
@@ -326,6 +315,36 @@ impl Lab {
 impl Default for Lab {
     fn default() -> Self {
         Lab::new()
+    }
+}
+
+/// A batch's results as they arrive, each told to its observer.
+struct Progress<'o> {
+    observer: Option<&'o mut dyn FnMut(BatchEvent)>,
+    results: Vec<Option<JobResult>>,
+    finished: usize,
+}
+
+impl Progress<'_> {
+    fn tell(&mut self, event: BatchEvent) {
+        if let Some(observer) = self.observer.as_deref_mut() {
+            observer(event);
+        }
+    }
+
+    fn done(&mut self, index: usize, job: &Job, key: &str, cached: bool, result: JobResult) {
+        self.finished += 1;
+        let total = self.results.len();
+        self.tell(BatchEvent::Job(&JobSummary {
+            index,
+            name: &job.name,
+            key,
+            cached,
+            result: &result,
+            finished: self.finished,
+            total,
+        }));
+        self.results[index] = Some(result);
     }
 }
 
@@ -439,6 +458,17 @@ fn step_lanes(lanes: Vec<Lane>, build: &Build, done: &mut dyn FnMut(usize, JobRe
             !late
         });
     }
+}
+
+/// What the [`Lab::run_batch_observed`] progress hook is told.
+#[derive(Debug)]
+pub enum BatchEvent<'a> {
+    /// A job finished, from the cache or by simulating.
+    Job(&'a JobSummary<'a>),
+    /// Every cache hit is reported and the batch is about to step or
+    /// wait on its first lane, so the next event may take a while.
+    /// Sent once, and only when some job missed the cache.
+    Simulating,
 }
 
 /// A finished job as seen by the [`Lab::run_batch_observed`] progress hook:

@@ -1,11 +1,26 @@
 //! The `hirata submit` client: send a program and a sweep grid to a
 //! running daemon and consume its chunked progress stream.
+//!
+//! Each thread keeps one idle connection for the daemon it last
+//! talked to and sends its next request to the same address on it. A
+//! connection goes back to the thread only after a complete response
+//! that neither said `Connection: close` nor lacked framing. The
+//! daemon closes a kept connection only between requests, so when a
+//! reused connection fails before the first response byte, the
+//! request was never read and goes out once more on a new connection.
 
-use std::io::{self, BufReader};
+use std::cell::RefCell;
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-use crate::http::{read_body, read_chunk, read_response_head, write_request};
+use crate::http::{read_body, read_chunk, read_response_head, write_request, ResponseHead};
 use crate::json::Json;
+
+thread_local! {
+    /// This thread's idle kept connection and the normalized address
+    /// it goes to.
+    static IDLE: RefCell<Option<(String, BufReader<TcpStream>)>> = const { RefCell::new(None) };
+}
 
 /// Execution mode of a submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,10 +119,84 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
 
 /// Opens a connection to the daemon with `TCP_NODELAY` set: every
 /// request goes out in one write and should not wait for an ACK.
-fn connect(addr: &str) -> io::Result<TcpStream> {
-    let stream = TcpStream::connect(normalize_addr(addr))?;
+fn connect(addr: &str) -> io::Result<BufReader<TcpStream>> {
+    let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    Ok(stream)
+    Ok(BufReader::new(stream))
+}
+
+/// This thread's idle connection, if it goes to `addr`.
+fn take_idle(addr: &str) -> Option<BufReader<TcpStream>> {
+    IDLE.with(|idle| idle.borrow_mut().take()).filter(|(to, _)| to == addr).map(|(_, conn)| conn)
+}
+
+/// A response whose head has been read, on its connection.
+struct Response {
+    addr: String,
+    reader: BufReader<TcpStream>,
+    head: ResponseHead,
+}
+
+impl Response {
+    /// Hands the connection back to this thread for the next request;
+    /// call it only once the body is read to its end.
+    fn finish(self) {
+        if self.head.keeps_connection() {
+            IDLE.with(|idle| *idle.borrow_mut() = Some((self.addr, self.reader)));
+        }
+    }
+}
+
+/// Writes the request and waits for the first byte of the response.
+fn send(conn: &mut BufReader<TcpStream>, request: &[u8]) -> io::Result<()> {
+    conn.get_mut().write_all(request)?;
+    if conn.fill_buf()?.is_empty() {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed"));
+    }
+    Ok(())
+}
+
+/// Sends one request to `addr`, on this thread's idle connection if it
+/// goes there, and reads the response head. `close` asks the daemon to
+/// close the connection after answering.
+fn exchange(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &[u8],
+    close: bool,
+) -> io::Result<Response> {
+    let addr = normalize_addr(addr);
+    let mut request = Vec::new();
+    write_request(&mut request, method, path, body, close)?;
+    let fresh = || -> io::Result<BufReader<TcpStream>> {
+        let mut conn = connect(&addr)?;
+        send(&mut conn, &request)?;
+        Ok(conn)
+    };
+    let mut reader = match take_idle(&addr) {
+        Some(mut conn) => match send(&mut conn, &request) {
+            Ok(()) => conn,
+            // The daemon closed the connection while it sat idle, so
+            // it never read this request.
+            Err(e) if is_closed(&e) => fresh()?,
+            Err(e) => return Err(e),
+        },
+        None => fresh()?,
+    };
+    let head = read_response_head(&mut reader)?;
+    Ok(Response { addr, reader, head })
+}
+
+/// Whether `e` says the peer had closed the connection.
+fn is_closed(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::UnexpectedEof
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::BrokenPipe
+    )
 }
 
 /// Accepts `HOST:PORT`, `:PORT`, or a bare port number; bare and
@@ -129,13 +218,12 @@ pub fn submit(
     request: &SubmitRequest,
     progress: &mut dyn FnMut(usize, usize),
 ) -> io::Result<SubmitOutcome> {
-    let mut stream = connect(addr)?;
-    write_request(&mut stream, "POST", "/submit", request.render().as_bytes())?;
-    let mut reader = BufReader::new(stream);
-    let head = read_response_head(&mut reader)?;
-    if head.status != 200 {
-        let body = read_body(&mut reader, &head)?;
-        return Err(bad_data(error_text(&body, head.status)));
+    let mut response = exchange(addr, "POST", "/submit", request.render().as_bytes(), false)?;
+    let status = response.head.status;
+    if status != 200 {
+        let body = read_body(&mut response.reader, &response.head)?;
+        response.finish();
+        return Err(bad_data(error_text(&body, status)));
     }
 
     let mut workers = 0usize;
@@ -145,7 +233,7 @@ pub fn submit(
     let mut failed = 0usize;
     let mut saw_done = false;
     let mut buffer = String::new();
-    while let Some(chunk) = read_chunk(&mut reader)? {
+    while let Some(chunk) = read_chunk(&mut response.reader)? {
         buffer
             .push_str(std::str::from_utf8(&chunk).map_err(|_| bad_data("non-utf8 event stream"))?);
         // Events are newline-delimited; a chunk usually carries whole
@@ -184,6 +272,7 @@ pub fn submit(
             }
         }
     }
+    response.finish();
     if !saw_done {
         return Err(bad_data("event stream ended before `done`"));
     }
@@ -231,27 +320,26 @@ pub fn fetch_result(addr: &str, key: &str) -> io::Result<Json> {
         .map_err(|e| bad_data(format!("bad result json: {e}")))
 }
 
-/// Asks the daemon to shut down gracefully.
+/// Asks the daemon to shut down gracefully. This thread's idle
+/// connection to it is dropped first, and the request goes out on a
+/// new connection with `Connection: close`.
 pub fn shutdown(addr: &str) -> io::Result<()> {
-    let mut stream = connect(addr)?;
-    write_request(&mut stream, "POST", "/shutdown", b"")?;
-    let mut reader = BufReader::new(stream);
-    let head = read_response_head(&mut reader)?;
-    if head.status != 200 {
-        let body = read_body(&mut reader, &head)?;
-        return Err(bad_data(error_text(&body, head.status)));
+    drop(take_idle(&normalize_addr(addr)));
+    let mut response = exchange(addr, "POST", "/shutdown", b"", true)?;
+    if response.head.status != 200 {
+        let body = read_body(&mut response.reader, &response.head)?;
+        return Err(bad_data(error_text(&body, response.head.status)));
     }
     Ok(())
 }
 
 fn simple_get(addr: &str, path: &str) -> io::Result<Vec<u8>> {
-    let mut stream = connect(addr)?;
-    write_request(&mut stream, "GET", path, b"")?;
-    let mut reader = BufReader::new(stream);
-    let head = read_response_head(&mut reader)?;
-    let body = read_body(&mut reader, &head)?;
-    if head.status != 200 {
-        return Err(bad_data(error_text(&body, head.status)));
+    let mut response = exchange(addr, "GET", path, b"", false)?;
+    let body = read_body(&mut response.reader, &response.head)?;
+    let status = response.head.status;
+    response.finish();
+    if status != 200 {
+        return Err(bad_data(error_text(&body, status)));
     }
     Ok(body)
 }

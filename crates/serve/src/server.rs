@@ -2,47 +2,64 @@
 //!
 //! Architecture: a blocking [`TcpListener`] accept loop hands
 //! connections to a fixed pool of HTTP worker threads over a channel.
-//! Each worker parses one request, routes it, and closes the
-//! connection. A submission's grid points run as one batch of the
-//! shared [`Lab`] engine, placed by the submission's mode: `pool`
-//! spreads the jobs over the engine's long-lived simulation workers,
-//! and `interleaved` steps them all round-robin as lanes of one
-//! `MachineBatch` on the HTTP worker itself. Either way the HTTP
-//! worker streams per-job progress back as chunked ndjson events, and
-//! results land in the shared content-addressed [`DiskCache`], so a
-//! resubmission is answered without simulating.
+//! Connections are persistent: a worker answers the requests on its
+//! connection in order, each read through one buffered reader that
+//! lives as long as the connection, until the client closes it or
+//! asks to, a request cannot be framed, the connection sits idle for
+//! [`IDLE_LIMIT`], another accepted connection waits for a worker, or
+//! the daemon shuts down. A worker waits for a next request in short
+//! slices and checks those conditions between them, so an idle kept
+//! connection never pins a worker. A submission's grid points run as
+//! one batch of the shared [`Lab`] engine, placed by the submission's
+//! mode: `pool` spreads the jobs over the engine's long-lived
+//! simulation workers, and `interleaved` steps them all round-robin
+//! as lanes of one `MachineBatch` on the HTTP worker itself. Either
+//! way the HTTP worker streams per-job progress back as chunked
+//! ndjson events, every set of events that is ready at the same
+//! moment in one write, and results land in the shared
+//! content-addressed [`DiskCache`], so a resubmission is answered
+//! without simulating.
 //!
 //! Routes:
 //!
 //! | method | path            | reply                                     |
 //! |--------|-----------------|-------------------------------------------|
 //! | GET    | `/health`       | liveness probe                            |
-//! | GET    | `/stats`        | daemon + artifact-store counters          |
+//! | GET    | `/stats`        | daemon, transport and artifact-store counters |
 //! | POST   | `/submit`       | chunked per-job progress events           |
 //! | GET    | `/result/{key}` | cached result for a content hash          |
 //! | GET    | `/trace/{key}`  | Chrome trace artifact for a content hash  |
 //! | POST   | `/shutdown`     | graceful stop                             |
 
-use std::io;
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hirata_lab::{default_cache_dir, valid_key, DiskCache, Job, JobResult, Lab, Placement};
-
-use crate::http::{
-    finish_chunked, read_request, start_chunked, write_chunk, write_response, Request,
+use hirata_lab::{
+    default_cache_dir, valid_key, BatchEvent, DiskCache, Job, JobResult, Lab, Placement,
 };
+
+use crate::http::{chunked_head, push_chunk, read_request, response, Request, LAST_CHUNK};
 use crate::json::Json;
 use crate::{sweep_config, sweep_grid};
 
-/// Per-connection socket read timeout: a stalled client must not pin
-/// an HTTP worker forever.
+/// Socket read timeout once a request has started: a stalled client
+/// must not pin an HTTP worker forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long a connection may wait for its next request before the
+/// daemon closes it.
+pub const IDLE_LIMIT: Duration = Duration::from_secs(5);
+
+/// The slices a worker waits for a next request in; between slices it
+/// checks for shutdown, for a connection waiting for a worker, and for
+/// the idle limit.
+const IDLE_SLICE: Duration = Duration::from_millis(25);
 
 /// Most grid points one submission may ask for: 64 slot counts (the
 /// slot-mask width) times both load/store-unit variants.
@@ -101,11 +118,17 @@ struct AppState {
     trace_dir: PathBuf,
     addr: SocketAddr,
     started: Instant,
+    /// Connections handed to the HTTP workers.
+    connections: AtomicU64,
+    /// Socket writes of response bytes.
+    writes: AtomicU64,
     requests: AtomicU64,
     submissions: AtomicU64,
     jobs_run: AtomicU64,
     jobs_cached: AtomicU64,
     jobs_failed: AtomicU64,
+    /// Accepted connections no worker has taken yet.
+    queued: AtomicUsize,
     shutdown: AtomicBool,
 }
 
@@ -150,11 +173,14 @@ impl Server {
             trace_dir: config.trace_dir,
             addr,
             started: Instant::now(),
+            connections: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             submissions: AtomicU64::new(0),
             jobs_run: AtomicU64::new(0),
             jobs_cached: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
+            queued: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         });
         Ok(Server {
@@ -188,7 +214,10 @@ impl Server {
                 // other workers free to pick up the next connection.
                 let conn = { rx.lock().expect("receiver lock").recv() };
                 match conn {
-                    Ok(mut stream) => handle_connection(&state, &mut stream),
+                    Ok(stream) => {
+                        state.queued.fetch_sub(1, Ordering::SeqCst);
+                        serve_connection(&state, stream);
+                    }
                     Err(_) => break, // acceptor gone: drain complete
                 }
             }));
@@ -201,7 +230,11 @@ impl Server {
             match conn {
                 // A send can only fail if every worker died; that is
                 // a bug worth surfacing, not swallowing.
-                Ok(stream) => tx.send(stream).expect("http workers alive"),
+                Ok(stream) => {
+                    self.state.connections.fetch_add(1, Ordering::Relaxed);
+                    self.state.queued.fetch_add(1, Ordering::SeqCst);
+                    tx.send(stream).expect("http workers alive");
+                }
                 Err(_) => continue,
             }
         }
@@ -231,66 +264,141 @@ fn obj(pairs: Vec<(&str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-fn respond_json(stream: &mut TcpStream, status: u16, body: &Json) -> io::Result<()> {
-    write_response(stream, status, "application/json", body.render().as_bytes())
+/// One accepted connection, read through a buffer that lives as long
+/// as it, so the bytes of a pipelined next request are kept.
+struct Conn<'s> {
+    state: &'s AppState,
+    reader: BufReader<TcpStream>,
 }
 
-fn respond_error(stream: &mut TcpStream, status: u16, msg: &str) {
-    let body = obj(vec![("error", Json::Str(msg.to_string()))]);
-    let _ = respond_json(stream, status, &body);
+impl Conn<'_> {
+    /// Sends `bytes` in one write, counted in `/stats`.
+    fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.state.writes.fetch_add(1, Ordering::Relaxed);
+        self.reader.get_mut().write_all(bytes)
+    }
+
+    fn respond_json(&mut self, status: u16, body: &Json, close: bool) -> io::Result<()> {
+        self.send(&response(status, "application/json", body.render().as_bytes(), close))
+    }
+
+    fn respond_error(&mut self, status: u16, msg: &str, close: bool) -> io::Result<()> {
+        self.respond_json(status, &obj(vec![("error", Json::Str(msg.to_string()))]), close)
+    }
+
+    /// Waits for the first byte of the next request; false means the
+    /// connection closes instead, because the peer closed it, it sat
+    /// idle past [`IDLE_LIMIT`], the daemon is shutting down, or —
+    /// once it has carried a request — another accepted connection is
+    /// waiting for a worker. No byte of a request has been read when
+    /// this says false, so a client may safely send it again.
+    fn await_request(&mut self, kept: bool) -> bool {
+        if !self.reader.buffer().is_empty() {
+            return true;
+        }
+        let state = self.state;
+        let _ = self.reader.get_ref().set_read_timeout(Some(IDLE_SLICE));
+        let idle_since = Instant::now();
+        let ready = loop {
+            match self.reader.fill_buf() {
+                // An empty read is the peer's close.
+                Ok(bytes) => break !bytes.is_empty(),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => break false,
+            }
+            if state.shutdown.load(Ordering::SeqCst)
+                || (kept && state.queued.load(Ordering::SeqCst) > 0)
+                || idle_since.elapsed() >= IDLE_LIMIT
+            {
+                break false;
+            }
+        };
+        let _ = self.reader.get_ref().set_read_timeout(Some(READ_TIMEOUT));
+        ready
+    }
 }
 
-/// Parses, routes, and answers one connection.
-fn handle_connection(state: &AppState, stream: &mut TcpStream) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    // Each response message and progress event is one write; send it
-    // at once rather than after the client's delayed ACK.
+/// Answers the requests of one connection in order until it closes.
+fn serve_connection(state: &AppState, stream: TcpStream) {
+    // Each response message and each set of progress events is one
+    // write; send it at once rather than after the client's delayed
+    // ACK.
     let _ = stream.set_nodelay(true);
-    let request = match read_request(stream) {
-        Ok(request) => request,
-        Err(e) => {
-            respond_error(stream, 400, &format!("bad request: {e}"));
+    let mut conn = Conn { state, reader: BufReader::new(stream) };
+    let mut kept = false;
+    while conn.await_request(kept) {
+        let close = match read_request(&mut conn.reader) {
+            Ok(Some(request)) => route(&mut conn, &request),
+            Ok(None) => true,
+            Err(e) => {
+                // The stream's framing is lost; nothing after this
+                // can be read as a request.
+                let _ = conn.respond_error(400, &format!("bad request: {e}"), true);
+                true
+            }
+        };
+        if close {
             return;
         }
-    };
+        kept = true;
+    }
+}
+
+/// Routes and answers one request; returns whether the connection
+/// closes after it. The response says `Connection: close` exactly
+/// when it does.
+fn route(conn: &mut Conn, request: &Request) -> bool {
+    let state = conn.state;
     state.requests.fetch_add(1, Ordering::Relaxed);
-    match (request.method.as_str(), request.path.as_str()) {
+    let close = request.close
+        || state.shutdown.load(Ordering::SeqCst)
+        || state.queued.load(Ordering::SeqCst) > 0;
+    let sent = match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/health") => {
             let body =
                 obj(vec![("ok", Json::Bool(true)), ("service", Json::Str("hirata-serve".into()))]);
-            let _ = respond_json(stream, 200, &body);
+            conn.respond_json(200, &body, close)
         }
-        ("GET", "/stats") => {
-            let _ = respond_json(stream, 200, &stats_json(state));
-        }
-        ("POST", "/submit") => handle_submit(state, stream, &request),
+        ("GET", "/stats") => conn.respond_json(200, &stats_json(state), close),
+        ("POST", "/submit") => handle_submit(conn, request, close),
         ("GET", path) if path.starts_with("/result/") => {
-            handle_result(state, stream, &path["/result/".len()..]);
+            handle_result(conn, &path["/result/".len()..], close)
         }
         ("GET", path) if path.starts_with("/trace/") => {
-            handle_trace(state, stream, &path["/trace/".len()..]);
+            handle_trace(conn, &path["/trace/".len()..], close)
         }
         ("POST", "/shutdown") => {
-            let _ = respond_json(stream, 200, &obj(vec![("ok", Json::Bool(true))]));
+            let _ = conn.respond_json(200, &obj(vec![("ok", Json::Bool(true))]), true);
             state.shutdown.store(true, Ordering::SeqCst);
             // Wake the blocking acceptor; it re-checks the flag on
             // the next connection and exits before dispatching it.
             let _ = TcpStream::connect(state.addr);
+            return true;
         }
-        ("GET" | "POST", _) => respond_error(stream, 404, "no such route"),
-        _ => respond_error(stream, 405, "method not allowed"),
-    }
+        ("GET" | "POST", _) => conn.respond_error(404, "no such route", close),
+        _ => conn.respond_error(405, "method not allowed", close),
+    };
+    close || sent.is_err()
 }
 
 fn stats_json(state: &AppState) -> Json {
+    let count = |counter: &AtomicU64| Json::u64(counter.load(Ordering::Relaxed));
     let mut pairs = vec![
         ("uptime_secs", Json::u64(state.started.elapsed().as_secs())),
         ("sim_workers", Json::u64(state.lab.workers() as u64)),
-        ("requests", Json::u64(state.requests.load(Ordering::Relaxed))),
-        ("submissions", Json::u64(state.submissions.load(Ordering::Relaxed))),
-        ("jobs_run", Json::u64(state.jobs_run.load(Ordering::Relaxed))),
-        ("jobs_cached", Json::u64(state.jobs_cached.load(Ordering::Relaxed))),
-        ("jobs_failed", Json::u64(state.jobs_failed.load(Ordering::Relaxed))),
+        ("connections", count(&state.connections)),
+        ("requests", count(&state.requests)),
+        ("writes", count(&state.writes)),
+        ("submissions", count(&state.submissions)),
+        ("jobs_run", count(&state.jobs_run)),
+        ("jobs_cached", count(&state.jobs_cached)),
+        ("jobs_failed", count(&state.jobs_failed)),
     ];
     match &state.cache {
         Some(cache) => {
@@ -435,27 +543,38 @@ fn job_event(
     obj(pairs)
 }
 
-fn send_event(stream: &mut TcpStream, ok: &mut bool, event: &Json) {
-    if !*ok {
-        return;
+/// A chunked ndjson response whose events wait in `pending` until
+/// flushed, so events that are ready at the same moment leave in one
+/// write.
+struct Events<'c, 's> {
+    conn: &'c mut Conn<'s>,
+    pending: Vec<u8>,
+    sent: io::Result<()>,
+}
+
+impl Events<'_, '_> {
+    fn push(&mut self, event: &Json) {
+        let mut line = event.render();
+        line.push('\n');
+        push_chunk(&mut self.pending, line.as_bytes());
     }
-    let mut line = event.render();
-    line.push('\n');
-    // A client that hangs up mid-stream stops receiving events, but
-    // the batch runs to completion so its results still land in the
-    // artifact store.
-    if write_chunk(stream, line.as_bytes()).is_err() {
-        *ok = false;
+
+    /// Sends what is pending in one write. A client that hangs up
+    /// mid-stream stops receiving events, but the batch runs to
+    /// completion so its results still land in the artifact store.
+    fn flush(&mut self) {
+        if self.sent.is_ok() && !self.pending.is_empty() {
+            self.sent = self.conn.send(&self.pending);
+        }
+        self.pending.clear();
     }
 }
 
-fn handle_submit(state: &AppState, stream: &mut TcpStream, request: &Request) {
+fn handle_submit(conn: &mut Conn, request: &Request, close: bool) -> io::Result<()> {
+    let state = conn.state;
     let spec = match parse_submit(&request.body) {
         Ok(spec) => spec,
-        Err(msg) => {
-            respond_error(stream, 400, &msg);
-            return;
-        }
+        Err(msg) => return conn.respond_error(400, &msg, close),
     };
     state.submissions.fetch_add(1, Ordering::Relaxed);
 
@@ -478,37 +597,43 @@ fn handle_submit(state: &AppState, stream: &mut TcpStream, request: &Request) {
         .collect();
     let total = jobs.len();
 
-    if start_chunked(stream, 200, "application/x-ndjson").is_err() {
-        return;
-    }
-    let mut stream_ok = true;
     let (placement, workers, mode) = if spec.interleaved {
         (Placement::Interleaved, 1, "interleaved")
     } else {
         (Placement::Pool, state.lab.workers(), "pool")
     };
-    let accepted = obj(vec![
+    let mut events = Events { conn, pending: Vec::new(), sent: Ok(()) };
+    chunked_head(&mut events.pending, 200, "application/x-ndjson", close);
+    events.push(&obj(vec![
         ("event", Json::Str("accepted".into())),
         ("total", Json::u64(total as u64)),
         ("workers", Json::u64(workers as u64)),
         ("mode", Json::Str(mode.into())),
-    ]);
-    send_event(stream, &mut stream_ok, &accepted);
+    ]));
 
     let grid = &spec.grid;
-    let batch = state.lab.run_batch_observed(jobs, placement, &mut |summary| {
-        let (slots, ls) = grid[summary.index];
-        let event = job_event(
-            summary.index,
-            slots,
-            ls,
-            summary.key,
-            summary.cached,
-            summary.result,
-            summary.finished,
-            summary.total,
-        );
-        send_event(stream, &mut stream_ok, &event);
+    let batch = state.lab.run_batch_observed(jobs, placement, &mut |event| match event {
+        // The head, `accepted` and every cache hit leave together,
+        // before any simulation starts.
+        BatchEvent::Simulating => events.flush(),
+        BatchEvent::Job(summary) => {
+            let (slots, ls) = grid[summary.index];
+            events.push(&job_event(
+                summary.index,
+                slots,
+                ls,
+                summary.key,
+                summary.cached,
+                summary.result,
+                summary.finished,
+                summary.total,
+            ));
+            // An executed job's event leaves as soon as it finishes;
+            // the last event waits for `done`.
+            if !summary.cached && summary.finished < summary.total {
+                events.flush();
+            }
+        }
     });
     let report = batch.report;
 
@@ -516,27 +641,24 @@ fn handle_submit(state: &AppState, stream: &mut TcpStream, request: &Request) {
     state.jobs_cached.fetch_add(report.cache_hits as u64, Ordering::Relaxed);
     state.jobs_failed.fetch_add(report.failed as u64, Ordering::Relaxed);
 
-    let done = obj(vec![
+    events.push(&obj(vec![
         ("event", Json::Str("done".into())),
         ("total", Json::u64(total as u64)),
         ("executed", Json::u64(report.executed as u64)),
         ("cache_hits", Json::u64(report.cache_hits as u64)),
         ("failed", Json::u64(report.failed as u64)),
-    ]);
-    send_event(stream, &mut stream_ok, &done);
-    if stream_ok {
-        let _ = finish_chunked(stream);
-    }
+    ]));
+    events.pending.extend_from_slice(LAST_CHUNK);
+    events.flush();
+    events.sent
 }
 
-fn handle_result(state: &AppState, stream: &mut TcpStream, key: &str) {
+fn handle_result(conn: &mut Conn, key: &str, close: bool) -> io::Result<()> {
     if !valid_key(key) {
-        respond_error(stream, 400, "malformed result key");
-        return;
+        return conn.respond_error(400, "malformed result key", close);
     }
-    let Some(cache) = &state.cache else {
-        respond_error(stream, 404, "artifact store disabled");
-        return;
+    let Some(cache) = &conn.state.cache else {
+        return conn.respond_error(404, "artifact store disabled", close);
     };
     match cache.load(key) {
         Some(output) => {
@@ -549,23 +671,20 @@ fn handle_result(state: &AppState, stream: &mut TcpStream, key: &str) {
                 ("threads_killed", Json::u64(output.stats.threads_killed)),
                 ("rotations", Json::u64(output.stats.rotations)),
             ]);
-            let _ = respond_json(stream, 200, &body);
+            conn.respond_json(200, &body, close)
         }
-        None => respond_error(stream, 404, "no such result"),
+        None => conn.respond_error(404, "no such result", close),
     }
 }
 
-fn handle_trace(state: &AppState, stream: &mut TcpStream, key: &str) {
+fn handle_trace(conn: &mut Conn, key: &str, close: bool) -> io::Result<()> {
     if !valid_key(key) {
-        respond_error(stream, 400, "malformed trace key");
-        return;
+        return conn.respond_error(400, "malformed trace key", close);
     }
-    let path = state.trace_dir.join(format!("{key}.json"));
+    let path = conn.state.trace_dir.join(format!("{key}.json"));
     match std::fs::read(&path) {
-        Ok(body) => {
-            let _ = write_response(stream, 200, "application/json", &body);
-        }
-        Err(_) => respond_error(stream, 404, "no such trace"),
+        Ok(body) => conn.send(&response(200, "application/json", &body, close)),
+        Err(_) => conn.respond_error(404, "no such trace", close),
     }
 }
 

@@ -1,10 +1,14 @@
 //! Whole-input fuzzing of the HTTP framing: hostile byte streams fed to
 //! `read_request` and `read_chunk` end in `Ok` or an `io::Error`, never
 //! a panic, and nothing they accept exceeds the head or body caps.
+//! Requests are read the way a persistent connection reads them: one
+//! reader over the whole stream, request after request, so well-framed
+//! requests sent back to back read back as themselves, in order.
 
+use std::collections::HashMap;
 use std::io::{BufReader, Cursor};
 
-use hirata_serve::http::{read_chunk, read_request, MAX_BODY_BYTES, MAX_HEAD_BYTES};
+use hirata_serve::http::{read_chunk, read_request, Request, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use proptest::prelude::*;
 
 fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -31,6 +35,19 @@ fn arb_length(hex: bool) -> impl Strategy<Value = String> {
     ]
 }
 
+/// Framing headers a persistent connection must not misjudge: none,
+/// a repeated `Content-Length` that agrees or differs, or a
+/// `Transfer-Encoding`.
+fn arb_framing_extra() -> impl Strategy<Value = String> {
+    prop_oneof![
+        6 => Just(String::new()),
+        1 => Just("Content-Length: {len}\r\n".to_string()),
+        1 => arb_length(false).prop_map(|n| format!("content-length: {n}\r\n")),
+        1 => proptest::sample::select(vec!["chunked", "identity", "gzip, chunked"])
+            .prop_map(|te| format!("Transfer-Encoding: {te}\r\n")),
+    ]
+}
+
 /// Requests that start out well formed: a request line, header lines
 /// and a `Content-Length` that is right, hostile or missing, then a
 /// body; a random cut keeps a prefix of the whole.
@@ -40,6 +57,7 @@ fn arb_framed_request() -> impl Strategy<Value = Vec<u8>> {
         proptest::sample::select(vec!["GET", "POST", "PUT", "get"]),
         "[ -~]{0,20}",
         proptest::collection::vec(header, 0..5),
+        arb_framing_extra(),
     );
     let rest = (
         prop::option::of(arb_length(false)),
@@ -47,10 +65,11 @@ fn arb_framed_request() -> impl Strategy<Value = Vec<u8>> {
         arb_bytes(64),
         0usize..4096,
     );
-    (head, rest).prop_map(|((method, path, headers), (length, eol, body, cut))| {
+    (head, rest).prop_map(|((method, path, headers, extra), (length, eol, body, cut))| {
         let length = length.unwrap_or_else(|| body.len().to_string());
+        let extra = extra.replace("{len}", &length);
         let mut out = format!(
-            "{method} /{path} HTTP/1.1\r\n{}Content-Length: {length}\r\n{eol}",
+            "{method} /{path} HTTP/1.1\r\n{}Content-Length: {length}\r\n{extra}{eol}",
             headers.concat()
         )
         .into_bytes();
@@ -59,6 +78,37 @@ fn arb_framed_request() -> impl Strategy<Value = Vec<u8>> {
         out.truncate(cut);
         out
     })
+}
+
+/// A well-framed request and the bytes a client sends for it.
+fn arb_request() -> impl Strategy<Value = (Request, Vec<u8>)> {
+    let header = ("X-[a-zA-Z-]{1,10}", "[ -~]{0,20}");
+    (
+        proptest::sample::select(vec!["GET", "POST", "PUT", "DELETE"]),
+        "/[!-~]{0,20}",
+        proptest::collection::vec(header, 0..4),
+        arb_bytes(64),
+        proptest::sample::select(vec![false, true]),
+    )
+        .prop_map(|(method, path, headers, body, close)| {
+            let mut wire = format!("{method} {path} HTTP/1.1\r\n");
+            let mut map = HashMap::new();
+            for (name, value) in &headers {
+                wire.push_str(&format!("{name}: {value}\r\n"));
+                map.insert(name.to_ascii_lowercase(), value.trim().to_string());
+            }
+            if close {
+                wire.push_str("Connection: close\r\n");
+                map.insert("connection".into(), "close".into());
+            }
+            wire.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+            map.insert("content-length".into(), body.len().to_string());
+            let mut wire = wire.into_bytes();
+            wire.extend_from_slice(&body);
+            let request =
+                Request { method: method.into(), path, headers: map, body: body.clone(), close };
+            (request, wire)
+        })
 }
 
 /// Streams built from the pieces a request is made of — methods,
@@ -122,20 +172,32 @@ fn arb_chunk_stream() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(piece, 0..8).prop_map(|pieces| pieces.concat())
 }
 
-/// Checks what `read_request` makes of `bytes`: an error, or a
-/// request within both caps whose body is exactly as long as it said.
-fn check_request(bytes: &[u8]) {
-    let Ok(req) = read_request(&mut Cursor::new(bytes)) else { return };
-    let head = req.method.len()
-        + req.path.len()
-        + req.headers.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>();
-    assert!(head <= MAX_HEAD_BYTES, "head of {head} bytes accepted");
-    assert!(req.body.len() as u64 <= MAX_BODY_BYTES);
-    match req.headers.get("content-length").map(|n| n.parse::<u64>()) {
-        Some(Ok(n)) => assert_eq!(req.body.len() as u64, n),
-        Some(Err(_)) => panic!("unparsable length accepted"),
-        None => assert!(req.body.is_empty()),
+/// Reads `bytes` as one persistent connection would, request after
+/// request, until the clean end or an error; each request it accepts
+/// is within both caps, has no `Transfer-Encoding`, and has a body
+/// exactly as long as it said.
+fn check_requests(bytes: &[u8]) {
+    let mut reader = Cursor::new(bytes);
+    // Every request read consumes at least one byte, so the stream
+    // runs out within `bytes.len() + 1` reads.
+    for _ in 0..=bytes.len() {
+        let req = match read_request(&mut reader) {
+            Ok(Some(req)) => req,
+            Ok(None) | Err(_) => return,
+        };
+        let head = req.method.len()
+            + req.path.len()
+            + req.headers.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>();
+        assert!(head <= MAX_HEAD_BYTES, "head of {head} bytes accepted");
+        assert!(req.body.len() as u64 <= MAX_BODY_BYTES);
+        assert!(!req.headers.contains_key("transfer-encoding"), "a transfer-encoding accepted");
+        match req.headers.get("content-length").map(|n| n.parse::<u64>()) {
+            Some(Ok(n)) => assert_eq!(req.body.len() as u64, n),
+            Some(Err(_)) => panic!("unparsable length accepted"),
+            None => assert!(req.body.is_empty()),
+        }
     }
+    panic!("read_request kept returning requests past the end of its input");
 }
 
 /// Reads chunks from `bytes` until the end chunk or an error; every
@@ -161,12 +223,45 @@ proptest! {
 
     #[test]
     fn hostile_requests_end_in_a_request_or_an_error(bytes in arb_request_stream()) {
-        check_request(&bytes);
+        check_requests(&bytes);
+    }
+
+    /// Back-to-back hostile streams read through one reader, as a
+    /// persistent connection carrying several of them would.
+    #[test]
+    fn hostile_streams_back_to_back_end_in_requests_or_an_error(
+        streams in proptest::collection::vec(arb_request_stream(), 1..4),
+    ) {
+        check_requests(&streams.concat());
+    }
+
+    #[test]
+    fn back_to_back_requests_read_back_in_order(
+        requests in proptest::collection::vec(arb_request(), 0..6),
+    ) {
+        let wire: Vec<u8> = requests.iter().flat_map(|(_, wire)| wire.clone()).collect();
+        let mut reader = Cursor::new(wire);
+        for (want, _) in &requests {
+            let got = read_request(&mut reader).expect("framed").expect("a request");
+            prop_assert_eq!(&got, want);
+        }
+        prop_assert!(read_request(&mut reader).expect("a clean end").is_none());
     }
 
     #[test]
     fn hostile_chunk_streams_end_in_chunks_or_an_error(bytes in arb_chunk_stream()) {
         check_chunks(&bytes);
+    }
+}
+
+#[test]
+fn framing_a_kept_connection_cannot_trust_is_an_error() {
+    for raw in [
+        "POST /submit HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        "POST /submit HTTP/1.1\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\nab",
+        "POST /submit HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc",
+    ] {
+        assert!(read_request(&mut Cursor::new(raw.as_bytes())).is_err(), "{raw:?}");
     }
 }
 

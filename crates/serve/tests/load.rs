@@ -1,17 +1,24 @@
 //! Mini load harness: N client threads × M submissions against one
 //! daemon, plus hostile traffic, asserting that no request is dropped
-//! or double-executed and that failures stay isolated.
+//! or double-executed and that failures stay isolated; and the
+//! persistent-connection contract: pipelining, half-close, the idle
+//! limit, `Connection: close`, fairness between connections, the
+//! client's retry, and shutdown with idle connections open.
 
-use std::io::{BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use hirata_serve::client::{fetch_stats, shutdown, submit, Mode, SubmitRequest};
-use hirata_serve::http::{read_body, read_response_head, write_request};
+use hirata_serve::http::{
+    read_body, read_chunk, read_request, read_response_head, response, write_request,
+};
 use hirata_serve::json::Json;
-use hirata_serve::server::{ServeConfig, Server};
+use hirata_serve::server::{ServeConfig, Server, IDLE_LIMIT};
 
 const CLIENTS: usize = 4;
 const SUBMISSIONS_PER_CLIENT: usize = 3;
@@ -209,7 +216,7 @@ fn hostile_and_failing_traffic_is_isolated() {
     for entries in [100_000usize, 4_000_000] {
         let body = format!("{{\"program\":\"halt\",\"slots\":[1{}]}}", ",1".repeat(entries - 1));
         let mut stream = TcpStream::connect(&addr).expect("connects");
-        write_request(&mut stream, "POST", "/submit", body.as_bytes()).expect("writes");
+        write_request(&mut stream, "POST", "/submit", body.as_bytes(), true).expect("writes");
         let mut reader = BufReader::new(stream);
         let head = read_response_head(&mut reader).expect("response head");
         let reply = String::from_utf8(read_body(&mut reader, &head).expect("body")).unwrap();
@@ -298,4 +305,244 @@ fn hostile_and_failing_traffic_is_isolated() {
 
     shutdown(&addr).expect("shutdown");
     handle.join().expect("daemon thread").expect("clean exit");
+}
+
+fn boot(cache: &Scratch, traces: &Scratch, http_workers: usize) -> (String, DaemonThread) {
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        http_workers,
+        sim_workers: Some(2),
+        cache_dir: Some(cache.0.clone()),
+        no_cache: false,
+        cache_budget: None,
+        trace_dir: traces.0.clone(),
+        quiet: true,
+    };
+    let (addr, handle) = Server::spawn(config).expect("daemon boots");
+    (addr.to_string(), handle)
+}
+
+type DaemonThread = thread::JoinHandle<std::io::Result<()>>;
+
+fn small_request() -> SubmitRequest {
+    SubmitRequest {
+        name: "small.s".into(),
+        program: PROGRAM.into(),
+        slots: vec![1, 2],
+        ls: vec![1],
+        mode: Mode::Pool,
+        timeout_secs: None,
+        trace: false,
+    }
+}
+
+/// Reads one whole response from a raw connection: its head and its
+/// body, fixed-length or chunked.
+fn read_response(reader: &mut impl BufRead) -> (hirata_serve::http::ResponseHead, Vec<u8>) {
+    let head = read_response_head(reader).expect("response head");
+    let body = if head.headers.get("transfer-encoding").is_some_and(|te| te == "chunked") {
+        let mut body = Vec::new();
+        while let Some(chunk) = read_chunk(reader).expect("chunk") {
+            body.extend_from_slice(&chunk);
+        }
+        body
+    } else {
+        read_body(reader, &head).expect("body")
+    };
+    (head, body)
+}
+
+/// Asserts the peer closes the connection: the next read is EOF.
+fn assert_eof(reader: &mut impl Read) {
+    let mut byte = [0u8; 1];
+    assert_eq!(reader.read(&mut byte).expect("a clean close"), 0, "the connection stayed open");
+}
+
+fn says_close(head: &hirata_serve::http::ResponseHead) -> bool {
+    head.headers.get("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
+}
+
+#[test]
+fn pipelined_requests_get_in_order_responses() {
+    let (cache, traces) = (Scratch::new("cache"), Scratch::new("traces"));
+    let (addr, handle) = boot(&cache, &traces, 2);
+    let mut stream = TcpStream::connect(&addr).expect("connects");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    let mut both = Vec::new();
+    write_request(&mut both, "GET", "/health", b"", false).expect("renders");
+    write_request(&mut both, "GET", "/stats", b"", true).expect("renders");
+    stream.write_all(&both).expect("one write");
+    let mut reader = BufReader::new(stream);
+    let (head, body) = read_response(&mut reader);
+    assert_eq!(head.status, 200);
+    assert!(!says_close(&head) && head.keeps_connection());
+    assert!(String::from_utf8(body).unwrap().contains("hirata-serve"));
+    let (head, body) = read_response(&mut reader);
+    assert_eq!(head.status, 200);
+    assert!(says_close(&head));
+    let stats = Json::parse(std::str::from_utf8(&body).unwrap()).expect("stats json");
+    assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(2));
+    assert_eq!(stats.get("connections").and_then(Json::as_u64), Some(1));
+    assert_eof(&mut reader);
+    shutdown(&addr).expect("shutdown");
+    handle.join().expect("daemon thread").expect("clean exit");
+}
+
+#[test]
+fn a_half_closed_client_gets_the_whole_response_then_eof() {
+    let (cache, traces) = (Scratch::new("cache"), Scratch::new("traces"));
+    let (addr, handle) = boot(&cache, &traces, 2);
+    let body = r#"{"program":"halt","slots":[1,2],"ls":[1]}"#;
+    let mut stream = TcpStream::connect(&addr).expect("connects");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    write_request(&mut stream, "POST", "/submit", body.as_bytes(), false).expect("sends");
+    stream.shutdown(Shutdown::Write).expect("half-closes");
+    let mut reader = BufReader::new(stream);
+    let (head, events) = read_response(&mut reader);
+    assert_eq!(head.status, 200);
+    let events = String::from_utf8(events).unwrap();
+    assert_eq!(events.lines().count(), 4, "accepted, two jobs, done: {events}");
+    assert!(events.lines().last().unwrap().contains("\"done\""), "{events}");
+    assert_eof(&mut reader);
+    shutdown(&addr).expect("shutdown");
+    handle.join().expect("daemon thread").expect("clean exit");
+}
+
+#[test]
+fn an_idle_connection_is_closed_past_the_limit() {
+    let (cache, traces) = (Scratch::new("cache"), Scratch::new("traces"));
+    let (addr, handle) = boot(&cache, &traces, 2);
+    let mut stream = TcpStream::connect(&addr).expect("connects");
+    stream.set_read_timeout(Some(IDLE_LIMIT + Duration::from_secs(10))).expect("timeout");
+    write_request(&mut stream, "GET", "/health", b"", false).expect("sends");
+    let mut reader = BufReader::new(stream);
+    let (head, _) = read_response(&mut reader);
+    assert!(head.keeps_connection());
+    let idle = Instant::now();
+    assert_eof(&mut reader);
+    let waited = idle.elapsed();
+    assert!(waited >= IDLE_LIMIT - Duration::from_millis(100), "closed after {waited:?}");
+    assert!(waited < IDLE_LIMIT + Duration::from_secs(3), "closed after {waited:?}");
+    shutdown(&addr).expect("shutdown");
+    handle.join().expect("daemon thread").expect("clean exit");
+}
+
+#[test]
+fn connection_close_is_honoured() {
+    let (cache, traces) = (Scratch::new("cache"), Scratch::new("traces"));
+    let (addr, handle) = boot(&cache, &traces, 2);
+    for path in ["/health", "/nowhere"] {
+        let mut stream = TcpStream::connect(&addr).expect("connects");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        write_request(&mut stream, "GET", path, b"", true).expect("sends");
+        let mut reader = BufReader::new(stream);
+        let (head, _) = read_response(&mut reader);
+        assert!(says_close(&head), "{path}: {:?}", head.headers);
+        assert_eof(&mut reader);
+    }
+    // A request that cannot be framed gets its 400, then the close.
+    let mut stream = TcpStream::connect(&addr).expect("connects");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    stream
+        .write_all(b"POST /submit HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n")
+        .expect("sends");
+    let mut reader = BufReader::new(stream);
+    let (head, body) = read_response(&mut reader);
+    assert_eq!(head.status, 400, "{}", String::from_utf8_lossy(&body));
+    assert!(says_close(&head));
+    assert_eof(&mut reader);
+    shutdown(&addr).expect("shutdown");
+    handle.join().expect("daemon thread").expect("clean exit");
+}
+
+/// With one HTTP worker, a second client is served while the first
+/// one's thread holds an idle kept connection, and the first client's
+/// next submission goes through its retry on a new connection.
+#[test]
+fn an_idle_kept_connection_does_not_pin_the_only_worker() {
+    let (cache, traces) = (Scratch::new("cache"), Scratch::new("traces"));
+    let (addr, handle) = boot(&cache, &traces, 1);
+    let first = submit(&addr, &small_request(), &mut |_, _| {}).expect("client A");
+    assert_eq!(first.executed, 2);
+
+    let other = addr.clone();
+    let b = thread::spawn(move || {
+        let start = Instant::now();
+        let outcome = submit(&other, &small_request(), &mut |_, _| {}).expect("client B");
+        (outcome, start.elapsed())
+    });
+    let (outcome, took) = b.join().expect("client B thread");
+    assert_eq!(outcome.cache_hits, 2);
+    assert!(took < Duration::from_secs(1), "client B waited {took:?} for the worker");
+
+    let again = submit(&addr, &small_request(), &mut |_, _| {}).expect("client A again");
+    assert_eq!(again.cache_hits, 2);
+    let stats = fetch_stats(&addr).expect("stats");
+    // A, B, and A's retry after the daemon closed its idle connection.
+    assert_eq!(stats.get("connections").and_then(Json::as_u64), Some(3));
+    assert_eq!(stats.get("submissions").and_then(Json::as_u64), Some(3));
+    shutdown(&addr).expect("shutdown");
+    handle.join().expect("daemon thread").expect("clean exit");
+}
+
+/// A listener that answers one request per connection and then closes
+/// it, though its response did not say so: the client's second
+/// request finds its kept connection closed and goes out again on a
+/// new one.
+#[test]
+fn the_client_retries_on_a_kept_connection_the_server_closed() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = thread::spawn(move || {
+        let mut seen = Vec::new();
+        for n in 1..=2u64 {
+            let (conn, _) = listener.accept().expect("accepts");
+            let mut reader = BufReader::new(conn);
+            let request = read_request(&mut reader).expect("framed").expect("a request");
+            seen.push(request.path);
+            let body = format!("{{\"requests\":{n}}}");
+            let reply = response(200, "application/json", body.as_bytes(), false);
+            reader.get_mut().write_all(&reply).expect("writes");
+        }
+        seen
+    });
+    for n in 1..=2 {
+        let stats = fetch_stats(&addr).expect("answered");
+        assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(n));
+    }
+    assert_eq!(server.join().expect("listener thread"), vec!["/stats", "/stats"]);
+}
+
+/// `shutdown` joins promptly while another thread holds an idle
+/// connection, and that thread's next submission fails at once
+/// instead of hanging.
+#[test]
+fn shutdown_joins_while_another_thread_holds_an_idle_connection() {
+    let (cache, traces) = (Scratch::new("cache"), Scratch::new("traces"));
+    let (addr, handle) = boot(&cache, &traces, 2);
+    let (ready_tx, ready_rx) = mpsc::channel();
+    let (go_tx, go_rx) = mpsc::channel::<()>();
+    let other = addr.clone();
+    let idler = thread::spawn(move || {
+        fetch_stats(&other).expect("stats before shutdown");
+        ready_tx.send(()).expect("signals");
+        go_rx.recv().expect("waits");
+        let start = Instant::now();
+        let result = submit(&other, &small_request(), &mut |_, _| {});
+        (result.is_err(), start.elapsed())
+    });
+    ready_rx.recv().expect("the idler holds a connection");
+
+    shutdown(&addr).expect("shutdown");
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !handle.is_finished() && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(10));
+    }
+    assert!(handle.is_finished(), "the daemon did not stop within 2 s");
+    handle.join().expect("daemon thread").expect("clean exit");
+
+    go_tx.send(()).expect("releases the idler");
+    let (failed, took) = idler.join().expect("idler thread");
+    assert!(failed, "a submission to a stopped daemon succeeded");
+    assert!(took < Duration::from_secs(2), "the failing submission took {took:?}");
 }

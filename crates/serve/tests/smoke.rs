@@ -5,7 +5,8 @@
 //! * a resubmission is answered entirely from the artifact store,
 //! * interleaved mode produces the same numbers as pool mode,
 //! * results and Chrome traces are servable by content hash,
-//! * `/stats` reflects the traffic, and `/shutdown` stops the daemon.
+//! * `/stats` reflects the traffic, its transport counters exactly,
+//!   and `/shutdown` stops the daemon.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -217,13 +218,68 @@ fn serve_smoke() {
     handle.join().expect("daemon thread").expect("daemon exits cleanly");
 }
 
+/// The transport counters of `/stats`, all from one client thread,
+/// which keeps one connection: a cold submission of a G-point grid is
+/// G + 1 response writes (the head with `accepted`, then one per
+/// executed job, the last one carrying `done`), a warm resubmission is
+/// one write and no new connection, and `/stats` is one request and
+/// one write on the same connection.
+#[test]
+fn transport_counters_are_exact() {
+    let cache = Scratch::new("cache");
+    let traces = Scratch::new("traces");
+    let (addr, handle) = boot(&cache, &traces);
+    let stats = || fetch_stats(&addr).expect("stats");
+    let count = |doc: &Json, field: &str| doc.get(field).and_then(Json::as_u64).expect(field);
+    let delta = |a: &Json, b: &Json, field: &str| count(b, field) - count(a, field);
+
+    let first = stats();
+    assert_eq!(count(&first, "connections"), 1);
+    assert_eq!(count(&first, "requests"), 1);
+
+    // Cold pool submission of a 6-point grid: 6 + 1 writes, after the
+    // first `/stats` reply's one.
+    let cold = submit(&addr, &request(Mode::Pool), &mut |_, _| {}).expect("cold submission");
+    assert_eq!(cold.executed, 6);
+    let after_cold = stats();
+    assert_eq!(delta(&first, &after_cold, "writes"), 1 + 6 + 1);
+    assert_eq!(delta(&first, &after_cold, "requests"), 2);
+    assert_eq!(delta(&first, &after_cold, "connections"), 0);
+
+    // Warm resubmission: the head, `accepted`, six hits and `done` in
+    // one write.
+    let warm = submit(&addr, &request(Mode::Pool), &mut |_, _| {}).expect("warm submission");
+    assert_eq!(warm.cache_hits, 6);
+    let after_warm = stats();
+    assert_eq!(delta(&after_cold, &after_warm, "writes"), 1 + 1);
+    assert_eq!(delta(&after_cold, &after_warm, "requests"), 2);
+    assert_eq!(delta(&after_cold, &after_warm, "connections"), 0);
+
+    // A cold interleaved submission of 2 points: 2 + 1 writes.
+    let mut interleaved = request(Mode::Interleaved);
+    interleaved.slots = vec![3];
+    let cold = submit(&addr, &interleaved, &mut |_, _| {}).expect("cold interleaved");
+    assert_eq!(cold.executed, 2);
+    let after_interleaved = stats();
+    assert_eq!(delta(&after_warm, &after_interleaved, "writes"), 1 + 2 + 1);
+
+    // `/stats` alone: one request, one write, no connection.
+    let again = stats();
+    assert_eq!(delta(&after_interleaved, &again, "requests"), 1);
+    assert_eq!(delta(&after_interleaved, &again, "writes"), 1);
+    assert_eq!(count(&again, "connections"), 1);
+
+    shutdown(&addr).expect("shutdown accepted");
+    handle.join().expect("daemon thread").expect("daemon exits cleanly");
+}
+
 /// Fetches `/trace/{key}` and parses the Chrome trace JSON.
 fn fetch_trace(addr: &str, key: &str) -> std::io::Result<Json> {
     use std::io::BufReader;
     use std::net::TcpStream;
 
     let mut stream = TcpStream::connect(addr)?;
-    hirata_serve::http::write_request(&mut stream, "GET", &format!("/trace/{key}"), b"")?;
+    hirata_serve::http::write_request(&mut stream, "GET", &format!("/trace/{key}"), b"", true)?;
     let mut reader = BufReader::new(stream);
     let head = hirata_serve::http::read_response_head(&mut reader)?;
     let body = hirata_serve::http::read_body(&mut reader, &head)?;

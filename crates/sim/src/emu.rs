@@ -145,13 +145,13 @@ impl Emulator {
                 }
                 steps += 1;
                 if steps > max_steps {
-                    return Err(MachineError::Watchdog { cycles: max_steps });
+                    return Err(MachineError::Watchdog { cycles: max_steps, slots: Vec::new() });
                 }
                 progressed |= self.step_thread(i)?;
             }
             if !progressed && self.threads.iter().any(|t| t.alive) {
                 // Every live thread is blocked: architectural deadlock.
-                return Err(MachineError::Watchdog { cycles: steps });
+                return Err(MachineError::Watchdog { cycles: steps, slots: Vec::new() });
             }
         }
         Ok(EmuOutcome {

@@ -6,6 +6,7 @@ use hirata_isa::{FuClass, ProgramError};
 use hirata_mem::MemError;
 
 use crate::config::ConfigError;
+use crate::stats::StallReason;
 
 /// A fatal simulation error (machine check).
 ///
@@ -85,7 +86,41 @@ pub enum MachineError {
     Watchdog {
         /// The cycle limit that was hit.
         cycles: u64,
+        /// What each bound thread slot was doing at the limit, in slot
+        /// order (empty from the emulator, which has no slots).
+        slots: Vec<StuckSlot>,
     },
+}
+
+/// A bound thread slot as the watchdog found it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StuckSlot {
+    /// Thread slot.
+    pub slot: usize,
+    /// Why the slot's head instruction cannot issue, or `None` when it
+    /// can (the slot is running, as in a runaway loop).
+    pub reason: Option<StallReason>,
+    /// Address of the head instruction (the fetch address when the
+    /// slot's window is empty).
+    pub pc: Option<u32>,
+    /// The cycle at which the stall lifts by the advance of time
+    /// alone, or `None` when only an event (a writeback, a queue push
+    /// or pop, a fetch delivery, a rotation) can lift it.
+    pub wake: Option<u64>,
+}
+
+impl fmt::Display for StuckSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "slot {}", self.slot)?;
+        if let Some(pc) = self.pc {
+            write!(f, " @{pc}")?;
+        }
+        match (self.reason, self.wake) {
+            (None, _) => write!(f, " can issue"),
+            (Some(reason), Some(wake)) => write!(f, " {reason} until cycle {wake}"),
+            (Some(reason), None) => write!(f, " {reason} until an event"),
+        }
+    }
 }
 
 impl fmt::Display for MachineError {
@@ -115,8 +150,12 @@ impl fmt::Display for MachineError {
             MachineError::NoFunctionalUnit { slot, pc, class } => {
                 write!(f, "no {class} unit is configured for the instruction at slot {slot}, @{pc}")
             }
-            MachineError::Watchdog { cycles } => {
-                write!(f, "watchdog: run exceeded {cycles} cycles (deadlock or runaway loop)")
+            MachineError::Watchdog { cycles, slots } => {
+                write!(f, "watchdog: run exceeded {cycles} cycles (deadlock or runaway loop)")?;
+                for (i, slot) in slots.iter().enumerate() {
+                    write!(f, "{} {slot}", if i == 0 { ":" } else { ";" })?;
+                }
+                Ok(())
             }
         }
     }

@@ -64,7 +64,7 @@ pub mod trace_driven;
 pub use batch::{LaneError, LaneResult, MachineBatch, DEFAULT_STRIDE};
 pub use config::{Config, ConfigError, PipelineKind, MAX_STANDBY_DEPTH, MAX_THREAD_SLOTS};
 pub use emu::{EmuOutcome, Emulator};
-pub use error::MachineError;
+pub use error::{MachineError, StuckSlot};
 pub use machine::{IssueEvent, Machine, SlotView};
 pub use predecode::{DecodedInst, PredecodedProgram};
 pub use stats::{

@@ -12,7 +12,7 @@ mod fupool;
 mod wheel;
 
 use crate::config::{Config, MAX_STANDBY_DEPTH};
-use crate::error::MachineError;
+use crate::error::{MachineError, StuckSlot};
 use crate::exec::{branch_taken, debug_assert_fresh_decode, fu_action, resolve_operands, FuAction};
 use crate::fetch::{Delivery, FetchSystem};
 use crate::machine::fupool::FuPool;
@@ -717,7 +717,7 @@ impl Machine {
         }
         let now = self.cycle;
         if now >= self.config.max_cycles {
-            return Err(MachineError::Watchdog { cycles: self.config.max_cycles });
+            return Err(self.watchdog(now));
         }
         if self.prio.tick(now) {
             self.stats.rotations += 1;
@@ -1402,6 +1402,55 @@ impl Machine {
                 );
             }
         }
+    }
+
+    /// The watchdog's error: for each bound slot, what its head is
+    /// stuck on — its block if it holds one, else one side-effect-free
+    /// evaluation of its head.
+    #[cold]
+    fn watchdog(&self, now: u64) -> MachineError {
+        let slots = (0..self.slots.len())
+            .filter_map(|s| {
+                let slot = &self.slots[s];
+                let ctx_i = slot.ctx?;
+                let stuck = |reason, pc, wake: u64| StuckSlot {
+                    slot: s,
+                    reason: Some(reason),
+                    pc,
+                    wake: (wake != u64::MAX).then_some(wake),
+                };
+                if let Some(b) = slot.block.filter(|b| now < b.wake) {
+                    return Some(stuck(b.reason, b.pc, b.wake));
+                }
+                if now < slot.earliest_issue {
+                    let pc = Some(self.next_window_pc(s));
+                    return Some(stuck(StallReason::BranchShadow, pc, slot.earliest_issue));
+                }
+                let (di, replay, pc) = match slot.window.front() {
+                    Some(&WinEntry::Fresh(pc)) => (self.program.insts()[pc as usize], false, pc),
+                    Some(&WinEntry::Replay(inst, _)) => {
+                        (DecodedInst::of(inst), true, self.contexts[ctx_i].resume_pc)
+                    }
+                    None => {
+                        return Some(stuck(StallReason::Fetch, Some(slot.fetch_pc), u64::MAX));
+                    }
+                };
+                let idle = &[false; FU_CLASS_COUNT];
+                let check =
+                    self.check_issue(s, ctx_i, &di, replay, now, 0, 0, (false, false), idle, true);
+                Some(match check {
+                    Err(IssueBlock::Stall(reason, wake)) => {
+                        stuck(reason, Some(pc), wake.unwrap_or(u64::MAX))
+                    }
+                    // A head that would fault ends the run when it
+                    // issues, so like one that passes it is not stuck.
+                    Ok(()) | Err(IssueBlock::Fault(_)) => {
+                        StuckSlot { slot: s, reason: None, pc: Some(pc), wake: None }
+                    }
+                })
+            })
+            .collect();
+        MachineError::Watchdog { cycles: self.config.max_cycles, slots }
     }
 
     /// Address of the oldest fresh instruction the slot will issue

@@ -169,14 +169,14 @@ fn run_case(case: &Case, name: &str, program: &Program) {
     });
     match outcome {
         Err(_) => panic!("{name} panicked on {config:?}"),
-        Ok(Err(MachineError::Watchdog { cycles })) => {
+        Ok(Err(err @ MachineError::Watchdog { .. })) => {
             // The one known cause, recorded in ROADMAP item 4: a
             // one-slot queue ring with wide decode can fill the link
             // its own younger instructions would drain.
             let known = config.thread_slots == 1
                 && config.issue_width > 1
                 && program.insts.iter().any(|i| matches!(i, Inst::QMap { .. }));
-            assert!(known, "{name} hit the {cycles}-cycle watchdog on {config:?}");
+            assert!(known, "{name} on {config:?}: {err}");
         }
         Ok(Err(MachineError::Config(_))) => {
             assert!(config.validate().is_err(), "{name}: construction rejected a valid config")

@@ -5,7 +5,7 @@
 use hirata_asm::assemble;
 use hirata_isa::{GReg, Program};
 use hirata_mem::DsmMemory;
-use hirata_sim::{Config, Machine, MachineError};
+use hirata_sim::{Config, Machine, MachineError, StallReason, StuckSlot};
 
 fn run(config: Config, src: &str) -> Machine {
     let prog = assemble(src).expect("test program assembles");
@@ -380,7 +380,7 @@ fn watchdog_catches_infinite_loops() {
     let mut config = Config::base_risc();
     config.max_cycles = 10_000;
     let err = run_err(config, "loop: j loop");
-    assert!(matches!(err, MachineError::Watchdog { cycles: 10_000 }));
+    assert!(matches!(err, MachineError::Watchdog { cycles: 10_000, .. }), "{err:?}");
 }
 
 #[test]
@@ -390,6 +390,41 @@ fn watchdog_catches_queue_deadlock() {
     config.max_cycles = 10_000;
     let err = run_err(config, "qmap r10, r11\nadd r1, r10, #0\nhalt");
     assert!(matches!(err, MachineError::Watchdog { .. }));
+}
+
+/// The watchdog names what is stuck: here the consumer of a queue link
+/// whose producer halted without sending, read from the slot's block
+/// at single-issue decode and from one evaluation of its head at wider
+/// decode, where no block is held.
+#[test]
+fn watchdog_names_the_slot_waiting_on_an_empty_queue() {
+    let src = "
+        qmap r10, r11
+        fastfork
+        lpid r1
+        bne  r1, #0, consumer
+        halt
+    consumer:
+        add  r2, r10, #0
+        halt
+    ";
+    for width in [1, 2] {
+        let mut config = Config::multithreaded(2);
+        config.issue_width = width;
+        config.max_cycles = 10_000;
+        let err = run_err(config, src);
+        let MachineError::Watchdog { cycles, slots } = &err else {
+            panic!("width {width}: {err:?}");
+        };
+        assert_eq!(*cycles, 10_000);
+        let stuck =
+            StuckSlot { slot: 1, reason: Some(StallReason::QueueEmpty), pc: Some(5), wake: None };
+        assert_eq!(slots, &vec![stuck], "width {width}");
+        assert!(
+            err.to_string().ends_with(": slot 1 @5 queue-empty until an event"),
+            "width {width}: {err}"
+        );
+    }
 }
 
 #[test]
