@@ -8,6 +8,11 @@
 //! daemon closes a kept connection only between requests, so when a
 //! reused connection fails before the first response byte, the
 //! request was never read and goes out once more on a new connection.
+//!
+//! Only a caller that sends several requests from one thread gains
+//! from this, such as an in-process harness that submits back to back.
+//! The `hirata submit`, `stats` and `shutdown` commands send one
+//! request per process, so each of them opens a new connection.
 
 use std::cell::RefCell;
 use std::io::{self, BufRead, BufReader, Write};

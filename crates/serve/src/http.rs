@@ -44,7 +44,7 @@ pub struct Request {
     /// Request target, e.g. `/result/3fa9c1`; query strings are kept
     /// verbatim (the daemon's routes do not use them).
     pub path: String,
-    /// Header map with lowercased names; a repeated header keeps the
+    /// Header map with lowercased names; duplicate headers keep the
     /// last value.
     pub headers: HashMap<String, String>,
     /// Request body (empty unless `Content-Length` said otherwise).
@@ -52,10 +52,6 @@ pub struct Request {
     /// The client will send nothing after this request:
     /// `Connection: close`, or HTTP/1.0 without `Connection: keep-alive`.
     pub close: bool,
-}
-
-fn invalid(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Reads one line terminated by `\r\n` (or bare `\n`), enforcing the
@@ -102,10 +98,12 @@ fn read_headers(
         if line.is_empty() {
             return Ok(headers);
         }
-        let (name, value) = line.split_once(':').ok_or_else(|| invalid("malformed header"))?;
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed header"))?;
         let (name, value) = (name.trim().to_ascii_lowercase(), value.trim().to_string());
         if name == "content-length" && headers.get(&name).is_some_and(|first| *first != value) {
-            return Err(invalid("conflicting content-length"));
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "conflicting content-length"));
         }
         headers.insert(name, value);
     }
@@ -116,15 +114,6 @@ fn connection_has(headers: &HashMap<String, String>, token: &str) -> bool {
     headers
         .get("connection")
         .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case(token)))
-}
-
-/// Parses a `Content-Length` value within the body cap.
-fn content_length(value: &str) -> io::Result<usize> {
-    let len: u64 = value.parse().map_err(|_| invalid("bad content-length"))?;
-    if len > MAX_BODY_BYTES {
-        return Err(invalid("body too large"));
-    }
-    Ok(len as usize)
 }
 
 /// Reads and parses the next request on a connection.
@@ -141,17 +130,32 @@ pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
     let mut budget = MAX_HEAD_BYTES;
     let request_line = read_line(reader, &mut budget)?;
     let mut parts = request_line.split_whitespace();
-    let method = parts.next().ok_or_else(|| invalid("empty request line"))?.to_string();
-    let path = parts.next().ok_or_else(|| invalid("missing request target"))?.to_string();
+    let method = parts
+        .next()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty request line"))?
+        .to_string();
+    let path = parts
+        .next()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing request target"))?
+        .to_string();
     let http10 = parts.next() == Some("HTTP/1.0");
     let headers = read_headers(reader, &mut budget)?;
     if headers.contains_key("transfer-encoding") {
-        return Err(invalid("transfer-encoding is not supported; send content-length"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "transfer-encoding is not supported; send content-length",
+        ));
     }
 
     let mut body = Vec::new();
     if let Some(len) = headers.get("content-length") {
-        body.resize(content_length(len)?, 0);
+        let len: u64 = len
+            .parse()
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?;
+        if len > MAX_BODY_BYTES {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
+        }
+        body.resize(len as usize, 0);
         reader.read_exact(&mut body)?;
     }
     let close =
@@ -315,7 +319,13 @@ pub fn read_chunk(reader: &mut impl BufRead) -> io::Result<Option<Vec<u8>>> {
 pub fn read_body(reader: &mut impl BufRead, head: &ResponseHead) -> io::Result<Vec<u8>> {
     let mut body = Vec::new();
     if let Some(len) = head.headers.get("content-length") {
-        body.resize(content_length(len)?, 0);
+        let len: u64 = len
+            .parse()
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?;
+        if len > MAX_BODY_BYTES {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
+        }
+        body.resize(len as usize, 0);
         reader.read_exact(&mut body)?;
     } else {
         reader.read_to_end(&mut body)?;

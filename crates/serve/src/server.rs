@@ -9,16 +9,20 @@
 //! [`IDLE_LIMIT`], another accepted connection waits for a worker, or
 //! the daemon shuts down. A worker waits for a next request in short
 //! slices and checks those conditions between them, so an idle kept
-//! connection never pins a worker. A submission's grid points run as
-//! one batch of the shared [`Lab`] engine, placed by the submission's
-//! mode: `pool` spreads the jobs over the engine's long-lived
-//! simulation workers, and `interleaved` steps them all round-robin
-//! as lanes of one `MachineBatch` on the HTTP worker itself. Either
-//! way the HTTP worker streams per-job progress back as chunked
-//! ndjson events, every set of events that is ready at the same
-//! moment in one write, and results land in the shared
-//! content-addressed [`DiskCache`], so a resubmission is answered
-//! without simulating.
+//! connection never pins a worker. After a response that says
+//! `Connection: close` the worker half-closes and drains the
+//! connection briefly, so a request the client already sent behind
+//! it does not turn the close into a reset.
+//!
+//! A submission's grid points run as one batch of the shared [`Lab`]
+//! engine, placed by the submission's mode: `pool` spreads the jobs
+//! over the engine's long-lived simulation workers, and `interleaved`
+//! steps them all round-robin as lanes of one `MachineBatch` on the
+//! HTTP worker itself. Either way the HTTP worker streams per-job
+//! progress back as chunked ndjson events, every set of events that
+//! is ready at the same moment in one write, and results land in the
+//! shared content-addressed [`DiskCache`], so a resubmission is
+//! answered without simulating.
 //!
 //! Routes:
 //!
@@ -31,8 +35,8 @@
 //! | GET    | `/trace/{key}`  | Chrome trace artifact for a content hash  |
 //! | POST   | `/shutdown`     | graceful stop                             |
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -60,6 +64,10 @@ pub const IDLE_LIMIT: Duration = Duration::from_secs(5);
 /// checks for shutdown, for a connection waiting for a worker, and for
 /// the idle limit.
 const IDLE_SLICE: Duration = Duration::from_millis(25);
+
+/// Longest a worker drains a connection it closes after a response;
+/// see [`linger`].
+const LINGER: Duration = Duration::from_millis(250);
 
 /// Most grid points one submission may ask for: 64 slot counts (the
 /// slot-mask width) times both load/store-unit variants.
@@ -344,9 +352,39 @@ fn serve_connection(state: &AppState, stream: TcpStream) {
             }
         };
         if close {
+            linger(conn.reader.into_inner());
             return;
         }
         kept = true;
+    }
+    // An idle close: no byte of a next request had arrived when the
+    // worker looked. One that lands in between is reset before its
+    // first response byte, which tells the client to send it again.
+}
+
+/// Closes a connection after a response that said `Connection: close`
+/// without resetting it. Closing a socket with unread bytes — a
+/// request the client pipelined behind the last one, or the rest of a
+/// body that could not be framed — makes the kernel send a reset
+/// instead of a close, and the reset can destroy the response just
+/// written. So the worker half-closes, which the client reads as EOF
+/// after the response, then reads and drops whatever the client sent
+/// until it closes its end, for at most [`LINGER`].
+fn linger(stream: TcpStream) {
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + LINGER;
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match (&stream).read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
     }
 }
 
@@ -388,17 +426,16 @@ fn route(conn: &mut Conn, request: &Request) -> bool {
 }
 
 fn stats_json(state: &AppState) -> Json {
-    let count = |counter: &AtomicU64| Json::u64(counter.load(Ordering::Relaxed));
     let mut pairs = vec![
         ("uptime_secs", Json::u64(state.started.elapsed().as_secs())),
         ("sim_workers", Json::u64(state.lab.workers() as u64)),
-        ("connections", count(&state.connections)),
-        ("requests", count(&state.requests)),
-        ("writes", count(&state.writes)),
-        ("submissions", count(&state.submissions)),
-        ("jobs_run", count(&state.jobs_run)),
-        ("jobs_cached", count(&state.jobs_cached)),
-        ("jobs_failed", count(&state.jobs_failed)),
+        ("connections", Json::u64(state.connections.load(Ordering::Relaxed))),
+        ("requests", Json::u64(state.requests.load(Ordering::Relaxed))),
+        ("writes", Json::u64(state.writes.load(Ordering::Relaxed))),
+        ("submissions", Json::u64(state.submissions.load(Ordering::Relaxed))),
+        ("jobs_run", Json::u64(state.jobs_run.load(Ordering::Relaxed))),
+        ("jobs_cached", Json::u64(state.jobs_cached.load(Ordering::Relaxed))),
+        ("jobs_failed", Json::u64(state.jobs_failed.load(Ordering::Relaxed))),
     ];
     match &state.cache {
         Some(cache) => {

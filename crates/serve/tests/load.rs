@@ -455,6 +455,81 @@ fn connection_close_is_honoured() {
     handle.join().expect("daemon thread").expect("clean exit");
 }
 
+/// On one raw keep-alive connection, pipelines a submission that
+/// simulates for about a second, then `next` in the same write, and —
+/// once the submission is simulating — a `/health` in a write of its
+/// own, after calling `meanwhile`. The daemon decides to close after
+/// answering `next`, so that `/health` is still unread when it does.
+/// Every response must still arrive whole, the last saying
+/// `Connection: close`, followed by a clean EOF rather than a reset.
+fn pipeline_past_a_close(addr: &str, next: (&str, &str), meanwhile: impl FnOnce()) {
+    let slow = r#"{"program":"loop: j loop","slots":[1],"ls":[1],"timeout_secs":1}"#;
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    let mut both = Vec::new();
+    write_request(&mut both, "POST", "/submit", slow.as_bytes(), false).expect("renders");
+    write_request(&mut both, next.0, next.1, b"", false).expect("renders");
+    stream.write_all(&both).expect("one write");
+    let mut reader = BufReader::new(stream);
+    let head = read_response_head(&mut reader).expect("submit head");
+    assert_eq!(head.status, 200);
+    let accepted = read_chunk(&mut reader).expect("accepted").expect("an event");
+    assert!(String::from_utf8_lossy(&accepted).contains("\"accepted\""));
+    meanwhile();
+    let mut late = Vec::new();
+    write_request(&mut late, "GET", "/health", b"", false).expect("renders");
+    reader.get_mut().write_all(&late).expect("a later write");
+    let mut events = 1;
+    while let Some(chunk) = read_chunk(&mut reader).expect("a whole event stream") {
+        events += String::from_utf8_lossy(&chunk).lines().count();
+    }
+    assert_eq!(events, 3, "accepted, the timed-out job, done");
+    assert!(head.keeps_connection());
+    let (head, _) = read_response(&mut reader);
+    assert_eq!(head.status, 200);
+    assert!(says_close(&head), "{:?}", head.headers);
+    assert_eof(&mut reader);
+}
+
+#[test]
+fn a_close_with_bytes_unread_is_not_a_reset() {
+    // A request that cannot be framed, with 200,000 bytes behind it.
+    let (cache, traces) = (Scratch::new("cache"), Scratch::new("traces"));
+    let (addr, handle) = boot(&cache, &traces, 2);
+    let mut stream = TcpStream::connect(&addr).expect("connects");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    let mut bad = b"POST /submit HTTP/1.1\r\nContent-Length: zz\r\n\r\n".to_vec();
+    bad.resize(bad.len() + 200_000, b'x');
+    stream.write_all(&bad).expect("sends");
+    let mut reader = BufReader::new(stream);
+    let (head, body) = read_response(&mut reader);
+    assert_eq!(head.status, 400, "{}", String::from_utf8_lossy(&body));
+    assert!(says_close(&head));
+    assert_eof(&mut reader);
+
+    // The daemon closes after `/shutdown`.
+    pipeline_past_a_close(&addr, ("POST", "/shutdown"), || {});
+    handle.join().expect("daemon thread").expect("clean exit");
+
+    // It closes because another connection waits for its only worker.
+    let (cache, traces) = (Scratch::new("cache"), Scratch::new("traces"));
+    let (addr, handle) = boot(&cache, &traces, 1);
+    let mut waiting = None;
+    pipeline_past_a_close(&addr, ("GET", "/health"), || {
+        waiting = Some(TcpStream::connect(&addr).expect("connects"));
+        // Give the acceptor time to queue it well inside the second
+        // the submission simulates.
+        thread::sleep(Duration::from_millis(200));
+    });
+    let mut waiting = waiting.expect("a waiting connection");
+    waiting.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    write_request(&mut waiting, "GET", "/health", b"", true).expect("sends");
+    let (head, _) = read_response(&mut BufReader::new(waiting));
+    assert_eq!(head.status, 200);
+    shutdown(&addr).expect("shutdown");
+    handle.join().expect("daemon thread").expect("clean exit");
+}
+
 /// With one HTTP worker, a second client is served while the first
 /// one's thread holds an idle kept connection, and the first client's
 /// next submission goes through its retry on a new connection.
