@@ -52,8 +52,9 @@ pub enum MachineError {
         pc: u32,
     },
     /// Illegal use of a mapped queue register (reading the write-mapped
-    /// register, writing the read-mapped register, or mapping both
-    /// directions onto one register).
+    /// register, writing the read-mapped register, mapping both
+    /// directions onto one register, or taking a data-absence trap
+    /// while one is mapped).
     QueueMisuse {
         /// Thread slot.
         slot: usize,

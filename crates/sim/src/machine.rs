@@ -1104,14 +1104,6 @@ impl Machine {
                     continue;
                 }
                 self.unblock(s);
-                // A timed block expiring usually means the event it
-                // waited out has arrived (e.g. a scoreboard clear):
-                // make the packed busy mask exact once, here, so the
-                // fresh evaluation's fast path sees it — amortized
-                // over stall episodes instead of per hazard check.
-                if let Some(c) = self.slots[s].ctx {
-                    self.contexts[c].regs.refresh(now);
-                }
             }
             self.issue_slot::<TRACED>(s, now, cands)?;
         }
@@ -1527,48 +1519,17 @@ impl Machine {
                 return Err(Stall(StallReason::Priority, None));
             }
         }
-        // Packed-scoreboard fast path: for a fresh instruction in a
-        // context with no queue registers mapped, every per-register
-        // hazard rule below reduces to ANDs of the predecoded operand
-        // masks against the context's packed busy mask and this
-        // cycle's unissued-operand masks. The busy mask may be stale —
-        // it is a conservative superset of the outstanding writes (see
-        // `RegBank::busy`) — so an all-clear here is a proof of "no
-        // register hazard", while anything else falls back to the
-        // exact per-register walk (which also produces the stall
-        // reasons, wake hints, and queue-misuse faults).
-        //
-        // No refresh runs here: stale bits are only dropped by pokes,
-        // bank copies, and the block-expiry refresh in `issue_phase` —
-        // all amortized over events rather than paid per hazard check
-        // (a per-evaluation refresh, and even a sweep on every
-        // writeback, measured as net losses on the bench trio).
-        let regs_fast = !is_replay
-            && ctx.qread.is_none()
-            && ctx.qwrite.is_none()
-            && (di.src_mask | di.dest_mask) & (ctx.regs.busy() | unissued_writes) == 0
-            && di.dest_mask & unissued_reads == 0;
-        #[cfg(debug_assertions)]
-        if regs_fast {
-            for r in di.srcs.into_iter().flatten() {
-                assert!(
-                    ctx.regs.is_ready(r, now),
-                    "busy-mask fast path missed a source hazard on {r}"
-                );
-            }
-            if let Some(d) = di.dest {
-                assert!(
-                    ctx.regs.is_ready(d, now),
-                    "busy-mask fast path missed a WAW hazard on {d}"
-                );
-            }
-        }
-        if !is_replay && !regs_fast {
+        // Register hazards, operand by operand in order, against the
+        // per-register ready times. Only a context that maps a queue
+        // register needs the queue rules; testing that once keeps their
+        // register compares off the common path.
+        let queued = ctx.qread.is_some() || ctx.qwrite.is_some();
+        if !is_replay {
             for r in di.srcs.into_iter().flatten() {
                 if unissued_writes & (1u64 << r.dense_index()) != 0 {
                     return Err(Stall(StallReason::Data, None));
                 }
-                if ctx.qread == Some(r) {
+                if queued && ctx.qread == Some(r) {
                     let link = self.queues.read_link(s);
                     if !self.queues.can_read(link, now) {
                         // Wake when the front entry matures (`MAX` for
@@ -1579,7 +1540,7 @@ impl Machine {
                             Some(self.queues.readable_at(link)),
                         ));
                     }
-                } else if ctx.qwrite == Some(r) {
+                } else if queued && ctx.qwrite == Some(r) {
                     return Err(Fault(MachineError::QueueMisuse {
                         slot: s,
                         pc: 0,
@@ -1590,47 +1551,44 @@ impl Machine {
                 }
             }
         }
-        if !regs_fast {
-            if let Some(d) = di.dest {
-                if (unissued_writes | unissued_reads) & di.dest_mask != 0 {
-                    return Err(Stall(StallReason::Data, None));
-                }
-                if ctx.qwrite == Some(d) {
-                    let link = self.queues.write_link(s);
-                    if !self.queues.can_write(link) {
-                        // On a one-slot ring the consumer is this slot:
-                        // with single-issue decode and nothing in
-                        // flight (so no trap can switch the context
-                        // out) nothing behind this head ever issues to
-                        // pop the link — a certain deadlock, reported
-                        // now rather than by the watchdog.
-                        if self.slots.len() == 1
-                            && self.config.issue_width == 1
-                            && !self.slot_has_standby(s)
-                        {
-                            return Err(Fault(MachineError::QueueMisuse {
-                                slot: s,
-                                pc: 0,
-                                detail: format!(
-                                    "write to full queue link {link}, which only this slot drains \
-                                     (a one-slot ring deadlock)"
-                                ),
-                            }));
-                        }
-                        // Only the consumer's pop can free a full link,
-                        // and pops clear the block.
-                        return Err(Stall(StallReason::QueueFull, Some(u64::MAX)));
+        if let Some(d) = di.dest {
+            if (unissued_writes | unissued_reads) & di.dest_mask != 0 {
+                return Err(Stall(StallReason::Data, None));
+            }
+            if queued && ctx.qwrite == Some(d) {
+                let link = self.queues.write_link(s);
+                if !self.queues.can_write(link) {
+                    // On a one-slot ring the consumer is this slot: with
+                    // single-issue decode and nothing in flight (so no
+                    // trap can switch the context out) nothing behind
+                    // this head ever issues to pop the link — a certain
+                    // deadlock, reported now rather than by the watchdog.
+                    if self.slots.len() == 1
+                        && self.config.issue_width == 1
+                        && !self.slot_has_standby(s)
+                    {
+                        return Err(Fault(MachineError::QueueMisuse {
+                            slot: s,
+                            pc: 0,
+                            detail: format!(
+                                "write to full queue link {link}, which only this slot drains \
+                                 (a one-slot ring deadlock)"
+                            ),
+                        }));
                     }
-                } else if ctx.qread == Some(d) {
-                    return Err(Fault(MachineError::QueueMisuse {
-                        slot: s,
-                        pc: 0,
-                        detail: format!("write to read-mapped queue register {d}"),
-                    }));
-                } else if !is_replay && !ctx.regs.is_ready(d, now) {
-                    // WAW interlock
-                    return Err(Stall(StallReason::Data, Some(ctx.regs.ready_time(d))));
+                    // Only the consumer's pop can free a full link,
+                    // and pops clear the block.
+                    return Err(Stall(StallReason::QueueFull, Some(u64::MAX)));
                 }
+            } else if queued && ctx.qread == Some(d) {
+                return Err(Fault(MachineError::QueueMisuse {
+                    slot: s,
+                    pc: 0,
+                    detail: format!("write to read-mapped queue register {d}"),
+                }));
+            } else if !is_replay && !ctx.regs.is_ready(d, now) {
+                // WAW interlock
+                return Err(Stall(StallReason::Data, Some(ctx.regs.ready_time(d))));
             }
         }
         if let Some(class) = di.fu {
@@ -2116,7 +2074,7 @@ impl Machine {
                     }
                 }
                 Access::Absent { ready_after } => {
-                    self.data_absence_trap::<TRACED>(f, now + ready_after)
+                    self.data_absence_trap::<TRACED>(f, addr, now + ready_after)?
                 }
             },
             FuAction::Store { addr, bits } => match self.timed_access(&f, addr, true, now) {
@@ -2131,7 +2089,7 @@ impl Machine {
                     }
                 }
                 Access::Absent { ready_after } => {
-                    self.data_absence_trap::<TRACED>(f, now + ready_after)
+                    self.data_absence_trap::<TRACED>(f, addr, now + ready_after)?
                 }
             },
         }
@@ -2210,8 +2168,28 @@ impl Machine {
     /// The §2.1.3 data-absence trap: record the access in the context's
     /// access requirement buffer and switch the thread out until the
     /// remote access completes.
-    fn data_absence_trap<const TRACED: bool>(&mut self, f: InFlight, ready_at: u64) {
+    ///
+    /// A context with a queue register mapped cannot be switched out:
+    /// `wake_and_bind` may resume it on another slot, while its ring
+    /// data stays on the links of this one. The paper never combines
+    /// queue registers (§2.3) with data-absence switching (§2.1.3), so
+    /// the trap ends the run with a typed error instead of a deadlock.
+    fn data_absence_trap<const TRACED: bool>(
+        &mut self,
+        f: InFlight,
+        addr: u64,
+        ready_at: u64,
+    ) -> Result<(), MachineError> {
         let s = f.slot;
+        if self.contexts[f.ctx].qread.is_some() || self.contexts[f.ctx].qwrite.is_some() {
+            return Err(MachineError::QueueMisuse {
+                slot: s,
+                pc: f.pc,
+                detail: format!(
+                    "data-absence trap on word {addr:#x} in a context with queue registers mapped"
+                ),
+            });
+        }
         let ls = FuClass::LoadStore.index();
         // Younger memory operations already waiting in the load/store
         // standby queue are flushed into the access requirement buffer
@@ -2259,5 +2237,6 @@ impl Machine {
                 });
             }
         }
+        Ok(())
     }
 }

@@ -462,6 +462,46 @@ fn queue_misuse_is_detected() {
     assert!(matches!(err, MachineError::QueueMisuse { .. }), "{err:?}");
 }
 
+/// Queue registers (§2.3) and data-absence switching (§2.1.3) do not
+/// mix: in this ring LP 0 starts late, so both contexts trap and LP 1
+/// wakes first, into slot 0, away from its ring links; switching the
+/// contexts out leaves the ring deadlocked until the watchdog. The
+/// first trap ends the run with a typed error instead.
+#[test]
+fn data_absence_trap_in_a_queue_ring_is_queue_misuse() {
+    let src = "
+        qmap r10, r11
+        fastfork
+        lpid r1
+        bne  r1, #0, ring
+        li   r3, #2
+    spin:
+        sub  r3, r3, #1
+        bne  r3, #0, spin
+    ring:
+        li   r8, #3
+    loop:
+        add  r11, r8, #0     ; send to the successor
+        lw   r3, 5000(r1)    ; remote: a data-absence trap
+        add  r5, r5, r10     ; receive from the predecessor
+        sub  r8, r8, #1
+        bne  r8, #0, loop
+        halt
+    ";
+    let prog = assemble(src).unwrap();
+    let mut config = Config::multithreaded(2);
+    config.max_cycles = 10_000;
+    let mut m =
+        Machine::with_mem_model(config, &prog, Box::new(DsmMemory::new(4096, 2, 60))).unwrap();
+    match m.run().expect_err("run must fail") {
+        MachineError::QueueMisuse { slot, pc, detail } => {
+            assert_eq!((slot, pc), (1, 9), "LP 1's load traps first");
+            assert!(detail.contains("data-absence trap"), "{detail}");
+        }
+        other => panic!("expected QueueMisuse, got {other:?}"),
+    }
+}
+
 #[test]
 fn empty_program_rejected() {
     let err = Machine::new(Config::base_risc(), &Program::default()).unwrap_err();

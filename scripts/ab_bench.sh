@@ -9,8 +9,8 @@
 #   rounds                paired rounds to run (default 11, odd keeps
 #                         the median a real sample)
 #   points                comma-separated grid keys passed to
-#                         --points (default: the three EXPERIMENTS.md
-#                         workloads at s=1 and s=8)
+#                         --points (default: the 12 paper points, the
+#                         three EXPERIMENTS.md workloads at s=1,2,4,8)
 #
 # Methodology: back-to-back block runs ("all of A, then all of B")
 # fold any slow machine drift — thermal throttling, a background job
@@ -39,7 +39,7 @@ fi
 BIN_A="$1"
 BIN_B="$2"
 ROUNDS="${3:-11}"
-POINTS="${4:-raytrace/s1,raytrace/s8,livermore-k1/s1,livermore-k1/s8,fig6-list/s1,fig6-list/s8}"
+POINTS="${4:-raytrace/s1,livermore-k1/s1,fig6-list/s1,raytrace/s2,livermore-k1/s2,fig6-list/s2,raytrace/s4,livermore-k1/s4,fig6-list/s4,raytrace/s8,livermore-k1/s8,fig6-list/s8}"
 
 for bin in "$BIN_A" "$BIN_B"; do
     if [ ! -x "$bin" ]; then
