@@ -46,12 +46,20 @@ impl Sizes {
 /// cache.
 pub struct Session {
     lab: Lab,
+    /// Every job this session ran, in submission order, with its
+    /// outcome: the pinned-cycles test reads it.
+    #[cfg(test)]
+    log: std::sync::Mutex<Vec<(String, String)>>,
 }
 
 impl Session {
     /// Wraps an engine.
     pub fn new(lab: Lab) -> Self {
-        Session { lab }
+        Session {
+            lab,
+            #[cfg(test)]
+            log: Default::default(),
+        }
     }
 
     /// A session for unit tests: serial, no cache, no progress
@@ -68,9 +76,7 @@ impl Session {
     /// trusted, so a failure is a harness bug.
     pub fn outputs(&self, jobs: Vec<Job>) -> Vec<JobOutput> {
         let names: Vec<String> = jobs.iter().map(|j| j.name.clone()).collect();
-        self.lab
-            .run_batch(jobs)
-            .results
+        self.run_batch(jobs)
             .into_iter()
             .zip(names)
             .map(|(result, name)| match result {
@@ -89,15 +95,26 @@ impl Session {
     /// where some configurations are expected to fail, such as the
     /// deadlock ablations).
     pub fn results(&self, jobs: Vec<Job>) -> Vec<JobResult> {
-        let batch = self.lab.run_batch(jobs);
-        for result in &batch.results {
+        let results = self.run_batch(jobs);
+        for result in &results {
             // Panics and timeouts are harness failures even here;
             // only simulator machine checks are expected outcomes.
             if let Err(err @ (JobError::Panicked(_) | JobError::Timeout(_))) = result {
                 panic!("experiment job failed: {err}");
             }
         }
-        batch.results
+        results
+    }
+
+    /// Runs a batch on the engine; test builds also log each job's
+    /// outcome.
+    fn run_batch(&self, jobs: Vec<Job>) -> Vec<JobResult> {
+        #[cfg(test)]
+        let names: Vec<String> = jobs.iter().map(|j| j.name.clone()).collect();
+        let results = self.lab.run_batch(jobs).results;
+        #[cfg(test)]
+        self.log.lock().unwrap().extend(names.into_iter().zip(results.iter().map(tests::outcome)));
+        results
     }
 }
 
@@ -177,4 +194,63 @@ pub fn run_all(session: &Session, sizes: &Sizes) -> String {
             format!("{table}\n")
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The pinned outcome of every `repro --quick all` job, one line
+    /// each: experiment, job name, and cycles, or the `MachineError`
+    /// variant of a job expected to fail. The experiment leads because
+    /// `table2` and `table2-private` share job names.
+    const PINNED: &str = include_str!("../tests/quick_cycles.txt");
+
+    /// A job's outcome as pinned: its cycles, or its error's variant.
+    pub(super) fn outcome(result: &JobResult) -> String {
+        match result {
+            Ok(out) => out.stats.cycles.to_string(),
+            Err(JobError::Sim(e)) => {
+                format!("{e:?}").chars().take_while(char::is_ascii_alphanumeric).collect()
+            }
+            Err(e) => e.to_string(),
+        }
+    }
+
+    /// A timing change anywhere in the simulator names the experiment
+    /// and the job it moved. To accept an intended change, copy the
+    /// listing the failure writes over `tests/quick_cycles.txt`.
+    #[test]
+    fn quick_all_cycles_are_pinned() {
+        let session = Session::for_tests();
+        let sizes = Sizes::quick();
+        let mut actual = String::new();
+        for name in EXPERIMENTS {
+            render_experiment(&session, &sizes, name).expect("EXPERIMENTS names are known");
+            for (job, outcome) in session.log.lock().unwrap().drain(..) {
+                actual.push_str(&format!("{name} | {job} | {outcome}\n"));
+            }
+        }
+        if actual == PINNED {
+            return;
+        }
+        let (pinned, now): (Vec<&str>, Vec<&str>) =
+            (PINNED.lines().collect(), actual.lines().collect());
+        let mut diff: Vec<String> = pinned
+            .iter()
+            .zip(&now)
+            .filter(|(p, n)| p != n)
+            .map(|(p, n)| format!("  pinned {p}\n  now    {n}"))
+            .collect();
+        if pinned.len() != now.len() {
+            diff.push(format!("  {} jobs pinned, {} run now", pinned.len(), now.len()));
+        }
+        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/quick_cycles.actual.txt");
+        let _ = std::fs::write(out, &actual);
+        panic!(
+            "{} pinned job(s) changed (full listing in {out}):\n{}",
+            diff.len(),
+            diff.join("\n")
+        );
+    }
 }
