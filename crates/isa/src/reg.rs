@@ -85,6 +85,16 @@ impl Reg {
             Reg::F(FReg(n)) => NUM_GREGS + n as usize,
         }
     }
+
+    /// The register at a dense index (the inverse of
+    /// [`Reg::dense_index`]), or `None` past `f31`.
+    pub fn from_dense_index(index: usize) -> Option<Reg> {
+        match index {
+            i if i < NUM_GREGS => Some(Reg::G(GReg(i as u8))),
+            i if i < NUM_GREGS + NUM_FREGS => Some(Reg::F(FReg((i - NUM_GREGS) as u8))),
+            _ => None,
+        }
+    }
 }
 
 impl From<GReg> for Reg {
@@ -247,6 +257,16 @@ mod tests {
             assert!(seen.insert(Reg::F(FReg(n)).dense_index()));
         }
         assert_eq!(seen.len(), NUM_GREGS + NUM_FREGS);
+    }
+
+    #[test]
+    fn from_dense_index_inverts_dense_index() {
+        for i in 0..NUM_GREGS + NUM_FREGS {
+            let r = Reg::from_dense_index(i).expect("every dense index names a register");
+            assert_eq!(r.dense_index(), i);
+            assert!(r.is_valid());
+        }
+        assert_eq!(Reg::from_dense_index(NUM_GREGS + NUM_FREGS), None);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use hirata_mem::Memory;
 
 use crate::error::MachineError;
 use crate::exec::{branch_taken, fu_action, resolve_operands, FuAction};
-use crate::predecode::PredecodedProgram;
+use crate::predecode::{operand, PredecodedProgram};
 use crate::regfile::RegBank;
 
 /// Result of an emulator run.
@@ -36,6 +36,9 @@ pub struct EmuOutcome {
     /// floating registers (IEEE-754 bits). Comparable against
     /// [`crate::Machine::register_image`] for differential testing.
     pub regs: Vec<Vec<u64>>,
+    /// Entries left in each queue-register link, indexed like
+    /// [`crate::Machine::queue_depths`].
+    pub queue_depths: Vec<usize>,
     /// Per-thread dynamic instruction traces (empty unless recording
     /// was requested with [`Emulator::execute_with_traces`]).
     pub traces: Vec<Vec<Inst>>,
@@ -156,6 +159,7 @@ impl Emulator {
         }
         Ok(EmuOutcome {
             regs: self.threads.iter().map(|t| t.regs.image()).collect(),
+            queue_depths: self.queues.iter().map(VecDeque::len).collect(),
             memory: self.memory,
             instructions: self.instructions,
             threads_killed: self.threads_killed,
@@ -184,7 +188,7 @@ impl Emulator {
         let read_link = i;
         let write_link = (i + 1) % self.threads.len();
         let needs_queue_read =
-            di.srcs.into_iter().flatten().any(|r| self.threads[i].qread == Some(r));
+            inst.srcs().into_iter().flatten().any(|r| self.threads[i].qread == Some(r));
         if needs_queue_read && self.queues[read_link].is_empty() {
             return Ok(false);
         }
@@ -312,7 +316,7 @@ impl Emulator {
                 *dequeued
                     .get_or_insert_with(|| queues[link].pop_front().expect("checked non-empty"))
             } else {
-                regs.read_bits(r)
+                regs.read(operand(r))
             }
         })
     }
@@ -322,7 +326,7 @@ impl Emulator {
         if self.threads[i].qwrite == Some(d) {
             self.queues[write_link].push_back(bits);
         } else {
-            self.threads[i].regs.write(d, bits, 0, 0);
+            self.threads[i].regs.write(operand(d), bits, 0, 0);
         }
     }
 

@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use hirata_isa::{FuClass, GReg, Inst, Program, Reg, FU_CLASS_COUNT};
+use hirata_isa::{FuClass, GReg, Inst, Program, FU_CLASS_COUNT};
 use hirata_mem::{Access, DataMemModel, IdealCache, MemStats, Memory};
 
 mod fupool;
@@ -16,7 +16,9 @@ use crate::error::{MachineError, StuckSlot};
 use crate::exec::{branch_taken, debug_assert_fresh_decode, fu_action, resolve_operands, FuAction};
 use crate::fetch::{Delivery, FetchSystem};
 use crate::machine::fupool::FuPool;
-use crate::predecode::{DecodedInst, PredecodedProgram, CAP_IMM, CAP_NONE};
+use crate::predecode::{
+    is_reg, operand, reg_name, DecodedInst, PredecodedProgram, NO_REG, SRC_IMM,
+};
 use crate::priority::Priorities;
 use crate::queue::QueueRing;
 use crate::regfile::RegBank;
@@ -214,7 +216,8 @@ enum CtxState {
 }
 
 /// A context frame (§2.1.3): register sets, saved program counter,
-/// queue-register mapping, and the access requirement buffer.
+/// queue-register mapping (as operand bytes, so the queue rules
+/// compare bytes), and the access requirement buffer.
 ///
 /// `repr(C)` splits the frame hot-first: issue and capture touch the
 /// register bank, queue mapping, state, and `lpid` every cycle, so
@@ -224,8 +227,8 @@ enum CtxState {
 #[repr(C)]
 struct Context {
     regs: RegBank,
-    qread: Option<Reg>,
-    qwrite: Option<Reg>,
+    qread: Option<u8>,
+    qwrite: Option<u8>,
     state: CtxState,
     lpid: i64,
     resume_pc: u32,
@@ -1313,7 +1316,7 @@ impl Machine {
                         let fi = self.capture::<TRACED>(s, ctx_i, pc, &di, preset, now);
                         cands.push(fi);
                     } else {
-                        let redirected = self.exec_decode::<TRACED>(s, ctx_i, pc, di.inst, now)?;
+                        let redirected = self.exec_decode::<TRACED>(s, ctx_i, pc, &di, now)?;
                         if redirected || self.slots[s].ctx.is_none() {
                             break;
                         }
@@ -1522,11 +1525,11 @@ impl Machine {
         // Register hazards, operand by operand in order, against the
         // per-register ready times. Only a context that maps a queue
         // register needs the queue rules; testing that once keeps their
-        // register compares off the common path.
+        // compares off the common path.
         let queued = ctx.qread.is_some() || ctx.qwrite.is_some();
         if !is_replay {
-            for r in di.srcs.into_iter().flatten() {
-                if unissued_writes & (1u64 << r.dense_index()) != 0 {
+            for r in di.src.into_iter().filter(|&r| is_reg(r)) {
+                if unissued_writes & (1u64 << r) != 0 {
                     return Err(Stall(StallReason::Data, None));
                 }
                 if queued && ctx.qread == Some(r) {
@@ -1544,14 +1547,15 @@ impl Machine {
                     return Err(Fault(MachineError::QueueMisuse {
                         slot: s,
                         pc: 0,
-                        detail: format!("read of write-mapped queue register {r}"),
+                        detail: format!("read of write-mapped queue register {}", reg_name(r)),
                     }));
                 } else if !ctx.regs.is_ready(r, now) {
                     return Err(Stall(StallReason::Data, Some(ctx.regs.ready_time(r))));
                 }
             }
         }
-        if let Some(d) = di.dest {
+        let d = di.dst;
+        if d != NO_REG {
             if (unissued_writes | unissued_reads) & di.dest_mask != 0 {
                 return Err(Stall(StallReason::Data, None));
             }
@@ -1584,7 +1588,7 @@ impl Machine {
                 return Err(Fault(MachineError::QueueMisuse {
                     slot: s,
                     pc: 0,
-                    detail: format!("write to read-mapped queue register {d}"),
+                    detail: format!("write to read-mapped queue register {}", reg_name(d)),
                 }));
             } else if !is_replay && !ctx.regs.is_ready(d, now) {
                 // WAW interlock
@@ -1606,8 +1610,8 @@ impl Machine {
         Ok(())
     }
 
-    /// Reads operands (stage S; dequeues mapped queue reads), marks the
-    /// destination scoreboard bit, and produces the in-flight record.
+    /// Reads operands (stage S), marks the destination scoreboard bit,
+    /// and produces the in-flight record.
     fn capture<const TRACED: bool>(
         &mut self,
         s: usize,
@@ -1619,61 +1623,11 @@ impl Machine {
     ) -> InFlight {
         let vals = match preset {
             Some(v) => v,
-            // No queue read mapped: capture cannot have side effects,
-            // so the predecoded plan applies — per source slot, one
-            // indexed register-bank load (or the pre-folded immediate)
-            // and zero instruction-enum matches.
-            None if self.contexts[ctx_i].qread.is_none() => {
-                let regs = &self.contexts[ctx_i].regs;
-                let plan = |c: u8| match c {
-                    CAP_NONE => 0,
-                    CAP_IMM => di.imm,
-                    idx => regs.read_dense(idx as usize),
-                };
-                let vals = [plan(di.cap[0]), plan(di.cap[1])];
-                debug_assert_eq!(
-                    vals,
-                    resolve_operands(&di.inst, |r| regs.read_bits(r)),
-                    "capture plan diverged from fresh operand resolution for {:?}",
-                    di.inst
-                );
-                vals
-            }
-            None => {
-                let link = self.queues.read_link(s);
-                let qread = self.contexts[ctx_i].qread;
-                let mut dequeued: Option<u64> = None;
-                let regs = &self.contexts[ctx_i].regs;
-                let queues = &mut self.queues;
-                let vals = resolve_operands(&di.inst, |r| {
-                    if qread == Some(r) {
-                        // One dequeue per instruction even if both
-                        // operands name the mapped register.
-                        *dequeued.get_or_insert_with(|| queues.read(link))
-                    } else {
-                        regs.read_bits(r)
-                    }
-                });
-                if dequeued.is_some() {
-                    // The pop frees a queue entry: the link's writer
-                    // (the predecessor slot) may hold a QueueFull
-                    // block that now lifts.
-                    let writer = (link + self.slots.len() - 1) % self.slots.len();
-                    self.unblock(writer);
-                    if TRACED {
-                        let depth = self.queues.len(link);
-                        if let Some(sink) = self.sink.as_deref_mut() {
-                            sink.event(&TraceEvent::QueuePop { cycle: now, slot: s, link, depth });
-                        }
-                    }
-                }
-                vals
-            }
+            None => self.read_operands::<TRACED>(s, ctx_i, di, now),
         };
-        if let Some(d) = di.dest {
-            if self.contexts[ctx_i].qwrite != Some(d) {
-                self.contexts[ctx_i].regs.mark_busy(d);
-            }
+        let d = di.dst;
+        if d != NO_REG && self.contexts[ctx_i].qwrite != Some(d) {
+            self.contexts[ctx_i].regs.mark_busy(d);
         }
         InFlight {
             slot: s,
@@ -1686,6 +1640,52 @@ impl Machine {
         }
     }
 
+    /// The machine's one operand read (stage S), for functional-unit
+    /// captures and the decode unit's branches and `jr` alike: per
+    /// source slot, the register's bits, the folded immediate, or 0.
+    /// A source naming the context's read-mapped queue register
+    /// dequeues, once per instruction even when both slots name it;
+    /// the pop frees a queue entry, so the link's writer (the
+    /// predecessor slot) may hold a `QueueFull` block that now lifts.
+    fn read_operands<const TRACED: bool>(
+        &mut self,
+        s: usize,
+        ctx_i: usize,
+        di: &DecodedInst,
+        now: u64,
+    ) -> [u64; 2] {
+        let ctx = &self.contexts[ctx_i];
+        let link = self.queues.read_link(s);
+        let queues = &mut self.queues;
+        let mut popped = None;
+        let vals = di.src.map(|r| match r {
+            NO_REG => 0,
+            SRC_IMM => di.imm,
+            r if ctx.qread == Some(r) => *popped.get_or_insert_with(|| queues.read(link)),
+            r => ctx.regs.read(r),
+        });
+        debug_assert_eq!(
+            vals,
+            resolve_operands(&di.inst, |reg| match popped {
+                Some(v) if ctx.qread == Some(operand(reg)) => v,
+                _ => ctx.regs.read(operand(reg)),
+            }),
+            "operand read diverged from the resolver for `{}`",
+            di.inst
+        );
+        if popped.is_some() {
+            let writer = (link + self.slots.len() - 1) % self.slots.len();
+            self.unblock(writer);
+            if TRACED {
+                let depth = self.queues.len(link);
+                if let Some(sink) = self.sink.as_deref_mut() {
+                    sink.event(&TraceEvent::QueuePop { cycle: now, slot: s, link, depth });
+                }
+            }
+        }
+        vals
+    }
+
     /// Executes a decode-unit instruction at issue time. Returns true
     /// if control was redirected (window flushed).
     fn exec_decode<const TRACED: bool>(
@@ -1693,17 +1693,13 @@ impl Machine {
         s: usize,
         ctx_i: usize,
         pc: u32,
-        inst: Inst,
+        di: &DecodedInst,
         now: u64,
     ) -> Result<bool, MachineError> {
-        match inst {
+        match di.inst {
             Inst::Nop => Ok(false),
-            Inst::Branch { cond, .. } => {
-                let vals = self.read_decode_operands::<TRACED>(s, ctx_i, &inst, now);
-                let target = match inst {
-                    Inst::Branch { target, .. } => target,
-                    _ => unreachable!(),
-                };
+            Inst::Branch { cond, target, .. } => {
+                let vals = self.read_operands::<TRACED>(s, ctx_i, di, now);
                 if branch_taken(cond, vals) {
                     self.redirect(s, target, now);
                     Ok(true)
@@ -1723,7 +1719,7 @@ impl Machine {
                 Ok(true)
             }
             Inst::JumpReg { .. } => {
-                let vals = self.read_decode_operands::<TRACED>(s, ctx_i, &inst, now);
+                let vals = self.read_operands::<TRACED>(s, ctx_i, di, now);
                 self.redirect(s, vals[0] as u32, now);
                 Ok(true)
             }
@@ -1755,8 +1751,8 @@ impl Machine {
                     });
                 }
                 let ctx = &mut self.contexts[ctx_i];
-                ctx.qread = Some(read);
-                ctx.qwrite = Some(write);
+                ctx.qread = Some(operand(read));
+                ctx.qwrite = Some(operand(write));
                 Ok(false)
             }
             Inst::QUnmap => {
@@ -1768,41 +1764,6 @@ impl Machine {
             Inst::Drain => Ok(false), // the interlock happened at issue
             other => unreachable!("`{other}` is not a decode-unit instruction"),
         }
-    }
-
-    /// Operand read for decode-executed instructions (branches and
-    /// indirect jumps); dequeues mapped queue reads like `capture`.
-    fn read_decode_operands<const TRACED: bool>(
-        &mut self,
-        s: usize,
-        ctx_i: usize,
-        inst: &Inst,
-        now: u64,
-    ) -> [u64; 2] {
-        let link = self.queues.read_link(s);
-        let qread = self.contexts[ctx_i].qread;
-        let mut dequeued: Option<u64> = None;
-        let regs = &self.contexts[ctx_i].regs;
-        let queues = &mut self.queues;
-        let vals = resolve_operands(inst, |r| {
-            if qread == Some(r) {
-                *dequeued.get_or_insert_with(|| queues.read(link))
-            } else {
-                regs.read_bits(r)
-            }
-        });
-        if dequeued.is_some() {
-            // As in `capture`: the writer's QueueFull block may lift.
-            let writer = (link + self.slots.len() - 1) % self.slots.len();
-            self.unblock(writer);
-            if TRACED {
-                let depth = self.queues.len(link);
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.event(&TraceEvent::QueuePop { cycle: now, slot: s, link, depth });
-                }
-            }
-        }
-        vals
     }
 
     fn redirect(&mut self, s: usize, next_pc: u32, now: u64) {
@@ -2117,7 +2078,10 @@ impl Machine {
         now: u64,
         result_latency: u32,
     ) {
-        let Some(d) = f.di.dest else { return };
+        let d = f.di.dst;
+        if d == NO_REG {
+            return;
+        }
         if self.contexts[f.ctx].qwrite == Some(d) {
             let link = self.queues.write_link(f.slot);
             let avail = now + result_latency as u64 + 1;
@@ -2157,7 +2121,7 @@ impl Machine {
                         slot: f.slot,
                         ctx: f.ctx,
                         pc: f.pc,
-                        dest: d,
+                        dest: reg_name(d),
                         avail: now + result_latency as u64,
                     });
                 }

@@ -2,13 +2,19 @@
 //! instruction store.
 //!
 //! The cycle loop interrogates every window entry several times per
-//! cycle — functional-unit class, source and destination registers,
-//! memory/priority classification, latencies. Recomputing those from
-//! the [`Inst`] enum on every query keeps the simulator correct but
-//! slow; [`PredecodedProgram`] computes them once at load time into a
-//! flat [`DecodedInst`] array indexed by instruction address, and
-//! machines share the store through an [`std::sync::Arc`] instead of
-//! cloning the whole program (labels included) per machine.
+//! cycle — functional-unit class, operands, memory/priority
+//! classification, latencies. Recomputing those from the [`Inst`]
+//! enum on every query keeps the simulator correct but slow;
+//! [`PredecodedProgram`] computes them once at load time into a flat
+//! [`DecodedInst`] array indexed by instruction address, and machines
+//! share the store through an [`std::sync::Arc`] instead of cloning
+//! the whole program (labels included) per machine.
+//!
+//! Each operand has one encoding, an operand byte: a register's dense
+//! index (0..63, [`Reg::dense_index`]'s layout, the index the
+//! register bank and its scoreboard take), [`SRC_IMM`] for the folded
+//! immediate, or [`NO_REG`]. Issue checks, operand reads and
+//! writeback use these bytes alone.
 //!
 //! The lowering is pure derivation: every field of a [`DecodedInst`]
 //! is a function of its [`Inst`]. Debug builds re-check that
@@ -39,11 +45,28 @@ pub mod flags {
     pub const DECODE_UNIT: u8 = 1 << 4;
 }
 
-/// Operand-capture plan entry: take the pre-folded immediate
-/// ([`DecodedInst::imm`]) for this operand slot.
-pub const CAP_IMM: u8 = 0xFE;
-/// Operand-capture plan entry: the slot is unused (captures 0).
-pub const CAP_NONE: u8 = 0xFF;
+/// Operand byte of a source slot that takes the folded immediate
+/// ([`DecodedInst::imm`]).
+pub const SRC_IMM: u8 = 0xFE;
+/// Operand byte of an unused source slot, or of no destination.
+pub const NO_REG: u8 = 0xFF;
+
+/// The operand byte naming `reg`: its dense index.
+pub(crate) fn operand(reg: Reg) -> u8 {
+    reg.dense_index() as u8
+}
+
+/// The register an operand byte names, for traces and error texts.
+pub(crate) fn reg_name(op: u8) -> Reg {
+    Reg::from_dense_index(op.into()).expect("the operand byte names a register")
+}
+
+/// True if an operand byte names a register (not [`SRC_IMM`] or
+/// [`NO_REG`]).
+#[inline]
+pub(crate) fn is_reg(op: u8) -> bool {
+    op < SRC_IMM
+}
 
 /// One instruction with every hot-loop-relevant property resolved at
 /// load time.
@@ -54,26 +77,23 @@ pub struct DecodedInst {
     pub inst: Inst,
     /// Functional-unit class, or `None` for decode-unit instructions.
     pub fu: Option<FuClass>,
-    /// Source registers read (at most two).
-    pub srcs: [Option<Reg>; 2],
-    /// Destination register written, if any.
-    pub dest: Option<Reg>,
-    /// Dense-index bitmask of `srcs` (see [`Reg::dense_index`]).
+    /// Source operand bytes in [`Inst::srcs`] order: a register's
+    /// dense index, [`SRC_IMM`] (only in slot 1), or [`NO_REG`].
+    pub src: [u8; 2],
+    /// Destination operand byte: the dense index of [`Inst::dest`], or
+    /// [`NO_REG`].
+    pub dst: u8,
+    /// Bitmask of the source registers by dense index, for the issue
+    /// window's hazard accumulators (D > 1).
     pub src_mask: u64,
-    /// Dense-index bitmask of `dest`.
+    /// Bitmask of the destination register by dense index.
     pub dest_mask: u64,
     /// Issue/result latency per Table 1.
     pub latency: Latency,
     /// Classification bits from [`flags`].
     pub flags: u8,
-    /// Operand-capture plan: per operand slot, either a register-bank
-    /// dense index (0..63), [`CAP_IMM`] for the pre-folded immediate,
-    /// or [`CAP_NONE`] for an unused slot — so issue-time capture is
-    /// two indexed loads with zero enum matches (queue-mapped contexts
-    /// fall back to the exact resolver, which has pop side effects).
-    pub cap: [u8; 2],
     /// The folded second operand of an immediate-form `IntOp`/`Branch`
-    /// (read through [`CAP_IMM`]); 0 for every other instruction.
+    /// (read through [`SRC_IMM`]); 0 for every other instruction.
     pub imm: u64,
 }
 
@@ -81,13 +101,18 @@ impl DecodedInst {
     /// Lowers one instruction. The result is a pure function of
     /// `inst`; see the module docs.
     pub fn of(inst: Inst) -> Self {
-        let srcs = inst.srcs();
-        let dest = inst.dest();
-        let mut src_mask = 0u64;
-        for r in srcs.into_iter().flatten() {
-            src_mask |= 1u64 << r.dense_index();
-        }
-        let dest_mask = dest.map_or(0, |d| 1u64 << d.dense_index());
+        let mut src = inst.srcs().map(|r| r.map_or(NO_REG, operand));
+        let dst = inst.dest().map_or(NO_REG, operand);
+        // The immediate second operand occupies the register-free slot
+        // (mirroring `exec::resolve_operands`).
+        let imm = match inst {
+            Inst::IntOp { src2: GSrc::Imm(i), .. } | Inst::Branch { src2: GSrc::Imm(i), .. } => {
+                src[1] = SRC_IMM;
+                i as u64
+            }
+            _ => 0,
+        };
+        let bit = |op: u8| if is_reg(op) { 1u64 << op } else { 0 };
         let fu = inst.fu_class();
         let mut fl = 0u8;
         if inst.is_mem() {
@@ -105,31 +130,15 @@ impl DecodedInst {
         if fu.is_none() {
             fl |= flags::DECODE_UNIT;
         }
-        let mut cap = [CAP_NONE; 2];
-        for (slot, r) in srcs.iter().enumerate() {
-            if let Some(r) = r {
-                cap[slot] = r.dense_index() as u8;
-            }
-        }
-        // The immediate second operand occupies the register-free slot
-        // (mirroring `exec::resolve_operands`).
-        let imm = match inst {
-            Inst::IntOp { src2: GSrc::Imm(i), .. } | Inst::Branch { src2: GSrc::Imm(i), .. } => {
-                cap[1] = CAP_IMM;
-                i as u64
-            }
-            _ => 0,
-        };
         DecodedInst {
             inst,
             fu,
-            srcs,
-            dest,
-            src_mask,
-            dest_mask,
+            src,
+            dst,
+            src_mask: bit(src[0]) | bit(src[1]),
+            dest_mask: bit(dst),
             latency: inst.latency(),
             flags: fl,
-            cap,
             imm,
         }
     }
@@ -248,7 +257,7 @@ impl PredecodedProgram {
 mod tests {
     use super::*;
     use hirata_asm::assemble;
-    use hirata_isa::{GReg, GSrc, IntOp};
+    use hirata_isa::{FReg, GReg, GSrc, IntOp};
 
     #[test]
     fn lowering_matches_accessors() {
@@ -256,8 +265,7 @@ mod tests {
             Inst::IntOp { op: IntOp::Mul, rd: GReg(1), rs: GReg(2), src2: GSrc::Reg(GReg(3)) };
         let d = DecodedInst::of(inst);
         assert_eq!(d.fu, inst.fu_class());
-        assert_eq!(d.srcs, inst.srcs());
-        assert_eq!(d.dest, inst.dest());
+        assert_eq!((d.src, d.dst), ([2, 3], 1));
         assert_eq!(d.latency, inst.latency());
         assert_eq!(d.src_mask, (1 << 2) | (1 << 3));
         assert_eq!(d.dest_mask, 1 << 1);
@@ -283,41 +291,34 @@ mod tests {
     }
 
     #[test]
-    fn capture_plans_fold_immediates_and_offsets() {
-        // Register form: both slots are dense register indices.
-        let rr = DecodedInst::of(Inst::IntOp {
-            op: IntOp::Add,
-            rd: GReg(1),
-            rs: GReg(2),
-            src2: GSrc::Reg(GReg(3)),
-        });
-        assert_eq!(rr.cap, [2, 3]);
-
-        // Immediate form: slot 1 takes the pre-folded immediate.
+    fn operands_fold_immediates_and_offsets() {
+        // Immediate form: slot 1 takes the folded immediate.
         let ri = DecodedInst::of(Inst::IntOp {
             op: IntOp::Sub,
             rd: GReg(1),
             rs: GReg(2),
             src2: GSrc::Imm(-3),
         });
-        assert_eq!(ri.cap, [2, CAP_IMM]);
+        assert_eq!((ri.src, ri.dst), ([2, SRC_IMM], 1));
         assert_eq!(ri.imm as i64, -3);
 
         // li/lif: no sources; the value is the instruction's own.
         let li = DecodedInst::of(Inst::Li { rd: GReg(4), imm: -9 });
-        assert_eq!((li.cap, li.imm), ([CAP_NONE, CAP_NONE], 0));
+        assert_eq!((li.src, li.dst, li.imm), ([NO_REG, NO_REG], 4, 0));
 
-        // Memory operations capture their registers; the displacement
-        // stays in the instruction.
-        let lw = DecodedInst::of(Inst::Load { dst: Reg::G(GReg(5)), base: GReg(6), off: -4 });
-        assert_eq!((lw.cap, lw.imm), ([6, CAP_NONE], 0));
+        // Memory operations name their registers, floating ones past
+        // the 32 integer registers; the displacement stays in the
+        // instruction.
+        let lf = DecodedInst::of(Inst::Load { dst: Reg::F(FReg(5)), base: GReg(6), off: -4 });
+        assert_eq!((lf.src, lf.dst, lf.imm), ([6, NO_REG], 37, 0));
         let sw = DecodedInst::of(Inst::Store {
             src: Reg::G(GReg(7)),
             base: GReg(8),
             off: 12,
             gated: false,
         });
-        assert_eq!((sw.cap, sw.imm), ([7, 8], 0));
+        assert_eq!((sw.src, sw.dst, sw.imm), ([7, 8], NO_REG, 0));
+        assert_eq!((sw.src_mask, sw.dest_mask), ((1 << 7) | (1 << 8), 0));
     }
 
     #[test]

@@ -1,67 +1,74 @@
 //! One register bank (the per-context general-purpose + floating-point
 //! register set of §2.1.1) together with its scoreboard.
 //!
+//! The bank names a register by its dense index, the operand byte the
+//! predecoded store carries (`crate::predecode`): `r0..r31` at 0..32,
+//! then `f0..f31` at 32..64. Issue, capture and writeback therefore
+//! read values and ready times with one indexed load each.
+//!
 //! The scoreboard follows §2.1.2: a destination's bit is flagged when
 //! the instruction issues (enters its S stage) and cleared at the end
 //! of the last EX stage, so a consumer may issue `result latency + 1`
 //! cycles after the producer. We record, per register, the earliest
 //! cycle at which a reader's S stage may be scheduled.
 
-use hirata_isa::{FReg, GReg, Reg, NUM_FREGS, NUM_GREGS};
+use hirata_isa::{FReg, GReg, NUM_FREGS, NUM_GREGS};
 
 /// Sentinel ready-time for "issued but not yet scheduled" — the bit is
 /// on but the clearing time is unknown until the schedule unit selects
 /// the producer.
 const BUSY: u64 = u64::MAX;
 
+/// Registers in a bank.
+const NUM_REGS: usize = NUM_GREGS + NUM_FREGS;
+
 /// A register bank: 32 general + 32 floating registers with values and
-/// per-register ready times.
+/// per-register ready times, both by dense index.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RegBank {
-    gvals: [i64; NUM_GREGS],
-    fvals: [f64; NUM_FREGS],
-    ready: [u64; NUM_GREGS + NUM_FREGS],
+    /// Raw bit patterns: integers as two's complement, floats as
+    /// IEEE-754 bits. r0's entry is never written, so it reads 0.
+    bits: [u64; NUM_REGS],
+    ready: [u64; NUM_REGS],
 }
 
 impl RegBank {
     pub(crate) fn new() -> Self {
-        RegBank {
-            gvals: [0; NUM_GREGS],
-            fvals: [0.0; NUM_FREGS],
-            ready: [0; NUM_GREGS + NUM_FREGS],
+        RegBank { bits: [0; NUM_REGS], ready: [0; NUM_REGS] }
+    }
+
+    /// True if register `r` can be read by an instruction issuing at
+    /// `now`. r0 always is: no write, mark or poke sets its ready time.
+    #[inline]
+    pub(crate) fn is_ready(&self, r: u8, now: u64) -> bool {
+        self.ready[r as usize] <= now
+    }
+
+    /// The first cycle at which register `r` can be read ([`u64::MAX`]
+    /// while the producer awaits selection). Used to bound stall
+    /// blocks.
+    #[inline]
+    pub(crate) fn ready_time(&self, r: u8) -> u64 {
+        self.ready[r as usize]
+    }
+
+    /// Marks register `r` busy from issue until the producer is
+    /// scheduled.
+    pub(crate) fn mark_busy(&mut self, r: u8) {
+        if r != 0 {
+            self.ready[r as usize] = BUSY;
         }
     }
 
-    /// True if `reg` can be read by an instruction issuing at `now`.
-    /// r0 always is: no write, mark or poke sets its ready time.
-    pub(crate) fn is_ready(&self, reg: Reg, now: u64) -> bool {
-        self.ready[reg.dense_index()] <= now
-    }
-
-    /// The first cycle at which `reg` can be read ([`u64::MAX`] while
-    /// the producer awaits selection). Used to bound stall blocks.
-    pub(crate) fn ready_time(&self, reg: Reg) -> u64 {
-        self.ready[reg.dense_index()]
-    }
-
-    /// Marks `reg` busy from issue until the producer is scheduled.
-    pub(crate) fn mark_busy(&mut self, reg: Reg) {
-        if reg == Reg::G(GReg::ZERO) {
-            return;
-        }
-        self.ready[reg.dense_index()] = BUSY;
-    }
-
-    /// Writes `bits` to `reg` and sets its ready time (producer
+    /// Writes `bits` to register `r` and sets its ready time (producer
     /// selected at `selected`, result latency `latency`): readers may
-    /// issue from cycle `selected + latency + 1`.
-    pub(crate) fn write(&mut self, reg: Reg, bits: u64, selected: u64, latency: u32) {
-        match reg {
-            Reg::G(GReg(0)) => return, // r0 is hardwired to zero
-            Reg::G(GReg(n)) => self.gvals[n as usize] = bits as i64,
-            Reg::F(FReg(n)) => self.fvals[n as usize] = f64::from_bits(bits),
+    /// issue from cycle `selected + latency + 1`. Writes to r0 are
+    /// discarded.
+    pub(crate) fn write(&mut self, r: u8, bits: u64, selected: u64, latency: u32) {
+        if r != 0 {
+            self.bits[r as usize] = bits;
+            self.ready[r as usize] = selected + latency as u64 + 1;
         }
-        self.ready[reg.dense_index()] = selected + latency as u64 + 1;
     }
 
     /// True if every register in the bank can be read at `now` — i.e.
@@ -71,53 +78,35 @@ impl RegBank {
         self.ready.iter().all(|&r| r <= now)
     }
 
-    /// Reads the raw bit pattern of `reg` (integers as two's
-    /// complement, floats as IEEE-754 bits).
-    pub(crate) fn read_bits(&self, reg: Reg) -> u64 {
-        match reg {
-            Reg::G(GReg(n)) => self.gvals[n as usize] as u64,
-            Reg::F(FReg(n)) => self.fvals[n as usize].to_bits(),
-        }
-    }
-
-    /// Reads the raw bit pattern of the register at dense index `idx`
-    /// (the `Reg::dense_index` layout: G0..G31, then F0..F31). The
-    /// Capture plans store source slots in this form, so issue-time
-    /// capture is one bound check and one indexed load. `idx` 0 is r0,
-    /// whose slot in `gvals` is never written — no zero special-case
-    /// needed.
+    /// Reads the raw bit pattern of register `r`.
     #[inline]
-    pub(crate) fn read_dense(&self, idx: usize) -> u64 {
-        if idx < NUM_GREGS {
-            self.gvals[idx] as u64
-        } else {
-            self.fvals[idx - NUM_GREGS].to_bits()
-        }
+    pub(crate) fn read(&self, r: u8) -> u64 {
+        self.bits[r as usize]
     }
 
     /// Directly sets an integer register (used to seed arguments and
     /// by `fastfork`/`lpid` plumbing); leaves it ready immediately.
     pub(crate) fn poke_g(&mut self, reg: GReg, value: i64) {
         if reg != GReg::ZERO {
-            self.gvals[reg.0 as usize] = value;
-            self.ready[Reg::G(reg).dense_index()] = 0;
+            self.bits[..NUM_GREGS][reg.0 as usize] = value as u64;
+            self.ready[reg.0 as usize] = 0;
         }
     }
 
     /// Reads an integer register's current value.
     pub(crate) fn peek_g(&self, reg: GReg) -> i64 {
-        self.gvals[reg.0 as usize]
+        self.bits[..NUM_GREGS][reg.0 as usize] as i64
     }
 
     /// Reads a floating register's current value.
     pub(crate) fn peek_f(&self, reg: FReg) -> f64 {
-        self.fvals[reg.0 as usize]
+        f64::from_bits(self.bits[NUM_GREGS..][reg.0 as usize])
     }
 
     /// Directly sets a floating register (test/setup helper).
     pub(crate) fn poke_f(&mut self, reg: FReg, value: f64) {
-        self.fvals[reg.0 as usize] = value;
-        self.ready[Reg::F(reg).dense_index()] = 0;
+        self.bits[NUM_GREGS..][reg.0 as usize] = value.to_bits();
+        self.ready[NUM_GREGS + reg.0 as usize] = 0;
     }
 
     /// Copies the architectural state (values only) of `src` into this
@@ -127,9 +116,8 @@ impl RegBank {
     /// loses nothing — every register is readable immediately in the
     /// child, exactly as a full clone of a quiescent bank would be.
     pub(crate) fn copy_arch_from(&mut self, src: &RegBank) {
-        self.gvals = src.gvals;
-        self.fvals = src.fvals;
-        self.ready = [0; NUM_GREGS + NUM_FREGS];
+        self.bits = src.bits;
+        self.ready = [0; NUM_REGS];
     }
 
     /// The raw architectural image of the bank: the 32 integer
@@ -138,20 +126,22 @@ impl RegBank {
     /// banks holding the same values compare equal regardless of
     /// timing history — the basis of differential testing.
     pub(crate) fn image(&self) -> Vec<u64> {
-        self.gvals
-            .iter()
-            .map(|&v| v as u64)
-            .chain(self.fvals.iter().map(|&v| v.to_bits()))
-            .collect()
+        self.bits.to_vec()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hirata_isa::Reg;
+
+    /// Dense index of `f{n}`.
+    fn f(n: u8) -> u8 {
+        NUM_GREGS as u8 + n
+    }
 
     #[test]
-    fn read_dense_matches_read_bits_for_every_register() {
+    fn read_matches_peek_for_every_register() {
         let mut bank = RegBank::new();
         for n in 1..NUM_GREGS as u8 {
             bank.poke_g(GReg(n), -(n as i64) * 3);
@@ -159,46 +149,43 @@ mod tests {
         for n in 0..NUM_FREGS as u8 {
             bank.poke_f(FReg(n), n as f64 * 0.5 - 7.25);
         }
-        for n in 0..NUM_GREGS as u8 {
-            let r = Reg::G(GReg(n));
-            assert_eq!(bank.read_dense(r.dense_index()), bank.read_bits(r), "G{n}");
-        }
-        for n in 0..NUM_FREGS as u8 {
-            let r = Reg::F(FReg(n));
-            assert_eq!(bank.read_dense(r.dense_index()), bank.read_bits(r), "F{n}");
+        for i in 0..NUM_REGS as u8 {
+            let want = match Reg::from_dense_index(i.into()).unwrap() {
+                Reg::G(r) => bank.peek_g(r) as u64,
+                Reg::F(r) => bank.peek_f(r).to_bits(),
+            };
+            assert_eq!(bank.read(i), want, "dense index {i}");
         }
     }
 
     #[test]
     fn zero_register_is_immutable_and_always_ready() {
         let mut bank = RegBank::new();
-        bank.mark_busy(Reg::G(GReg::ZERO));
-        assert!(bank.is_ready(Reg::G(GReg::ZERO), 0));
-        bank.write(Reg::G(GReg::ZERO), 99, 0, 2);
+        bank.mark_busy(0);
+        assert!(bank.is_ready(0, 0));
+        bank.write(0, 99, 0, 2);
         assert_eq!(bank.peek_g(GReg::ZERO), 0);
-        assert!(bank.is_ready(Reg::G(GReg::ZERO), 0));
+        assert!(bank.is_ready(0, 0));
     }
 
     #[test]
     fn dependent_separation_is_result_latency_plus_one() {
         let mut bank = RegBank::new();
-        let r = Reg::G(GReg(5));
-        bank.mark_busy(r);
-        assert!(!bank.is_ready(r, 1000));
+        bank.mark_busy(5);
+        assert!(!bank.is_ready(5, 1000));
         // Producer selected at cycle 10 with ALU result latency 2.
-        bank.write(r, 7, 10, 2);
-        assert!(!bank.is_ready(r, 12));
-        assert!(bank.is_ready(r, 13)); // 10 + 2 + 1
+        bank.write(5, 7, 10, 2);
+        assert!(!bank.is_ready(5, 12));
+        assert!(bank.is_ready(5, 13)); // 10 + 2 + 1
         assert_eq!(bank.peek_g(GReg(5)), 7);
     }
 
     #[test]
     fn float_bits_round_trip() {
         let mut bank = RegBank::new();
-        let r = Reg::F(FReg(2));
-        bank.write(r, (-1.5f64).to_bits(), 0, 4);
+        bank.write(f(2), (-1.5f64).to_bits(), 0, 4);
         assert_eq!(bank.peek_f(FReg(2)), -1.5);
-        assert_eq!(bank.read_bits(r), (-1.5f64).to_bits());
+        assert_eq!(bank.read(f(2)), (-1.5f64).to_bits());
     }
 
     #[test]
@@ -208,19 +195,18 @@ mod tests {
         bank.poke_f(FReg(3), 2.5);
         assert_eq!(bank.peek_g(GReg(3)), 11);
         assert_eq!(bank.peek_f(FReg(3)), 2.5);
-        assert!(bank.is_ready(Reg::G(GReg(3)), 0));
-        bank.mark_busy(Reg::F(FReg(3)));
-        assert!(bank.is_ready(Reg::G(GReg(3)), 0));
-        assert!(!bank.is_ready(Reg::F(FReg(3)), 0));
+        assert!(bank.is_ready(3, 0));
+        bank.mark_busy(f(3));
+        assert!(bank.is_ready(3, 0));
+        assert!(!bank.is_ready(f(3), 0));
     }
 
     #[test]
     fn negative_integers_survive_bit_transport() {
         let mut bank = RegBank::new();
-        let r = Reg::G(GReg(1));
-        bank.write(r, (-123i64) as u64, 0, 2);
+        bank.write(1, (-123i64) as u64, 0, 2);
         assert_eq!(bank.peek_g(GReg(1)), -123);
-        assert_eq!(bank.read_bits(r) as i64, -123);
+        assert_eq!(bank.read(1) as i64, -123);
     }
 
     /// A zero-latency result is readable from the next cycle, never on
@@ -228,11 +214,10 @@ mod tests {
     #[test]
     fn zero_latency_write_is_ready_on_the_next_cycle() {
         let mut bank = RegBank::new();
-        let r = Reg::G(GReg(9));
-        bank.write(r, 5, 20, 0);
-        assert!(!bank.is_ready(r, 20));
+        bank.write(9, 5, 20, 0);
+        assert!(!bank.is_ready(9, 20));
         assert!(!bank.all_ready(20));
-        assert!(bank.is_ready(r, 21));
+        assert!(bank.is_ready(9, 21));
         assert!(bank.all_ready(21));
     }
 
@@ -243,13 +228,13 @@ mod tests {
         let mut parent = RegBank::new();
         parent.poke_g(GReg(4), 44);
         let mut child = RegBank::new();
-        child.mark_busy(Reg::G(GReg(17)));
-        child.write(Reg::F(FReg(30)), 2, 0, 50);
+        child.mark_busy(17);
+        child.write(f(30), 2, 0, 50);
         assert!(!child.all_ready(0));
         child.copy_arch_from(&parent);
         assert!(child.all_ready(0));
-        assert!(child.is_ready(Reg::G(GReg(17)), 0));
-        assert!(child.is_ready(Reg::F(FReg(30)), 0));
+        assert!(child.is_ready(17, 0));
+        assert!(child.is_ready(f(30), 0));
         assert_eq!(child.peek_g(GReg(4)), 44);
     }
 
@@ -258,13 +243,13 @@ mod tests {
     #[test]
     fn poke_readies_a_register_with_a_write_outstanding() {
         let mut bank = RegBank::new();
-        bank.write(Reg::G(GReg(3)), 1, 0, 40);
-        bank.mark_busy(Reg::F(FReg(3)));
+        bank.write(3, 1, 0, 40);
+        bank.mark_busy(f(3));
         bank.poke_g(GReg(3), 2);
-        assert!(bank.is_ready(Reg::G(GReg(3)), 0));
+        assert!(bank.is_ready(3, 0));
         assert!(!bank.all_ready(0));
         bank.poke_f(FReg(3), 2.0);
-        assert!(bank.is_ready(Reg::F(FReg(3)), 0));
+        assert!(bank.is_ready(f(3), 0));
         assert!(bank.all_ready(0));
     }
 }

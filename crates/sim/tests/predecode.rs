@@ -11,6 +11,7 @@ use std::sync::Arc;
 use hirata_isa::{
     BranchCond, FReg, FpBinOp, FpUnOp, GReg, GSrc, Inst, IntOp, Program, Reg, RotationMode,
 };
+use hirata_sim::predecode::{NO_REG, SRC_IMM};
 use hirata_sim::{Config, DecodedInst, Machine, PredecodedProgram};
 
 /// One representative of every `Inst` variant (and both store
@@ -32,6 +33,7 @@ fn all_instruction_forms() -> Vec<Inst> {
         Inst::Store { src: Reg::G(GReg(7)), base: GReg(1), off: 0, gated: false },
         Inst::Store { src: Reg::F(FReg(6)), base: GReg(2), off: 4, gated: true },
         Inst::Branch { cond: BranchCond::Ne, rs: GReg(3), src2: GSrc::Imm(0), target: 9 },
+        Inst::Branch { cond: BranchCond::Eq, rs: GReg(3), src2: GSrc::Reg(GReg(4)), target: 2 },
         Inst::Jump { target: 0 },
         Inst::JumpReg { rs: GReg(4) },
         Inst::Halt,
@@ -52,8 +54,22 @@ fn all_instruction_forms() -> Vec<Inst> {
 fn assert_lowering_matches(d: &DecodedInst, inst: Inst, what: &str) {
     assert_eq!(d.inst, inst, "{what}: instruction preserved");
     assert_eq!(d.fu, inst.fu_class(), "{what}: functional-unit class");
-    assert_eq!(d.srcs, inst.srcs(), "{what}: source registers");
-    assert_eq!(d.dest, inst.dest(), "{what}: destination register");
+    // Each operand byte is the dense index of the register the raw
+    // accessor names; an immediate second operand takes slot 1.
+    let imm = match inst {
+        Inst::IntOp { src2: GSrc::Imm(i), .. } | Inst::Branch { src2: GSrc::Imm(i), .. } => Some(i),
+        _ => None,
+    };
+    for (slot, reg) in inst.srcs().into_iter().enumerate() {
+        let want = match (reg, imm) {
+            (Some(r), _) => r.dense_index() as u8,
+            (None, Some(_)) if slot == 1 => SRC_IMM,
+            (None, _) => NO_REG,
+        };
+        assert_eq!(d.src[slot], want, "{what}: source slot {slot}");
+    }
+    assert_eq!(d.imm, imm.map_or(0, |i| i as u64), "{what}: folded immediate");
+    assert_eq!(d.dst, inst.dest().map_or(NO_REG, |r| r.dense_index() as u8), "{what}: destination");
     assert_eq!(d.latency, inst.latency(), "{what}: latency");
     let mut src_mask = 0u64;
     for r in inst.srcs().into_iter().flatten() {

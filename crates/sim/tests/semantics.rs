@@ -5,7 +5,7 @@
 use hirata_asm::assemble;
 use hirata_isa::{GReg, Program};
 use hirata_mem::DsmMemory;
-use hirata_sim::{Config, Machine, MachineError, StallReason, StuckSlot};
+use hirata_sim::{Config, Emulator, Machine, MachineError, StallReason, StuckSlot};
 
 fn run(config: Config, src: &str) -> Machine {
     let prog = assemble(src).expect("test program assembles");
@@ -138,6 +138,48 @@ fn queue_fifo_order_is_preserved() {
     assert_eq!(m.memory().read_i64(420).unwrap(), 1);
     assert_eq!(m.memory().read_i64(421).unwrap(), 2);
     assert_eq!(m.memory().read_i64(422).unwrap(), 3);
+}
+
+/// An instruction that names the read-mapped queue register in both
+/// source slots pops one entry and reads it into both: an ALU op
+/// (`add`) and a decode-unit branch (`beq`) alike. Of the producer's
+/// three entries one stays queued, and the machine agrees with the
+/// emulator on registers, memory and queue depths, at issue widths 1
+/// and 2.
+#[test]
+fn both_slots_naming_the_queue_register_pop_one_entry() {
+    let src = "
+        qmap r10, r11
+        fastfork
+        lpid r1
+        bne  r1, #0, consumer
+        li   r11, #5
+        li   r11, #7
+        li   r11, #9
+        halt
+    consumer:
+        add  r2, r10, r10    ; pops 5
+        beq  r10, r10, taken ; pops 7, equal to itself
+        li   r3, #1
+    taken:
+        sw   r2, 400(r0)
+        halt
+    ";
+    let prog = assemble(src).unwrap();
+    let golden = Emulator::execute(&prog, 2, 1 << 20, 10_000).expect("emulator runs");
+    for config in [Config::multithreaded(2), Config::hybrid(2, 2)] {
+        let width = config.issue_width;
+        let mut m = Machine::new(config, &prog).unwrap();
+        m.run().expect("program runs");
+        assert_eq!((m.reg_g(1, g(2)), m.reg_g(1, g(3))), (10, 0), "width {width}");
+        assert_eq!(m.queue_depths(), [0, 1], "width {width}: one entry left");
+        assert_eq!(m.queue_depths(), golden.queue_depths, "width {width}");
+        assert_eq!(m.memory().read_i64(400).unwrap(), 10, "width {width}");
+        assert!(*m.memory() == golden.memory, "width {width}: memory differs from the emulator's");
+        for ctx in 0..2 {
+            assert_eq!(m.register_image(ctx), golden.regs[ctx], "width {width}, context {ctx}");
+        }
+    }
 }
 
 #[test]
