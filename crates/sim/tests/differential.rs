@@ -273,7 +273,8 @@ fn is_ring_trap(e: &MachineError) -> bool {
 
 /// The fuzz oracle. Errors carry a stable `[category]` prefix so the
 /// shrinker can insist on preserving the original failure mode.
-fn three_way(case: &FuzzCase, src: &str) -> Result<(), String> {
+/// `Ok(true)` when both machines ended in the ring trap.
+fn three_way(case: &FuzzCase, src: &str) -> Result<bool, String> {
     let program =
         hirata_asm::assemble(src).map_err(|e| format!("[assemble] program rejected: {e}"))?;
     let slots = case.slots;
@@ -327,7 +328,7 @@ fn three_way(case: &FuzzCase, src: &str) -> Result<(), String> {
     // A run cut short by the trap has no final state to hold against
     // the emulator's.
     if ring_trap {
-        return Ok(());
+        return Ok(true);
     }
 
     // Traced machine vs the golden model: final architectural state.
@@ -347,7 +348,23 @@ fn three_way(case: &FuzzCase, src: &str) -> Result<(), String> {
             }
         }
     }
-    Ok(())
+    Ok(false)
+}
+
+/// Slot counts the fuzzer draws from. `DIFF_FUZZ_SLOTS` (comma-
+/// separated) overrides the default `1,2,4` — CI's quick tier pins
+/// `2,8` so every push exercises both the two-slot interleavings and
+/// the widest ready-frontier/arbitration-mask configuration without
+/// waiting for the big seeded campaign.
+fn slot_choices() -> &'static [usize] {
+    static CHOICES: std::sync::OnceLock<Vec<usize>> = std::sync::OnceLock::new();
+    CHOICES.get_or_init(|| match std::env::var("DIFF_FUZZ_SLOTS") {
+        Ok(v) => v
+            .split(',')
+            .map(|s| s.trim().parse().expect("DIFF_FUZZ_SLOTS holds slot counts"))
+            .collect(),
+        Err(_) => vec![1, 2, 4],
+    })
 }
 
 /// Generates one structured random program. Four families, all
@@ -370,25 +387,10 @@ fn three_way(case: &FuzzCase, src: &str) -> Result<(), String> {
 ///
 /// The straight-line, counted-loop and ring families may additionally
 /// address the remote region (word 4096 up) to exercise data-absence
-/// traps when the case runs on the DSM model. In a ring the first such
-/// trap ends the run with `QueueMisuse` (a context with queue registers
-/// mapped cannot be switched out), which `three_way` accepts.
-/// Slot counts the fuzzer draws from. `DIFF_FUZZ_SLOTS` (comma-
-/// separated) overrides the default `1,2,4` — CI's quick tier pins
-/// `2,8` so every push exercises both the two-slot interleavings and
-/// the widest ready-frontier/arbitration-mask configuration without
-/// waiting for the big seeded campaign.
-fn slot_choices() -> &'static [usize] {
-    static CHOICES: std::sync::OnceLock<Vec<usize>> = std::sync::OnceLock::new();
-    CHOICES.get_or_init(|| match std::env::var("DIFF_FUZZ_SLOTS") {
-        Ok(v) => v
-            .split(',')
-            .map(|s| s.trim().parse().expect("DIFF_FUZZ_SLOTS holds slot counts"))
-            .collect(),
-        Err(_) => vec![1, 2, 4],
-    })
-}
-
+/// traps when the case runs on the DSM model; a ring body on that model
+/// always holds one remote access. In a ring the first such trap ends
+/// the run with `QueueMisuse` (a context with queue registers mapped
+/// cannot be switched out), which `three_way` accepts.
 fn fuzz_case(seed: u64) -> FuzzCase {
     let mut rng = SplitMix(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1FF_CA5E);
     let family = rng.below(4);
@@ -408,6 +410,18 @@ fn fuzz_case(seed: u64) -> FuzzCase {
     for f in 1..=3 {
         src.push_str(&format!("    lif f{f}, #{}.{}\n", rng.below(20), rng.below(100)));
     }
+
+    // A remote access (load into `d` or store of `a`, at `off` past
+    // the remote boundary): a trap on the DSM model, an ordinary
+    // (identical-value or private) word otherwise.
+    let remote_op =
+        |rng: &mut SplitMix, src: &mut String, bank: &str, (d, a, off): (u64, u64, u64)| {
+            if rng.below(2) == 0 {
+                src.push_str(&format!("    lw r{d}, {}({bank})\n", 4096 + off));
+            } else {
+                src.push_str(&format!("    sw r{a}, {}({bank})\n", 4096 + off));
+            }
+        };
 
     // One random body instruction. `bank`: base register holding the
     // LP-private bank address (families B/C) or r0 with shared
@@ -429,15 +443,7 @@ fn fuzz_case(seed: u64) -> FuzzCase {
             9 => src.push_str(&format!("    lf f{fd}, {}({bank})\n", 48 + rng.below(8))),
             10 => src.push_str(&format!("    cvtif f{fd}, r{a}\n")),
             11 => src.push_str(&format!("    fcmplt r{d}, f{fa}, f{fb}\n")),
-            12 if remote => {
-                // A remote access: a trap on the DSM model, an
-                // ordinary (identical-value or private) word otherwise.
-                if rng.below(2) == 0 {
-                    src.push_str(&format!("    lw r{d}, {}({bank})\n", 4096 + off));
-                } else {
-                    src.push_str(&format!("    sw r{a}, {}({bank})\n", 4096 + off));
-                }
-            }
+            12 if remote => remote_op(rng, src, bank, (d, a, off)),
             13 if gated_ok => src.push_str(&format!("    swp r{a}, {off}({bank})\n")),
             _ => src.push_str(&format!("    add r{d}, r{a}, #1\n")),
         }
@@ -492,8 +498,17 @@ fn fuzz_case(seed: u64) -> FuzzCase {
             // Write the successor first — the ring stays supplied
             // however the trips interleave.
             src.push_str(&format!("    add r11, r8, #{}\n", rng.below(16)));
-            for _ in 0..1 + rng.below(5) {
-                body_op(&mut rng, &mut src, "r9", true);
+            let ops = 1 + rng.below(5);
+            // On the DSM model one op is always remote, so the case
+            // reaches the ring trap.
+            let remote_at = if remote { rng.below(ops) } else { ops };
+            for i in 0..ops {
+                if i == remote_at {
+                    let operands = (2 + rng.below(5), 2 + rng.below(5), rng.below(48));
+                    remote_op(&mut rng, &mut src, "r9", operands);
+                } else {
+                    body_op(&mut rng, &mut src, "r9", true);
+                }
             }
             src.push_str("    chgpri\n");
             src.push_str("    mv r4, r10\n    add r5, r5, r4\n");
@@ -605,24 +620,41 @@ fn fuzzed_programs_three_way_match() {
     let out_dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
         .join("target/diff-failures");
     let mut failures = Vec::new();
+    let mut dsm_rings = 0;
     for seed in 0..seeds {
         let case = fuzz_case(seed);
-        if let Err(err) = three_way(&case, &case.src) {
-            let minimal = shrink(&case, failure_tag(&err));
-            std::fs::create_dir_all(&out_dir).expect("create target/diff-failures");
-            let path = out_dir.join(format!("seed-{seed}.s"));
-            let header = format!(
-                "; fuzz seed {seed}: {} slots, remote_base {:?}\n; {}\n",
-                case.slots,
-                case.remote_base,
-                err.replace('\n', "\n; ")
-            );
-            std::fs::write(&path, format!("{header}{minimal}\n")).expect("write minimal repro");
-            failures.push(format!("seed {seed}: {} (minimized to {})", err, path.display()));
-            if failures.len() >= 3 {
-                break; // enough divergences to diagnose — stop fuzzing
+        let dsm_ring = case.remote_base.is_some() && case.src.contains("qmap");
+        dsm_rings += dsm_ring as u64;
+        match three_way(&case, &case.src) {
+            Ok(trapped) => {
+                if dsm_ring && !trapped {
+                    failures.push(format!(
+                        "seed {seed}: a ring case on the DSM model ({} slots) ended without \
+                         the ring trap",
+                        case.slots
+                    ));
+                }
             }
+            Err(err) => {
+                let minimal = shrink(&case, failure_tag(&err));
+                std::fs::create_dir_all(&out_dir).expect("create target/diff-failures");
+                let path = out_dir.join(format!("seed-{seed}.s"));
+                let header = format!(
+                    "; fuzz seed {seed}: {} slots, remote_base {:?}\n; {}\n",
+                    case.slots,
+                    case.remote_base,
+                    err.replace('\n', "\n; ")
+                );
+                std::fs::write(&path, format!("{header}{minimal}\n")).expect("write minimal repro");
+                failures.push(format!("seed {seed}: {} (minimized to {})", err, path.display()));
+            }
+        }
+        if failures.len() >= 3 {
+            break; // enough divergences to diagnose — stop fuzzing
         }
     }
     assert!(failures.is_empty(), "{} fuzz divergence(s):\n{}", failures.len(), failures.join("\n"));
+    if seeds >= DEFAULT_FUZZ_SEEDS {
+        assert!(dsm_rings > 0, "no ring case ran on the DSM model in {seeds} seeds");
+    }
 }
