@@ -16,6 +16,8 @@
 //! bytes on stdout — and trace artifact bytes — are identical whatever
 //! the worker count and cache state; engine progress goes to stderr.
 
+use std::io::{self, Write};
+
 use hirata_lab::Lab;
 use hirata_repro::{render_experiment, Session, Sizes, EXPERIMENTS};
 
@@ -57,11 +59,21 @@ fn main() {
     }
     let session = Session::new(lab);
 
+    let mut stdout = io::stdout().lock();
     for name in EXPERIMENTS {
         if which == name || which == "all" {
             let table =
                 render_experiment(&session, &sizes, name).expect("EXPERIMENTS names are known");
-            println!("{table}");
+            match writeln!(stdout, "{table}").and_then(|()| stdout.flush()) {
+                Ok(()) => {}
+                // A reader that closes early, as `head` does, ends the
+                // run quietly.
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => return,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    std::process::exit(1);
+                }
+            }
         }
     }
 }

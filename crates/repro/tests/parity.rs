@@ -1,10 +1,11 @@
 //! The engine's paper-facing contract, checked end to end through the
 //! `repro` binary: stdout is byte-identical whatever the worker count
-//! and whether results are simulated or cached, and a warm-cache run
-//! performs zero simulations.
+//! and whether results are simulated or cached, a warm-cache run
+//! performs zero simulations, and a reader that closes stdout early
+//! ends the run quietly.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn temp_cache(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("repro-parity-{name}-{}", std::process::id()));
@@ -85,4 +86,21 @@ fn unknown_experiment_and_bad_jobs_value_exit_nonzero() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid --jobs value"));
     let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn a_reader_that_closes_early_ends_the_run_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--quick", "table2", "--no-cache"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro starts");
+    // Closed before the first table is simulated, so its write meets
+    // the closed end.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("repro ends");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
