@@ -540,9 +540,10 @@ fn lab(
                 (false, true) => "simulated",
                 (false, false) => "failed",
             };
+            let (slots, ls) = grid[summary.index];
             eprintln!(
-                "[lab] {}/{} {} ({provenance})",
-                summary.finished, summary.total, summary.name
+                "[lab] {}/{} {path} s{slots} {ls}LS ({provenance})",
+                summary.finished, summary.total
             );
         }
     });

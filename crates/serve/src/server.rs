@@ -15,14 +15,18 @@
 //! it does not turn the close into a reset.
 //!
 //! A submission's grid points run as one batch of the shared [`Lab`]
-//! engine, placed by the submission's mode: `pool` spreads the jobs
-//! over the engine's long-lived simulation workers, and `interleaved`
-//! steps them all round-robin as lanes of one `MachineBatch` on the
-//! HTTP worker itself. Either way the HTTP worker streams per-job
-//! progress back as chunked ndjson events, every set of events that
-//! is ready at the same moment in one write, and results land in the
-//! shared content-addressed [`DiskCache`], so a resubmission is
-//! answered without simulating.
+//! engine, named by their job keys. The daemon keeps the keys of each
+//! program and grid it assembled lately in a bounded memo, so a
+//! resubmission goes from the parse to the store with no assembly and
+//! no hashing; its program is assembled only if some key misses the
+//! store. The batch is placed by the submission's mode: `pool` spreads
+//! the jobs over the engine's long-lived simulation workers, and
+//! `interleaved` steps them all round-robin as lanes of one
+//! `MachineBatch` on the HTTP worker itself. Either way the HTTP worker
+//! streams per-job progress back as chunked ndjson events, every set
+//! of events that is ready at the same moment in one write, and results
+//! land in the shared content-addressed [`DiskCache`], so a
+//! resubmission is answered without simulating.
 //!
 //! Routes:
 //!
@@ -35,6 +39,9 @@
 //! | GET    | `/trace/{key}`  | Chrome trace artifact for a content hash  |
 //! | POST   | `/shutdown`     | graceful stop                             |
 
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasher;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -79,6 +86,10 @@ const MAX_GRID_POINTS: usize = 128;
 /// the slack covers a few fields it ignores. A longer document fails
 /// inside the parse, before it can build a large tree.
 const MAX_SUBMIT_VALUES: usize = 2 * MAX_GRID_POINTS + 16;
+
+/// Most (program, grid) pairs the submission memo holds; past it, the
+/// pair that entered first leaves.
+const MEMO_CAPACITY: usize = 256;
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -135,6 +146,7 @@ struct AppState {
     jobs_run: AtomicU64,
     jobs_cached: AtomicU64,
     jobs_failed: AtomicU64,
+    memo: Memo,
     /// Accepted connections no worker has taken yet.
     queued: AtomicUsize,
     shutdown: AtomicBool,
@@ -188,6 +200,7 @@ impl Server {
             jobs_run: AtomicU64::new(0),
             jobs_cached: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
+            memo: Memo::new(),
             queued: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         });
@@ -436,6 +449,14 @@ fn stats_json(state: &AppState) -> Json {
         ("jobs_run", Json::u64(state.jobs_run.load(Ordering::Relaxed))),
         ("jobs_cached", Json::u64(state.jobs_cached.load(Ordering::Relaxed))),
         ("jobs_failed", Json::u64(state.jobs_failed.load(Ordering::Relaxed))),
+        (
+            "memo",
+            obj(vec![
+                ("hits", Json::u64(state.memo.hits.load(Ordering::Relaxed))),
+                ("misses", Json::u64(state.memo.misses.load(Ordering::Relaxed))),
+                ("entries", Json::u64(state.memo.len() as u64)),
+            ]),
+        ),
     ];
     match &state.cache {
         Some(cache) => {
@@ -463,15 +484,31 @@ fn stats_json(state: &AppState) -> Json {
     obj(pairs)
 }
 
-/// A validated `/submit` request.
+/// A validated `/submit` request; its program is not assembled yet.
 #[derive(Debug)]
 struct SubmitSpec {
     name: String,
-    program: Arc<hirata_isa::Program>,
+    source: String,
     grid: Vec<(usize, usize)>,
     timeout: Duration,
     interleaved: bool,
     trace: bool,
+}
+
+impl SubmitSpec {
+    /// Assembles the program and builds the job of each grid point, in
+    /// grid order. The name and timeout are this request's; the trace
+    /// directory is the engine's to set.
+    fn jobs(&self) -> Result<Vec<Job>, String> {
+        let program = hirata_asm::assemble(&self.source)
+            .map_err(|e| format!("program does not assemble: {e}"))?;
+        let program = Arc::new(program);
+        let job = |&(slots, ls): &(usize, usize)| {
+            let name = format!("{} s{slots} {ls}LS", self.name);
+            Job::new(name, sweep_config(slots, ls), Arc::clone(&program)).with_timeout(self.timeout)
+        };
+        Ok(self.grid.iter().map(job).collect())
+    }
 }
 
 fn parse_submit(body: &[u8]) -> Result<SubmitSpec, String> {
@@ -528,16 +565,135 @@ fn parse_submit(body: &[u8]) -> Result<SubmitSpec, String> {
         Some(None) => return Err("`timeout_secs` must be a number".into()),
     };
 
-    let program =
-        hirata_asm::assemble(source).map_err(|e| format!("program does not assemble: {e}"))?;
     Ok(SubmitSpec {
         name,
-        program: Arc::new(program),
+        source: source.to_string(),
         grid: sweep_grid(&slots, &ls),
         timeout,
         interleaved,
         trace,
     })
+}
+
+/// A `/submit` body the daemon runs: its spec, the job key of each
+/// grid point, and — when the memo did not hold the keys — the jobs
+/// they were hashed from.
+struct Admitted {
+    spec: SubmitSpec,
+    keys: Vec<String>,
+    jobs: Option<Vec<Job>>,
+}
+
+/// Parses a `/submit` body and finds its grid's job keys: from the
+/// memo, or by assembling the program and hashing its jobs, which
+/// enters the keys in the memo. A body that does not parse or assemble
+/// is an error, the 400's text, and enters nothing.
+fn admit(memo: &Memo, body: &[u8]) -> Result<Admitted, String> {
+    let spec = parse_submit(body)?;
+    let digest = memo.digest(&spec);
+    if let Some(keys) = memo.get(digest, &spec) {
+        // The oracle: the memo's keys are the ones assembling and
+        // hashing give.
+        if cfg!(debug_assertions) {
+            let jobs = spec.jobs().expect("a memoized program assembles");
+            let fresh: Vec<String> = jobs.iter().map(Job::content_hash).collect();
+            assert_eq!(keys, fresh, "the memo's keys differ from the program's");
+        }
+        return Ok(Admitted { spec, keys, jobs: None });
+    }
+    let jobs = spec.jobs()?;
+    let keys: Vec<String> = jobs.iter().map(Job::content_hash).collect();
+    memo.insert(digest, &spec, &keys);
+    Ok(Admitted { spec, keys, jobs: Some(jobs) })
+}
+
+/// The submission memo: the job keys of each (program, grid) pair the
+/// daemon assembled lately, so that a resubmission skips assembly and
+/// hashing.
+///
+/// An entry is found by a 64-bit digest of the program text and the
+/// grid, keyed per process because bodies are outside input, and
+/// matched on the text's length and the whole ordered grid. The name,
+/// mode, timeout and trace flag enter no job key, so they stay out of
+/// the memo's key too and always come from the request at hand. The
+/// assembler and the store's schema are fixed for the life of the
+/// process, so no version enters it either. An entry holds the keys
+/// alone, never the program or its text.
+struct Memo {
+    hasher: RandomState,
+    table: Mutex<MemoTable>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+#[derive(Default)]
+struct MemoTable {
+    entries: HashMap<u64, MemoEntry>,
+    /// Digests in the order they entered, oldest first.
+    order: VecDeque<u64>,
+}
+
+struct MemoEntry {
+    len: usize,
+    grid: Box<[(usize, usize)]>,
+    /// Each grid point's job key, as the number its 32 hex digits spell.
+    keys: Arc<[u128]>,
+}
+
+impl Memo {
+    fn new() -> Memo {
+        Memo {
+            hasher: RandomState::new(),
+            table: Mutex::default(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    fn digest(&self, spec: &SubmitSpec) -> u64 {
+        self.hasher.hash_one((spec.source.as_str(), spec.grid.as_slice()))
+    }
+
+    fn table(&self) -> std::sync::MutexGuard<'_, MemoTable> {
+        self.table.lock().expect("memo lock")
+    }
+
+    /// The job keys of `spec`'s program and grid, if the memo holds
+    /// them; counted as a hit or a miss.
+    fn get(&self, digest: u64, spec: &SubmitSpec) -> Option<Vec<String>> {
+        let keys = self
+            .table()
+            .entries
+            .get(&digest)
+            .filter(|e| e.len == spec.source.len() && *e.grid == *spec.grid)
+            .map(|e| Arc::clone(&e.keys));
+        let counter = if keys.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Some(keys?.iter().map(|key| format!("{key:032x}")).collect())
+    }
+
+    /// Enters the job keys of `spec`'s program and grid, dropping the
+    /// oldest entry once the memo holds [`MEMO_CAPACITY`].
+    fn insert(&self, digest: u64, spec: &SubmitSpec, keys: &[String]) {
+        let keys = keys.iter().map(|key| u128::from_str_radix(key, 16).expect("a hex job key"));
+        let entry = MemoEntry {
+            len: spec.source.len(),
+            grid: spec.grid.as_slice().into(),
+            keys: keys.collect(),
+        };
+        let mut table = self.table();
+        if table.entries.insert(digest, entry).is_none() {
+            table.order.push_back(digest);
+            if table.order.len() > MEMO_CAPACITY {
+                let oldest = table.order.pop_front().expect("a full memo has entries");
+                table.entries.remove(&oldest);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.table().entries.len()
+    }
 }
 
 fn too_many_points() -> String {
@@ -609,30 +765,16 @@ impl Events<'_, '_> {
 
 fn handle_submit(conn: &mut Conn, request: &Request, close: bool) -> io::Result<()> {
     let state = conn.state;
-    let spec = match parse_submit(&request.body) {
-        Ok(spec) => spec,
+    let Admitted { spec, keys, jobs } = match admit(&state.memo, &request.body) {
+        Ok(admitted) => admitted,
         Err(msg) => return conn.respond_error(400, &msg, close),
     };
     state.submissions.fetch_add(1, Ordering::Relaxed);
-
-    let jobs: Vec<Job> = spec
-        .grid
-        .iter()
-        .map(|&(slots, ls)| {
-            let job = Job::new(
-                format!("{} s{slots} {ls}LS", spec.name),
-                sweep_config(slots, ls),
-                Arc::clone(&spec.program),
-            )
-            .with_timeout(spec.timeout);
-            if spec.trace {
-                job.with_trace_dir(&state.trace_dir)
-            } else {
-                job
-            }
-        })
-        .collect();
-    let total = jobs.len();
+    let total = keys.len();
+    // After a memo hit the program is assembled only if some key
+    // misses the store. It assembles again: it did when its keys
+    // entered the memo, and its text has their digest, length and grid.
+    let jobs = || jobs.unwrap_or_else(|| spec.jobs().expect("a memoized program assembles"));
 
     let (placement, workers, mode) = if spec.interleaved {
         (Placement::Interleaved, 1, "interleaved")
@@ -649,29 +791,31 @@ fn handle_submit(conn: &mut Conn, request: &Request, close: bool) -> io::Result<
     ]));
 
     let grid = &spec.grid;
-    let batch = state.lab.run_batch_observed(jobs, placement, &mut |event| match event {
-        // The head, `accepted` and every cache hit leave together,
-        // before any simulation starts.
-        BatchEvent::Simulating => events.flush(),
-        BatchEvent::Job(summary) => {
-            let (slots, ls) = grid[summary.index];
-            events.push(&job_event(
-                summary.index,
-                slots,
-                ls,
-                summary.key,
-                summary.cached,
-                summary.result,
-                summary.finished,
-                summary.total,
-            ));
-            // An executed job's event leaves as soon as it finishes;
-            // the last event waits for `done`.
-            if !summary.cached && summary.finished < summary.total {
-                events.flush();
+    let trace_dir = spec.trace.then_some(state.trace_dir.as_path());
+    let batch =
+        state.lab.run_keyed_observed(keys, trace_dir, jobs, placement, &mut |event| match event {
+            // The head, `accepted` and every cache hit leave together,
+            // before any simulation starts.
+            BatchEvent::Simulating => events.flush(),
+            BatchEvent::Job(summary) => {
+                let (slots, ls) = grid[summary.index];
+                events.push(&job_event(
+                    summary.index,
+                    slots,
+                    ls,
+                    summary.key,
+                    summary.cached,
+                    summary.result,
+                    summary.finished,
+                    summary.total,
+                ));
+                // An executed job's event leaves as soon as it finishes;
+                // the last event waits for `done`.
+                if !summary.cached && summary.finished < summary.total {
+                    events.flush();
+                }
             }
-        }
-    });
+        });
     let report = batch.report;
 
     state.jobs_run.fetch_add(report.executed as u64, Ordering::Relaxed);
@@ -819,27 +963,58 @@ mod tests {
         assert!(err.starts_with("bad json:") && err.contains("values"), "{err}");
     }
 
+    #[test]
+    fn the_memo_holds_at_most_its_capacity() {
+        let memo = Memo::new();
+        let body = |i: usize| format!("{{\"program\":\"li r1, #{i}\\nhalt\",\"slots\":[1]}}");
+        for i in 0..MEMO_CAPACITY + 20 {
+            let admitted = admit(&memo, body(i).as_bytes()).expect("assembles");
+            assert!(admitted.jobs.is_some(), "program {i} is new");
+            assert!(memo.len() <= MEMO_CAPACITY, "{} entries after {i}", memo.len());
+        }
+        assert_eq!(memo.len(), MEMO_CAPACITY);
+        assert_eq!(memo.table().order.len(), MEMO_CAPACITY);
+        // The newest programs are still held; the first ones left.
+        let newest = MEMO_CAPACITY + 19;
+        assert!(admit(&memo, body(newest).as_bytes()).expect("assembles").jobs.is_none());
+        assert!(admit(&memo, body(0).as_bytes()).expect("assembles").jobs.is_some());
+        assert_eq!(memo.len(), MEMO_CAPACITY);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Every document ends in a spec within the bounds or in an
         /// error (the 400), never in a panic; one with more values
-        /// than the budget fails inside the parse.
+        /// than the budget fails inside the parse. Sent again to the
+        /// same memo, an accepted document is a hit with the same keys,
+        /// and a rejected one is the same 400 and entered nothing.
         #[test]
         fn hostile_documents_end_in_a_spec_or_an_error(doc in document()) {
             let over_budget = Json::parse(&doc).is_ok_and(|d| values(&d) > MAX_SUBMIT_VALUES);
-            let result = parse_submit(doc.as_bytes());
+            let memo = Memo::new();
+            let result = admit(&memo, doc.as_bytes());
             if over_budget {
                 let msg = result.as_ref().err().map(String::as_str).unwrap_or_default();
                 prop_assert!(msg.contains("values"), "{doc}: {msg}");
             }
-            match result {
-                Ok(spec) => {
+            let again = admit(&memo, doc.as_bytes());
+            match (result, again) {
+                (Ok(first), Ok(again)) => {
+                    let spec = &first.spec;
                     prop_assert!((1..=MAX_GRID_POINTS).contains(&spec.grid.len()), "{doc}");
+                    prop_assert_eq!(first.keys.len(), spec.grid.len());
                     prop_assert!(spec.timeout >= Duration::from_secs(1), "{doc}");
                     prop_assert!(!(spec.trace && spec.interleaved), "{doc}");
+                    prop_assert!(first.jobs.is_some() && again.jobs.is_none(), "{doc}");
+                    prop_assert_eq!(first.keys, again.keys);
                 }
-                Err(msg) => prop_assert!(!msg.is_empty()),
+                (Err(msg), Err(again)) => {
+                    prop_assert!(!msg.is_empty());
+                    prop_assert_eq!(msg, again);
+                    prop_assert_eq!(memo.len(), 0);
+                }
+                (first, again) => prop_assert!(false, "{doc}: {:?} then {:?}", first.err(), again.err()),
             }
         }
     }
