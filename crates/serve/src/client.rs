@@ -68,7 +68,8 @@ pub struct SubmitRequest {
 }
 
 impl SubmitRequest {
-    fn render(&self) -> String {
+    /// The request's JSON body, as [`submit`] sends it.
+    pub fn render(&self) -> String {
         let nums = |ns: &[usize]| Json::Arr(ns.iter().map(|&n| Json::u64(n as u64)).collect());
         let mut pairs = vec![
             ("name".to_string(), Json::Str(self.name.clone())),
