@@ -1,23 +1,7 @@
-//! Shared helpers for the Criterion benchmarks. Each bench target
-//! regenerates one of the paper's tables at benchmark-friendly sizes;
-//! `cargo run --release -p hirata-repro` prints the full-size tables.
+//! Home of the simulator-throughput probe,
+//! `examples/throughput_check.rs`. `scripts/ab_bench.sh` runs the probe
+//! built from two trees in alternating rounds, and CI's `perf-gate` job
+//! pairs the merge base against the change that way. The library
+//! itself is empty.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-use hirata_isa::Program;
-use hirata_sim::{Config, Machine, RunStats};
-use hirata_workloads::raytrace::RayTraceParams;
-
-/// The scene used by the benchmark suite: smaller than the paper-scale
-/// run but with the same instruction-mix character.
-pub fn bench_scene() -> RayTraceParams {
-    RayTraceParams { width: 8, height: 8, spheres: 6, seed: 42, shadows: true }
-}
-
-/// Runs `program` on `config`, panicking on machine errors (benchmark
-/// programs are trusted).
-pub fn run(config: Config, program: &Program) -> RunStats {
-    let mut m = Machine::new(config, program).expect("bench machine builds");
-    m.run().expect("bench program runs").clone()
-}

@@ -171,8 +171,8 @@ impl Job {
     /// demonstrate that a tag bump changes every key).
     ///
     /// The outcome-determining fields are streamed, each as label,
-    /// length and body, straight into a [`KeyHasher`]; no byte image
-    /// of the job is built.
+    /// length and body, straight into a two-lane 128-bit hasher; no
+    /// byte image of the job is built.
     pub fn content_hash_with_tag(&self, tag: &str) -> String {
         let mut h = KeyHasher::new();
         h.field("tag", tag.as_bytes());

@@ -107,17 +107,6 @@ impl MachineBatch {
         id
     }
 
-    /// Machines still running.
-    pub fn live(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// True when no lane is running (finished lanes may still await
-    /// [`MachineBatch::drain_finished`]).
-    pub fn is_idle(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
     /// Removes a still-running lane (e.g. on a client timeout).
     /// Returns its machine, or `None` if the lane already finished or
     /// never existed.
@@ -130,10 +119,21 @@ impl MachineBatch {
     /// error / panic, whichever comes first), then returns the number
     /// of lanes still live. Finished lanes move to the internal queue
     /// until collected with [`MachineBatch::drain_finished`].
+    ///
+    /// The stride is measured in simulated cycles, not steps: in an
+    /// untraced lane an event-wheel jump can follow a step and advance
+    /// many cycles, and counting steps would let a stalled-but-jumping
+    /// lane race arbitrarily far ahead of its siblings within a round.
+    /// Every step advances at least one cycle, so a lane's round is
+    /// bounded. Where a round ends is pure scheduling, not semantics:
+    /// each machine's cycles and statistics are independent of it.
     pub fn step_round(&mut self, stride: u64) -> usize {
         let mut keep: Vec<Lane> = Vec::with_capacity(self.lanes.len());
         for mut lane in self.lanes.drain(..) {
-            let outcome = catch_unwind(AssertUnwindSafe(|| step_lane(&mut lane.machine, stride)));
+            // `run_span` hoists the trace-sink dispatch out of its
+            // loop, so an untraced lane steps the sink-free kernel
+            // throughout its round.
+            let outcome = catch_unwind(AssertUnwindSafe(|| lane.machine.run_span(stride)));
             match outcome {
                 Ok(Ok(false)) => keep.push(lane),
                 Ok(Ok(true)) => self.finished.push((lane.id, Ok(lane.machine))),
@@ -164,23 +164,6 @@ impl MachineBatch {
         done.sort_by_key(|(id, _)| *id);
         done.into_iter().map(|(_, result)| result).collect()
     }
-}
-
-/// Steps one machine through a whole stride of `stride` cycles;
-/// `Ok(true)` means done.
-///
-/// The stride is measured in simulated cycles, not steps: in an
-/// untraced lane an event-wheel jump can follow a step and advance many
-/// cycles, and counting steps would let a stalled-but-jumping lane race
-/// arbitrarily far ahead of its siblings within a round. Every step
-/// advances at least one cycle, so the loop is bounded. Where a round ends is pure
-/// scheduling, not semantics: each machine's cycles and statistics
-/// are independent of it.
-fn step_lane(machine: &mut Machine, stride: u64) -> Result<bool, MachineError> {
-    // `run_span` hoists the trace-sink dispatch out of the loop, so an
-    // untraced lane steps the sink-free monomorphized kernel
-    // throughout its round.
-    machine.run_span(stride)
 }
 
 /// The message of a caught panic's payload, as [`LaneError::Panicked`]

@@ -907,14 +907,6 @@ impl Machine {
         self.slots.len()
     }
 
-    /// The ready frontier: the slots *not* currently holding a proven
-    /// stall block. Unbound slots never hold one, so an empty set
-    /// means every slot is bound and provably stalled until its
-    /// block's wake cycle or a machine event.
-    pub fn ready_slots(&self) -> SlotSet {
-        (0..self.slots.len()).filter(|&s| self.slots[s].block.is_none()).collect()
-    }
-
     /// Current schedule-unit priority order (highest first).
     pub fn priority_order(&self) -> Vec<usize> {
         self.prio.order().collect()

@@ -28,6 +28,11 @@
 # Each probe (`throughput_check --probe`) prints `key<TAB>cycles/sec`
 # per point from a short minimum-of-runs estimate; repetition and
 # pairing live here, not in the probe.
+#
+# Exit status: 1 when the geomean is below FLOOR (0.95), that is when
+# B reads more than 5% slower than A. CI's time gate
+# (scripts/perf_gate.sh) is this verdict over the default points;
+# EXPERIMENTS.md ("One paired perf gate") has its calibration.
 
 set -euo pipefail
 
@@ -36,6 +41,7 @@ if [ "$#" -lt 2 ]; then
     exit 2
 fi
 
+FLOOR=0.95
 BIN_A="$1"
 BIN_B="$2"
 ROUNDS="${3:-11}"
@@ -106,3 +112,7 @@ done <"$TMP/A_1.tsv"
 geomean=$(awk -v s="$log_sum" -v n="$n_points" 'BEGIN { printf "%.3f", exp(s / n) }')
 echo
 echo "geomean of per-point median B/A ratios: ${geomean}x"
+if awk -v g="$geomean" -v f="$FLOOR" 'BEGIN { exit !(g < f) }'; then
+    echo "B is below the ${FLOOR}x floor" >&2
+    exit 1
+fi
