@@ -16,18 +16,23 @@
 # fold any slow machine drift — thermal throttling, a background job
 # starting halfway through — entirely into one side, which on a shared
 # box routinely fabricates or hides several percent. This harness
-# instead alternates the two binaries within every round (and swaps
-# which one goes first on every other round, cancelling any fixed
-# cost of being the round's opener), then forms the B/A ratio *within
-# each round* so both sides of every ratio saw the same machine
-# weather. The reported statistic per grid point is the MEDIAN of the
-# per-round paired ratios — robust to a minority of disturbed rounds
-# in a way a mean of ratios is not — plus the geometric mean of those
-# medians across points as the headline.
+# instead measures every point with A and B back to back, one probe
+# process per point and binary (and swaps which one goes first on
+# every other round, cancelling any fixed cost of going first), then
+# forms the B/A ratio *per point within each round*, so both sides of
+# every ratio are milliseconds apart and saw the same machine weather.
+# (Pairing whole 12-point probes put most of a second between the two
+# sides of a ratio; on a 2-vCPU VM whose speed doubles or halves
+# within that, the same binary against itself read 0.94x-1.03x over
+# 11 rounds. See EXPERIMENTS.md, "One paired perf gate".) The reported
+# statistic per grid point is the MEDIAN of the per-round paired
+# ratios — robust to a minority of disturbed rounds in a way a mean of
+# ratios is not — plus the geometric mean of those medians across
+# points as the headline.
 #
-# Each probe (`throughput_check --probe`) prints `key<TAB>cycles/sec`
-# per point from a short minimum-of-runs estimate; repetition and
-# pairing live here, not in the probe.
+# Each probe (`throughput_check --probe --points <key>`) prints
+# `key<TAB>cycles/sec` from a short minimum-of-runs estimate;
+# repetition and pairing live here, not in the probe.
 #
 # Exit status: 1 when the geomean is below FLOOR (0.95), that is when
 # B reads more than 5% slower than A. CI's time gate
@@ -62,12 +67,15 @@ echo "B: $BIN_B" >&2
 echo "points: $POINTS, rounds: $ROUNDS" >&2
 
 for ((r = 1; r <= ROUNDS; r++)); do
-    # Swap who opens the round so neither binary always pays or
-    # pockets first-in-round effects (page cache, frequency ramp).
+    # Swap who goes first at each point on every other round, so
+    # neither binary always pays or pockets going first (page cache,
+    # frequency ramp).
     if ((r % 2)); then order="A B"; else order="B A"; fi
-    for side in $order; do
-        if [ "$side" = A ]; then bin="$BIN_A"; else bin="$BIN_B"; fi
-        "$bin" --probe --points "$POINTS" >"$TMP/${side}_$r.tsv"
+    for point in ${POINTS//,/ }; do
+        for side in $order; do
+            if [ "$side" = A ]; then bin="$BIN_A"; else bin="$BIN_B"; fi
+            "$bin" --probe --points "$point" >>"$TMP/${side}_$r.tsv"
+        done
     done
     echo "round $r/$ROUNDS done" >&2
 done
