@@ -19,16 +19,16 @@
 # instead measures every point with A and B back to back, one probe
 # process per point and binary (and swaps which one goes first on
 # every other round, cancelling any fixed cost of going first), then
-# forms the B/A ratio *per point within each round*, so both sides of
-# every ratio are milliseconds apart and saw the same machine weather.
-# (Pairing whole 12-point probes put most of a second between the two
-# sides of a ratio; on a 2-vCPU VM whose speed doubles or halves
+# forms the B/A ratio *per point within each round*, so the two sides
+# of a ratio are at most a quarter of a second apart and saw the same
+# machine weather. (Pairing whole 12-point probes would put most of a
+# second between them; on a 2-vCPU VM whose speed doubles or halves
 # within that, the same binary against itself read 0.94x-1.03x over
-# 11 rounds. See EXPERIMENTS.md, "One paired perf gate".) The reported
-# statistic per grid point is the MEDIAN of the per-round paired
-# ratios — robust to a minority of disturbed rounds in a way a mean of
-# ratios is not — plus the geometric mean of those medians across
-# points as the headline.
+# 11 rounds. See EXPERIMENTS.md, "One paired perf gate".) The
+# reported statistic per grid point is the MEDIAN of the per-round
+# paired ratios — robust to a minority of disturbed rounds in a way a
+# mean of ratios is not — plus the geometric mean of those medians
+# across points as the headline.
 #
 # Each probe (`throughput_check --probe --points <key>`) prints
 # `key<TAB>cycles/sec` from a short minimum-of-runs estimate;
