@@ -542,3 +542,43 @@ fn a_program_that_does_not_assemble_is_a_400_twice_and_no_entry() {
     assert_eq!(fields.map(|field| count(&stats, field)), [0, 2, 0, 0]);
     stop(daemon);
 }
+
+/// The reply bodies of a cold `interleaved` submission and then a warm
+/// `pool` one, chunk framing and all, on a daemon with two simulation
+/// workers and a fresh store: both have a fixed event order, and their
+/// bytes are pinned.
+#[test]
+fn cold_interleaved_and_warm_pool_replies_are_pinned() {
+    let cache = Scratch::new("cache");
+    let traces = Scratch::new("traces");
+    let daemon = boot(&cache, &traces);
+    let cold = submit_raw(&daemon.0, &request(Mode::Interleaved).render());
+    let warm = submit_raw(&daemon.0, &request(Mode::Pool).render());
+    assert_eq!(String::from_utf8_lossy(&cold), COLD_INTERLEAVED_REPLY);
+    assert_eq!(String::from_utf8_lossy(&warm), WARM_POOL_REPLY);
+    stop(daemon);
+}
+
+const COLD_INTERLEAVED_REPLY: &str = concat!(
+    "40\r\n{\"event\":\"accepted\",\"total\":6,\"workers\":1,\"mode\":\"interleaved\"}\n\r\n",
+    "a2\r\n{\"event\":\"job\",\"index\":0,\"slots\":1,\"ls\":1,\"key\":\"30897d7ccad969da66f4e66cde469feb\",\"cached\":false,\"finished\":1,\"total\":6,\"ok\":true,\"cycles\":31,\"instructions\":10}\n\r\n",
+    "a2\r\n{\"event\":\"job\",\"index\":1,\"slots\":2,\"ls\":1,\"key\":\"256bca88ca2a15a4cb96ce78fc354bb1\",\"cached\":false,\"finished\":2,\"total\":6,\"ok\":true,\"cycles\":37,\"instructions\":19}\n\r\n",
+    "a2\r\n{\"event\":\"job\",\"index\":2,\"slots\":4,\"ls\":1,\"key\":\"d0ba1799bab5dd745c28e1bb56234e8d\",\"cached\":false,\"finished\":3,\"total\":6,\"ok\":true,\"cycles\":51,\"instructions\":37}\n\r\n",
+    "a2\r\n{\"event\":\"job\",\"index\":3,\"slots\":1,\"ls\":2,\"key\":\"dfd7865fee3f46c45931a6ead2ff140c\",\"cached\":false,\"finished\":4,\"total\":6,\"ok\":true,\"cycles\":30,\"instructions\":10}\n\r\n",
+    "a2\r\n{\"event\":\"job\",\"index\":4,\"slots\":2,\"ls\":2,\"key\":\"e67077f549a53d54a36627c837d2ed3e\",\"cached\":false,\"finished\":5,\"total\":6,\"ok\":true,\"cycles\":35,\"instructions\":19}\n\r\n",
+    "a2\r\n{\"event\":\"job\",\"index\":5,\"slots\":4,\"ls\":2,\"key\":\"165e5f9ef70a52db44263a07b4d1419e\",\"cached\":false,\"finished\":6,\"total\":6,\"ok\":true,\"cycles\":42,\"instructions\":37}\n\r\n",
+    "42\r\n{\"event\":\"done\",\"total\":6,\"executed\":6,\"cache_hits\":0,\"failed\":0}\n\r\n",
+    "0\r\n\r\n",
+);
+
+const WARM_POOL_REPLY: &str = concat!(
+    "39\r\n{\"event\":\"accepted\",\"total\":6,\"workers\":2,\"mode\":\"pool\"}\n\r\n",
+    "a1\r\n{\"event\":\"job\",\"index\":0,\"slots\":1,\"ls\":1,\"key\":\"30897d7ccad969da66f4e66cde469feb\",\"cached\":true,\"finished\":1,\"total\":6,\"ok\":true,\"cycles\":31,\"instructions\":10}\n\r\n",
+    "a1\r\n{\"event\":\"job\",\"index\":1,\"slots\":2,\"ls\":1,\"key\":\"256bca88ca2a15a4cb96ce78fc354bb1\",\"cached\":true,\"finished\":2,\"total\":6,\"ok\":true,\"cycles\":37,\"instructions\":19}\n\r\n",
+    "a1\r\n{\"event\":\"job\",\"index\":2,\"slots\":4,\"ls\":1,\"key\":\"d0ba1799bab5dd745c28e1bb56234e8d\",\"cached\":true,\"finished\":3,\"total\":6,\"ok\":true,\"cycles\":51,\"instructions\":37}\n\r\n",
+    "a1\r\n{\"event\":\"job\",\"index\":3,\"slots\":1,\"ls\":2,\"key\":\"dfd7865fee3f46c45931a6ead2ff140c\",\"cached\":true,\"finished\":4,\"total\":6,\"ok\":true,\"cycles\":30,\"instructions\":10}\n\r\n",
+    "a1\r\n{\"event\":\"job\",\"index\":4,\"slots\":2,\"ls\":2,\"key\":\"e67077f549a53d54a36627c837d2ed3e\",\"cached\":true,\"finished\":5,\"total\":6,\"ok\":true,\"cycles\":35,\"instructions\":19}\n\r\n",
+    "a1\r\n{\"event\":\"job\",\"index\":5,\"slots\":4,\"ls\":2,\"key\":\"165e5f9ef70a52db44263a07b4d1419e\",\"cached\":true,\"finished\":6,\"total\":6,\"ok\":true,\"cycles\":42,\"instructions\":37}\n\r\n",
+    "42\r\n{\"event\":\"done\",\"total\":6,\"executed\":0,\"cache_hits\":6,\"failed\":0}\n\r\n",
+    "0\r\n\r\n",
+);
