@@ -14,7 +14,9 @@
 //!
 //! Messages are built into byte buffers and the caller sends each
 //! buffer in one write: a whole request, a whole fixed-length
-//! response, or a run of chunks that are ready together. Both ends set
+//! response, or a run of chunks that are ready together. A chunk's
+//! data is written in place, and its size line goes in front of it
+//! once its length is known. Both ends set
 //! `TCP_NODELAY`, so a small write is sent at once instead of waiting
 //! on the peer's delayed ACK.
 //!
@@ -22,7 +24,8 @@
 //! wire format is written and read by the same code.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, Write};
+use std::fmt::Write as _;
+use std::io::{self, BufRead, Write as _};
 
 /// Upper bound on an accepted request body; a Figure 6-scale program
 /// assembles to a few kilobytes, so 8 MiB is generous headroom while
@@ -34,7 +37,7 @@ pub const MAX_BODY_BYTES: u64 = 8 * 1024 * 1024;
 pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// The terminating chunk of a chunked body.
-pub const LAST_CHUNK: &[u8] = b"0\r\n\r\n";
+pub const LAST_CHUNK: &str = "0\r\n\r\n";
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,26 +182,36 @@ pub fn response(status: u16, content_type: &str, body: &[u8], close: bool) -> Ve
 
 /// Appends the head of a chunked response to `out`; follow it with
 /// [`push_chunk`] calls and [`LAST_CHUNK`].
-pub fn chunked_head(out: &mut Vec<u8>, status: u16, content_type: &str, close: bool) {
-    out.extend_from_slice(
-        format!(
-            "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\n{}\r\n",
-            status_text(status),
-            connection_line(close),
-        )
-        .as_bytes(),
+pub fn chunked_head(out: &mut String, status: u16, content_type: &str, close: bool) {
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\n{}\r\n",
+        status_text(status),
+        connection_line(close),
     );
 }
 
-/// Appends one chunk (size line, data and CRLF) to `out`. Empty data
-/// appends nothing: an empty chunk would end the body.
-pub fn push_chunk(out: &mut Vec<u8>, data: &[u8]) {
-    if data.is_empty() {
+/// Appends one chunk to `out`: the data `write` appends, in place, then
+/// the size line in front of it and CRLF after it. Data that comes out
+/// empty appends nothing: an empty chunk would end the body.
+pub fn push_chunk(out: &mut String, write: impl FnOnce(&mut String)) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let start = out.len();
+    write(out);
+    let mut len = out.len() - start;
+    if len == 0 {
         return;
     }
-    out.extend_from_slice(format!("{:x}\r\n", data.len()).as_bytes());
-    out.extend_from_slice(data);
-    out.extend_from_slice(b"\r\n");
+    // Hex digits, then CRLF, built from the right.
+    let mut line = *b"0000000000000000\r\n";
+    let mut at = 16;
+    while len > 0 {
+        at -= 1;
+        line[at] = HEX[len & 0xf];
+        len >>= 4;
+    }
+    out.insert_str(start, std::str::from_utf8(&line[at..]).expect("hex digits are ASCII"));
+    out.push_str("\r\n");
 }
 
 fn connection_line(close: bool) -> &'static str {
@@ -249,25 +262,32 @@ impl ResponseHead {
     }
 }
 
-/// Writes one client request in one write (the only method bodies we
-/// send are JSON, so the content type is fixed). `close` asks the
-/// server to close the connection after answering.
+/// Writes one client request in one write; see [`push_request`].
 pub fn write_request(
-    stream: &mut impl Write,
+    stream: &mut impl io::Write,
     method: &str,
     path: &str,
     body: &[u8],
     close: bool,
 ) -> io::Result<()> {
-    let mut message = format!(
+    let mut message = Vec::new();
+    push_request(&mut message, method, path, body, close);
+    stream.write_all(&message)?;
+    stream.flush()
+}
+
+/// Appends one client request, head and body, to `out` (the only
+/// method bodies we send are JSON, so the content type is fixed).
+/// `close` asks the server to close the connection after answering.
+pub fn push_request(out: &mut Vec<u8>, method: &str, path: &str, body: &[u8], close: bool) {
+    out.reserve(body.len() + 128);
+    let _ = write!(
+        out,
         "{method} {path} HTTP/1.1\r\nHost: hirata\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{}\r\n",
         body.len(),
         connection_line(close),
-    )
-    .into_bytes();
-    message.extend_from_slice(body);
-    stream.write_all(&message)?;
-    stream.flush()
+    );
+    out.extend_from_slice(body);
 }
 
 /// Reads the response status line and headers, leaving the reader
@@ -293,6 +313,13 @@ pub fn read_response_head(reader: &mut impl BufRead) -> io::Result<ResponseHead>
 /// Reads one chunk of a chunked response body. Returns `None` at the
 /// terminating zero-length chunk.
 pub fn read_chunk(reader: &mut impl BufRead) -> io::Result<Option<Vec<u8>>> {
+    let mut data = Vec::new();
+    Ok(read_chunk_into(reader, &mut data)?.then_some(data))
+}
+
+/// Reads one chunk of a chunked response body and appends its data to
+/// `out`; false at the terminating zero-length chunk.
+pub fn read_chunk_into(reader: &mut impl BufRead, out: &mut Vec<u8>) -> io::Result<bool> {
     let mut budget = MAX_HEAD_BYTES;
     let size_line = read_line(reader, &mut budget)?;
     let size_hex = size_line.split(';').next().unwrap_or("").trim();
@@ -301,17 +328,15 @@ pub fn read_chunk(reader: &mut impl BufRead) -> io::Result<Option<Vec<u8>>> {
     if size as u64 > MAX_BODY_BYTES {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "chunk too large"));
     }
-    let mut data = vec![0u8; size];
-    reader.read_exact(&mut data)?;
+    let start = out.len();
+    out.resize(start + size, 0);
+    reader.read_exact(&mut out[start..])?;
     let mut crlf = [0u8; 2];
     reader.read_exact(&mut crlf)?;
     if &crlf != b"\r\n" {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "missing chunk terminator"));
     }
-    if size == 0 {
-        return Ok(None);
-    }
-    Ok(Some(data))
+    Ok(size > 0)
 }
 
 /// Reads a fixed-length body according to the response headers, or
@@ -336,7 +361,7 @@ pub fn read_body(reader: &mut impl BufRead, head: &ResponseHead) -> io::Result<V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufReader, Cursor};
+    use std::io::{BufReader, Cursor, Write};
     use std::net::{TcpListener, TcpStream};
     use std::thread;
 
@@ -390,13 +415,15 @@ mod tests {
         let server = thread::spawn(move || {
             let (mut conn, _) = listener.accept().expect("accepts");
             let _ = read_request(&mut BufReader::new(&mut conn)).expect("parses");
-            let mut out = Vec::new();
+            let mut out = String::new();
             chunked_head(&mut out, 200, "application/x-ndjson", false);
-            push_chunk(&mut out, b"first\n");
-            push_chunk(&mut out, b"");
-            push_chunk(&mut out, b"second\n");
-            out.extend_from_slice(LAST_CHUNK);
-            conn.write_all(&out).expect("writes");
+            push_chunk(&mut out, |data| data.push_str("first\n"));
+            push_chunk(&mut out, |_| {});
+            push_chunk(&mut out, |data| data.push_str(&"second\n".repeat(3)));
+            out.push_str(LAST_CHUNK);
+            let tail = "chunked\r\n\r\n6\r\nfirst\n\r\n15\r\nsecond\nsecond\nsecond\n\r\n0\r\n\r\n";
+            assert!(out.ends_with(tail), "{out:?}");
+            conn.write_all(out.as_bytes()).expect("writes");
         });
 
         let mut stream = TcpStream::connect(addr).expect("connects");
@@ -409,7 +436,7 @@ mod tests {
         while let Some(chunk) = read_chunk(&mut reader).expect("chunk") {
             seen.extend_from_slice(&chunk);
         }
-        assert_eq!(seen, b"first\nsecond\n");
+        assert_eq!(seen, b"first\nsecond\nsecond\nsecond\n");
         server.join().expect("server thread");
     }
 

@@ -52,11 +52,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use hirata_lab::{
-    default_cache_dir, valid_key, BatchEvent, DiskCache, Job, JobResult, Lab, Placement,
+    default_cache_dir, valid_key, BatchEvent, DiskCache, Job, JobSummary, Lab, Placement,
 };
 
 use crate::http::{chunked_head, push_chunk, read_request, response, Request, LAST_CHUNK};
-use crate::json::Json;
+use crate::json::{Json, ObjectWriter};
 use crate::{sweep_config, sweep_grid};
 
 /// Socket read timeout once a request has started: a stalled client
@@ -700,40 +700,29 @@ fn too_many_points() -> String {
     format!("a submission may have at most {MAX_GRID_POINTS} grid points (`slots` x `ls`)")
 }
 
-/// One per-job progress event on the wire.
-#[allow(clippy::too_many_arguments)]
-fn job_event(
-    index: usize,
-    slots: usize,
-    ls: usize,
-    key: &str,
-    cached: bool,
-    result: &JobResult,
-    finished: usize,
-    total: usize,
-) -> Json {
-    let mut pairs = vec![
-        ("event", Json::Str("job".into())),
-        ("index", Json::u64(index as u64)),
-        ("slots", Json::u64(slots as u64)),
-        ("ls", Json::u64(ls as u64)),
-        ("key", Json::Str(key.to_string())),
-        ("cached", Json::Bool(cached)),
-        ("finished", Json::u64(finished as u64)),
-        ("total", Json::u64(total as u64)),
-    ];
-    match result {
+/// Writes the progress event of one finished grid point.
+fn job_event(event: &mut ObjectWriter, grid: &[(usize, usize)], job: &JobSummary) {
+    let (slots, ls) = grid[job.index];
+    event
+        .str("event", "job")
+        .u64("index", job.index as u64)
+        .u64("slots", slots as u64)
+        .u64("ls", ls as u64)
+        .str("key", job.key)
+        .bool("cached", job.cached)
+        .u64("finished", job.finished as u64)
+        .u64("total", job.total as u64);
+    match job.result {
         Ok(output) => {
-            pairs.push(("ok", Json::Bool(true)));
-            pairs.push(("cycles", Json::u64(output.stats.cycles)));
-            pairs.push(("instructions", Json::u64(output.stats.instructions)));
+            event
+                .bool("ok", true)
+                .u64("cycles", output.stats.cycles)
+                .u64("instructions", output.stats.instructions);
         }
         Err(err) => {
-            pairs.push(("ok", Json::Bool(false)));
-            pairs.push(("error", Json::Str(err.to_string())));
+            event.bool("ok", false).str("error", &err.to_string());
         }
     }
-    obj(pairs)
 }
 
 /// A chunked ndjson response whose events wait in `pending` until
@@ -741,15 +730,19 @@ fn job_event(
 /// write.
 struct Events<'c, 's> {
     conn: &'c mut Conn<'s>,
-    pending: Vec<u8>,
+    pending: String,
     sent: io::Result<()>,
 }
 
 impl Events<'_, '_> {
-    fn push(&mut self, event: &Json) {
-        let mut line = event.render();
-        line.push('\n');
-        push_chunk(&mut self.pending, line.as_bytes());
+    /// Appends one event, written by `write` straight into its chunk.
+    fn push(&mut self, write: impl FnOnce(&mut ObjectWriter)) {
+        push_chunk(&mut self.pending, |line| {
+            let mut event = ObjectWriter::new(line);
+            write(&mut event);
+            event.finish();
+            line.push('\n');
+        });
     }
 
     /// Sends what is pending in one write. A client that hangs up
@@ -757,7 +750,7 @@ impl Events<'_, '_> {
     /// completion so its results still land in the artifact store.
     fn flush(&mut self) {
         if self.sent.is_ok() && !self.pending.is_empty() {
-            self.sent = self.conn.send(&self.pending);
+            self.sent = self.conn.send(self.pending.as_bytes());
         }
         self.pending.clear();
     }
@@ -781,14 +774,15 @@ fn handle_submit(conn: &mut Conn, request: &Request, close: bool) -> io::Result<
     } else {
         (Placement::Pool, state.lab.workers(), "pool")
     };
-    let mut events = Events { conn, pending: Vec::new(), sent: Ok(()) };
+    let mut events = Events { conn, pending: String::new(), sent: Ok(()) };
     chunked_head(&mut events.pending, 200, "application/x-ndjson", close);
-    events.push(&obj(vec![
-        ("event", Json::Str("accepted".into())),
-        ("total", Json::u64(total as u64)),
-        ("workers", Json::u64(workers as u64)),
-        ("mode", Json::Str(mode.into())),
-    ]));
+    events.push(|event| {
+        event
+            .str("event", "accepted")
+            .u64("total", total as u64)
+            .u64("workers", workers as u64)
+            .str("mode", mode);
+    });
 
     let grid = &spec.grid;
     let trace_dir = spec.trace.then_some(state.trace_dir.as_path());
@@ -798,17 +792,7 @@ fn handle_submit(conn: &mut Conn, request: &Request, close: bool) -> io::Result<
             // before any simulation starts.
             BatchEvent::Simulating => events.flush(),
             BatchEvent::Job(summary) => {
-                let (slots, ls) = grid[summary.index];
-                events.push(&job_event(
-                    summary.index,
-                    slots,
-                    ls,
-                    summary.key,
-                    summary.cached,
-                    summary.result,
-                    summary.finished,
-                    summary.total,
-                ));
+                events.push(|event| job_event(event, grid, summary));
                 // An executed job's event leaves as soon as it finishes;
                 // the last event waits for `done`.
                 if !summary.cached && summary.finished < summary.total {
@@ -822,14 +806,15 @@ fn handle_submit(conn: &mut Conn, request: &Request, close: bool) -> io::Result<
     state.jobs_cached.fetch_add(report.cache_hits as u64, Ordering::Relaxed);
     state.jobs_failed.fetch_add(report.failed as u64, Ordering::Relaxed);
 
-    events.push(&obj(vec![
-        ("event", Json::Str("done".into())),
-        ("total", Json::u64(total as u64)),
-        ("executed", Json::u64(report.executed as u64)),
-        ("cache_hits", Json::u64(report.cache_hits as u64)),
-        ("failed", Json::u64(report.failed as u64)),
-    ]));
-    events.pending.extend_from_slice(LAST_CHUNK);
+    events.push(|event| {
+        event
+            .str("event", "done")
+            .u64("total", total as u64)
+            .u64("executed", report.executed as u64)
+            .u64("cache_hits", report.cache_hits as u64)
+            .u64("failed", report.failed as u64);
+    });
+    events.pending.push_str(LAST_CHUNK);
     events.flush();
     events.sent
 }

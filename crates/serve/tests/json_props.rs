@@ -2,9 +2,12 @@
 //! encoder can produce parses back to the identical value — across
 //! escaping, nesting, and number edge cases — and re-encoding the
 //! parse is byte-identical (the encoder is deterministic, which the
-//! artifact-store keys and the CI output diffs rely on).
+//! artifact-store keys and the CI output diffs rely on). The tree-free
+//! writer and reader agree with the tree byte for byte.
 
-use hirata_serve::json::Json;
+use std::borrow::Cow;
+
+use hirata_serve::json::{Field, Json, ObjectWriter};
 use proptest::prelude::*;
 
 /// Characters chosen to stress the string escaper: quotes,
@@ -178,6 +181,63 @@ proptest! {
         for n in [n, i64::MIN, i64::MAX, 0, -1] {
             let doc = Json::Int(n);
             prop_assert_eq!(Json::parse(&doc.render()).expect("parses").as_i64(), Some(n));
+        }
+    }
+
+    /// An object written field by field has the bytes of the tree of
+    /// the same fields, counters past `i64::MAX` included.
+    #[test]
+    fn the_object_writer_writes_what_the_tree_renders(
+        keys in proptest::collection::vec(arb_string(), 0..6),
+        texts in proptest::collection::vec(arb_string(), 6..7),
+        counts in proptest::collection::vec(
+            prop_oneof![3 => 0u64..1000, 2 => 0u64..u64::MAX, 1 => Just(u64::MAX)], 6..7),
+    ) {
+        let mut written = String::from("[");
+        let mut object = ObjectWriter::new(&mut written);
+        let mut fields = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            let value = match i % 4 {
+                0 => { object.str(key, &texts[i]); Json::Str(texts[i].clone()) }
+                1 => { object.u64(key, counts[i]); Json::u64(counts[i]) }
+                2 => { object.bool(key, counts[i] % 2 == 0); Json::Bool(counts[i] % 2 == 0) }
+                _ => {
+                    object.u64s(key, counts[..i].iter().copied());
+                    Json::Arr(counts[..i].iter().map(|&n| Json::u64(n)).collect())
+                }
+            };
+            fields.push((key.clone(), value));
+        }
+        object.finish();
+        prop_assert_eq!(written, format!("[{}", Json::Obj(fields).render()));
+    }
+
+    /// Reading an object field by field hands over what the tree holds,
+    /// in order, and borrows every string that holds no escape.
+    #[test]
+    fn fields_read_as_the_tree_holds_them(
+        keys in proptest::collection::vec(arb_string(), 0..4),
+        values in proptest::collection::vec(arb_json(), 4..5),
+    ) {
+        let doc = Json::Obj(keys.into_iter().zip(values).collect());
+        let text = doc.render_pretty();
+        let mut fields = Vec::new();
+        Json::parse_fields(&text, |key, value| fields.push((key, value))).expect("reads");
+        let Json::Obj(want) = &doc else { unreachable!() };
+        prop_assert_eq!(fields.len(), want.len());
+        for ((key, value), (want_key, want_value)) in fields.iter().zip(want) {
+            prop_assert_eq!(key, want_key);
+            let borrowed = |s: &Cow<str>, plain: &str| {
+                matches!(s, Cow::Borrowed(_)) == !Json::Str(plain.into()).render().contains('\\')
+            };
+            prop_assert!(borrowed(key, want_key), "{key:?}");
+            match value {
+                Field::Str(s) => {
+                    prop_assert_eq!(Some(&**s), want_value.as_str());
+                    prop_assert!(borrowed(s, s), "{s:?}");
+                }
+                Field::Value(v) => prop_assert_eq!(v, want_value),
+            }
         }
     }
 }
