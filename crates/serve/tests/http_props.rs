@@ -4,11 +4,17 @@
 //! Requests are read the way a persistent connection reads them: one
 //! reader over the whole stream, request after request, so well-framed
 //! requests sent back to back read back as themselves, in order.
+//! Requests, response heads and chunks read the same whether their
+//! bytes arrive all at once, a few at a time or through buffers of any
+//! size.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Cursor};
+use std::io::{self, BufRead, BufReader, Cursor, Read};
 
-use hirata_serve::http::{read_chunk, read_request, Request, MAX_BODY_BYTES, MAX_HEAD_BYTES};
+use hirata_serve::http::{
+    read_chunk, read_chunk_into, read_request, read_response_head, Request, MAX_BODY_BYTES,
+    MAX_HEAD_BYTES,
+};
 use proptest::prelude::*;
 
 fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -285,4 +291,241 @@ fn a_chunk_over_the_cap_is_an_error() {
     let raw = format!("{:x}\r\n", MAX_BODY_BYTES + 1);
     let err = read_chunk(&mut Cursor::new(raw.as_bytes())).unwrap_err();
     assert_eq!(err.to_string(), "chunk too large");
+}
+
+/// A `BufRead` over `bytes` that hands out 1 to `k` bytes per fill,
+/// the count varying call by call, as a socket read in small pieces
+/// would.
+struct Trickle<'b> {
+    bytes: &'b [u8],
+    pos: usize,
+    /// End of the bytes the last fill handed out.
+    end: usize,
+    k: usize,
+    fills: usize,
+}
+
+impl<'b> Trickle<'b> {
+    fn new(bytes: &'b [u8], k: usize) -> Trickle<'b> {
+        Trickle { bytes, pos: 0, end: 0, k, fills: 0 }
+    }
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let n = {
+            let available = self.fill_buf()?;
+            let n = available.len().min(out.len());
+            out[..n].copy_from_slice(&available[..n]);
+            n
+        };
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for Trickle<'_> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        if self.pos == self.end {
+            self.fills += 1;
+            let n = 1 + (self.fills * 7 + 3) % self.k;
+            self.end = (self.pos + n).min(self.bytes.len());
+        }
+        Ok(&self.bytes[self.pos..self.end])
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.pos = (self.pos + amt).min(self.end);
+    }
+}
+
+/// An error as the caller sees it: its kind and its text.
+type Failure = (io::ErrorKind, String);
+
+fn failure(e: io::Error) -> Failure {
+    (e.kind(), e.to_string())
+}
+
+/// Every request `reader` yields, until the clean end or an error
+/// (which ends the list).
+fn requests_from(reader: &mut impl BufRead, limit: usize) -> Vec<Result<Option<Request>, Failure>> {
+    let mut seen = Vec::new();
+    for _ in 0..=limit {
+        let next = read_request(reader).map_err(failure);
+        let last = !matches!(next, Ok(Some(_)));
+        seen.push(next);
+        if last {
+            break;
+        }
+    }
+    seen
+}
+
+/// A response read as the client reads one: the head, then chunks
+/// until the last one or an error.
+type ResponseRead = (Result<(u16, Vec<(String, String)>), Failure>, Vec<Result<Vec<u8>, Failure>>);
+
+fn response_from(reader: &mut impl BufRead, limit: usize) -> ResponseRead {
+    let head = read_response_head(reader).map_err(failure).map(|head| {
+        let mut headers: Vec<(String, String)> = head.headers.into_iter().collect();
+        headers.sort();
+        (head.status, headers)
+    });
+    let mut chunks = Vec::new();
+    if head.is_ok() {
+        for _ in 0..=limit {
+            let mut data = b"kept".to_vec();
+            match read_chunk_into(reader, &mut data) {
+                Ok(more) => {
+                    chunks.push(Ok(data));
+                    if !more {
+                        break;
+                    }
+                }
+                Err(e) => {
+                    chunks.push(Err(failure(e)));
+                    break;
+                }
+            }
+        }
+    }
+    (head, chunks)
+}
+
+/// Reads `bytes` through a cursor that holds them all, through
+/// trickles of 1 to `k` bytes per fill for every `k` up to `max_k`, and
+/// through `BufReader`s of capacity 1, 7 and 8 KiB, with `read`; every
+/// way must see what the cursor sees. Returns that.
+fn read_alike<T: PartialEq + std::fmt::Debug>(
+    bytes: &[u8],
+    max_k: usize,
+    read: impl Fn(&mut dyn BufRead) -> T,
+) -> T {
+    let whole = read(&mut Cursor::new(bytes));
+    for k in 1..=max_k {
+        assert_eq!(read(&mut Trickle::new(bytes, k)), whole, "trickle of 1 to {k} bytes");
+    }
+    for capacity in [1, 7, 8 * 1024] {
+        let mut reader = BufReader::with_capacity(capacity, Cursor::new(bytes));
+        assert_eq!(read(&mut reader), whole, "BufReader of capacity {capacity}");
+    }
+    whole
+}
+
+fn requests_alike(bytes: &[u8], max_k: usize) -> Vec<Result<Option<Request>, Failure>> {
+    read_alike(bytes, max_k, |reader| requests_from(&mut { reader }, bytes.len()))
+}
+
+fn response_alike(bytes: &[u8], max_k: usize) -> ResponseRead {
+    read_alike(bytes, max_k, |reader| response_from(&mut { reader }, bytes.len()))
+}
+
+/// Status lines, header lines and line ends as a response head might
+/// spell them, well or badly, followed by a chunked body.
+fn arb_response_stream() -> impl Strategy<Value = Vec<u8>> {
+    let piece = prop_oneof![
+        6 => proptest::sample::select(vec![
+            "HTTP/1.1 200 OK", "HTTP/1.0 404 Not Found", "HTTP/2 200", "HTTP/1.1 abc", "\r\n",
+            "\n", "\r", "Transfer-Encoding: chunked", "Content-Length: 3", "Connection: close",
+            ": ", "X", " ",
+        ])
+        .prop_map(|s| s.as_bytes().to_vec()),
+        1 => arb_bytes(12),
+        1 => proptest::sample::select(vec![0xffu8, 0xc3, 0x00]).prop_map(|b| vec![b; 2]),
+    ];
+    (
+        proptest::sample::select(vec!["HTTP/1.1 200 OK\r\n", "HTTP/1.1 500 Oops\n", ""]),
+        proptest::collection::vec(piece, 0..10),
+        proptest::sample::select(vec!["\r\n\r\n", "\n\n", "\r\n", ""]),
+        arb_chunk_stream(),
+    )
+        .prop_map(|(status, pieces, end, body)| {
+            let mut out = status.as_bytes().to_vec();
+            out.extend(pieces.concat());
+            out.extend_from_slice(end.as_bytes());
+            out.extend(body);
+            out
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Requests read the same whichever way their bytes are buffered.
+    #[test]
+    fn requests_read_alike_however_the_bytes_arrive(
+        streams in proptest::collection::vec(arb_request_stream(), 1..3),
+    ) {
+        let _ = requests_alike(&streams.concat(), 9);
+    }
+
+    /// Response heads and chunks read the same whichever way their
+    /// bytes are buffered.
+    #[test]
+    fn responses_read_alike_however_the_bytes_arrive(bytes in arb_response_stream()) {
+        let _ = response_alike(&bytes, 9);
+    }
+}
+
+/// A request head of exactly `len` bytes, its blank line included.
+fn request_head_of(len: usize, eol: &str) -> Vec<u8> {
+    let start = format!("GET / HTTP/1.1{eol}X-Long: ");
+    let mut head = start.into_bytes();
+    head.resize(len - 2 * eol.len(), b'a');
+    head.extend_from_slice(format!("{eol}{eol}").as_bytes());
+    head
+}
+
+/// Pinned outcomes at the head cap, with bare `\n` line ends, at an
+/// end of input inside a line and with a header that is not UTF-8, each
+/// read alike through every kind of buffering.
+#[test]
+fn heads_at_the_edges_read_alike_and_as_pinned() {
+    let too_large = (io::ErrorKind::InvalidData, "header too large".to_string());
+    let closed = (io::ErrorKind::UnexpectedEof, "connection closed".to_string());
+    let non_utf8 = (io::ErrorKind::InvalidData, "non-utf8 header".to_string());
+
+    for eol in ["\r\n", "\n"] {
+        let at_cap = request_head_of(MAX_HEAD_BYTES, eol);
+        let seen = requests_alike(&at_cap, 3);
+        let request = seen[0].as_ref().expect("a head at the cap").as_ref().expect("a request");
+        assert_eq!(request.headers["x-long"].len(), MAX_HEAD_BYTES - 22 - 3 * eol.len());
+        assert!(matches!(seen[1], Ok(None)));
+        let past_cap = request_head_of(MAX_HEAD_BYTES + 1, eol);
+        assert_eq!(requests_alike(&past_cap, 3), [Err(too_large.clone())]);
+    }
+
+    let bare = requests_alike(b"POST /a HTTP/1.1\nContent-Length: 2\n\nokGET /b HTTP/1.0\n\n", 5);
+    let paths: Vec<_> =
+        bare.iter().flatten().flatten().map(|r| (r.path.clone(), r.close)).collect();
+    assert_eq!(paths, [("/a".to_string(), false), ("/b".to_string(), true)]);
+    assert_eq!(bare.len(), 3);
+
+    // A line cut by the end of input reads as a line; the next read
+    // finds the connection closed.
+    assert_eq!(requests_alike(b"GET / HTTP/1.1\r\nHost: x", 5), [Err(closed.clone())]);
+    assert_eq!(requests_alike(b"GET / HTTP/1.1", 5), [Err(closed.clone())]);
+    assert_eq!(requests_alike(b"GET / HTTP/1.1\r\nX: \xff\r\n\r\n", 5), [Err(non_utf8.clone())]);
+
+    let mut head = b"HTTP/1.1 200 OK\r\nX-Long: ".to_vec();
+    head.resize(MAX_HEAD_BYTES - 4, b'b');
+    head.extend_from_slice(b"\r\n\r\n3\r\nabc\r\n0\r\n\r\n");
+    let (status, chunks) = response_alike(&head, 3);
+    assert_eq!(status.expect("a head at the cap").0, 200);
+    assert_eq!(chunks, [Ok(b"keptabc".to_vec()), Ok(b"kept".to_vec())]);
+    head.insert(20, b'b');
+    assert_eq!(response_alike(&head, 3).0, Err(too_large.clone()));
+    assert_eq!(response_alike(b"HTTP/1.1 200 OK\r\nX: \xc3\r\n\r\n", 5).0, Err(non_utf8));
+    assert_eq!(response_alike(b"HTTP/1.1 200", 5).0, Err(closed.clone()));
+
+    // A chunk-size line has a cap of its own.
+    let mut size_line = b"HTTP/1.1 200 OK\n\n3;".to_vec();
+    let head_len = "HTTP/1.1 200 OK\n\n".len();
+    size_line.resize(head_len + MAX_HEAD_BYTES - 2, b'x');
+    size_line.extend_from_slice(b"\r\nabc\r\n0\n\r\n");
+    let (_, chunks) = response_alike(&size_line, 3);
+    assert_eq!(chunks, [Ok(b"keptabc".to_vec()), Ok(b"kept".to_vec())]);
+    size_line.insert(head_len + 3, b'x');
+    assert_eq!(response_alike(&size_line, 3).1, [Err(too_large)]);
+    assert_eq!(response_alike(b"HTTP/1.1 200 OK\n\n5\r\nab", 5).1.len(), 1);
 }
