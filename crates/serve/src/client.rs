@@ -14,6 +14,7 @@
 //! The `hirata submit`, `stats` and `shutdown` commands send one
 //! request per process, so each of them opens a new connection.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -257,7 +258,7 @@ pub fn submit(
                 continue;
             }
             let event = Event::parse(line).map_err(|e| bad_data(format!("bad event: {e}")))?;
-            match event.kind.as_ref().and_then(Field::as_str) {
+            match event.kind.as_ref().and_then(Field::string).as_deref() {
                 Some("accepted") => {
                     workers = number(&event.workers)
                         .ok_or_else(|| bad_data("accepted event without workers"))?
@@ -345,9 +346,8 @@ impl<'a> Event<'a> {
             Err(self
                 .error
                 .as_ref()
-                .and_then(Field::as_str)
-                .unwrap_or("unknown failure")
-                .to_string())
+                .and_then(Field::string)
+                .map_or_else(|| "unknown failure".to_string(), Cow::into_owned))
         };
         Ok(SubmitRow {
             index: num(&self.index, "index")? as usize,
@@ -356,9 +356,9 @@ impl<'a> Event<'a> {
             key: self
                 .key
                 .as_ref()
-                .and_then(Field::as_str)
+                .and_then(Field::string)
                 .ok_or_else(|| bad_data("job event without `key`"))?
-                .to_string(),
+                .into_owned(),
             cached: self.cached.as_ref().and_then(Field::as_bool).unwrap_or(false),
             outcome,
         })

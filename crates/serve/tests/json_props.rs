@@ -213,7 +213,8 @@ proptest! {
     }
 
     /// Reading an object field by field hands over what the tree holds,
-    /// in order, and borrows every string that holds no escape.
+    /// in order, each string as it was written, and borrows every string
+    /// value that holds no escape.
     #[test]
     fn fields_read_as_the_tree_holds_them(
         keys in proptest::collection::vec(arb_string(), 0..4),
@@ -233,8 +234,13 @@ proptest! {
             prop_assert!(borrowed(key, want_key), "{key:?}");
             match value {
                 Field::Str(s) => {
-                    prop_assert_eq!(Some(&**s), want_value.as_str());
-                    prop_assert!(borrowed(s, s), "{s:?}");
+                    let value = s.unescape();
+                    prop_assert_eq!(Some(&*value), want_value.as_str());
+                    prop_assert!(borrowed(&value, &value), "{s:?}");
+                    // The text as written is the string's own rendering,
+                    // less its quotes.
+                    let rendered = Json::Str(value.to_string()).render();
+                    prop_assert_eq!(s.text(), &rendered[1..rendered.len() - 1]);
                 }
                 Field::Value(v) => prop_assert_eq!(v, want_value),
             }

@@ -8,7 +8,9 @@
 //! * `/stats` reflects the traffic, its transport counters exactly,
 //!   and `/shutdown` stops the daemon,
 //! * the submission memo answers a resubmission of the same program
-//!   and grid exactly as assembling and hashing would, and only that.
+//!   and grid exactly as assembling and hashing would, and only that;
+//!   another spelling of the program's JSON escapes is an entry of its
+//!   own with the same keys.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -419,6 +421,45 @@ fn a_memo_hit_answers_what_assembling_and_hashing_answers() {
         String::from_utf8_lossy(&full_bytes),
         "a memo hit answers otherwise than the full path"
     );
+    stop(daemon);
+}
+
+/// The same program with other escapes in its JSON (`\/` for `/`,
+/// `\u0041` for `A`) is a memo miss, then a hit, and answers the same
+/// job keys and rows as the first spelling.
+#[test]
+fn a_program_escaped_otherwise_is_a_miss_then_a_hit_with_the_same_keys() {
+    let cache = Scratch::new("cache");
+    let traces = Scratch::new("traces");
+    let daemon = boot(&cache, &traces);
+    let addr = daemon.0.clone();
+    let stats = || fetch_stats(&addr).expect("stats");
+
+    let program = format!("{PROGRAM}    ; A/B\n");
+    let req = SubmitRequest { program: program.clone(), ..request(Mode::Pool) };
+    let first = submit(&addr, &req, &mut |_, _| {}).expect("cold submission");
+    assert_eq!(row_keys(&first), keys_of(&program, &sweep_grid(&[1, 2, 4], &[1, 2])));
+    let plain = req.render();
+    let other = plain.replacen("; A/B", r"; \u0041\/B", 1);
+    assert_ne!(other, plain);
+
+    let warm = submit_raw(&addr, &plain);
+    let before = stats();
+    let miss = submit_raw(&addr, &other);
+    let between = stats();
+    let hit = submit_raw(&addr, &other);
+    let after = stats();
+    assert_eq!(deltas(&before, &between, &["memo.hits", "memo.misses", "jobs_run"]), [0, 1, 0]);
+    assert_eq!(deltas(&between, &after, &["memo.hits", "memo.misses", "jobs_run"]), [1, 0, 0]);
+    assert_eq!(count(&after, "memo.entries"), 2);
+    // Both answers are the first spelling's warm reply, byte for byte:
+    // the same keys, the same rows, all from the store.
+    assert_eq!(String::from_utf8_lossy(&miss), String::from_utf8_lossy(&warm));
+    assert_eq!(String::from_utf8_lossy(&hit), String::from_utf8_lossy(&warm));
+    for row in &first.rows {
+        let event = format!("\"key\":\"{}\",\"cached\":true", row.key);
+        assert!(String::from_utf8_lossy(&hit).contains(&event), "{event}");
+    }
     stop(daemon);
 }
 
