@@ -58,28 +58,32 @@ pub struct Request {
 }
 
 /// Reads one line terminated by `\r\n` (or bare `\n`), enforcing the
-/// shared head-size budget.
+/// shared head-size budget. The line end is looked for in the bytes the
+/// reader already buffers, which are taken in one step; only a line
+/// longer than the buffer takes more than one. An end of input inside a
+/// line ends the line.
 fn read_line(reader: &mut impl BufRead, budget: &mut usize) -> io::Result<String> {
     let mut line = Vec::new();
     loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte)? {
-            0 => {
-                if line.is_empty() {
-                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed"));
-                }
-                break;
+        let buffered = reader.fill_buf()?;
+        if buffered.is_empty() {
+            if line.is_empty() {
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed"));
             }
-            _ => {
-                if *budget == 0 {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "header too large"));
-                }
-                *budget -= 1;
-                if byte[0] == b'\n' {
-                    break;
-                }
-                line.push(byte[0]);
-            }
+            break;
+        }
+        let newline = buffered.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(buffered.len(), |at| at + 1);
+        // Each byte, the line end included, spends one unit of the
+        // budget; the first byte past it is an error.
+        if take > *budget {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "header too large"));
+        }
+        *budget -= take;
+        line.extend_from_slice(&buffered[..newline.unwrap_or(take)]);
+        reader.consume(take);
+        if newline.is_some() {
+            break;
         }
     }
     if line.last() == Some(&b'\r') {
