@@ -15,50 +15,8 @@
 
 use std::time::Instant;
 
-use hirata_isa::Program;
-use hirata_sched::Strategy;
-use hirata_sim::{Config, Machine};
-use hirata_workloads::linked_list::{eager_program, sequential_program, ListShape};
-use hirata_workloads::livermore::kernel1_program;
-use hirata_workloads::raytrace::{raytrace_program, RayTraceParams};
-
-struct GridPoint {
-    /// Output key, e.g. `raytrace/s4`.
-    key: String,
-    config: Config,
-    program: Program,
-}
-
-fn grid() -> Vec<GridPoint> {
-    let ray = raytrace_program(&RayTraceParams::default());
-    let k1_n = 64;
-    let fig6 = ListShape { nodes: 60, break_at: Some(59) };
-
-    let mut points = Vec::new();
-    for slots in [1usize, 2, 4, 8] {
-        let config = if slots == 1 { Config::base_risc() } else { Config::multithreaded(slots) };
-        points.push(GridPoint {
-            key: format!("raytrace/s{slots}"),
-            config: config.clone(),
-            program: ray.clone(),
-        });
-        // K1 at one slot has no threads to reserve for; use the plain
-        // sequential lowering there and the reservation strategy where
-        // the machine actually has slots.
-        let (k1_prog, fig6_prog) = if slots == 1 {
-            (kernel1_program(k1_n, Strategy::None), sequential_program(fig6))
-        } else {
-            (kernel1_program(k1_n, Strategy::ReservationB { threads: slots }), eager_program(fig6))
-        };
-        points.push(GridPoint {
-            key: format!("livermore-k1/s{slots}"),
-            config: config.clone(),
-            program: k1_prog,
-        });
-        points.push(GridPoint { key: format!("fig6-list/s{slots}"), config, program: fig6_prog });
-    }
-    points
-}
+use hirata_bench::{grid, GridPoint};
+use hirata_sim::Machine;
 
 /// Simulated cycles per wall-clock second at one point: the fastest
 /// of three batches of two runs, after one untimed run.

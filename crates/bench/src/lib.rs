@@ -1,7 +1,60 @@
 //! Home of the simulator-throughput probe,
-//! `examples/throughput_check.rs`. `scripts/ab_bench.sh` runs the probe
-//! built from two trees in alternating rounds, and CI's `perf-gate` job
-//! pairs the merge base against the change that way. The library
-//! itself is empty.
+//! `examples/throughput_check.rs`, and of the grid points it times.
+//! `scripts/ab_bench.sh` runs the probe built from two trees in
+//! alternating rounds, and CI's `perf-gate` job pairs the merge base
+//! against the change that way. The sampling profiler,
+//! `examples/sample_profile.rs`, runs the same points.
 
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+use hirata_isa::Program;
+use hirata_sched::Strategy;
+use hirata_sim::Config;
+use hirata_workloads::linked_list::{eager_program, sequential_program, ListShape};
+use hirata_workloads::livermore::kernel1_program;
+use hirata_workloads::raytrace::{raytrace_program, RayTraceParams};
+
+/// One point of the perf gate's grid: a program on a machine.
+pub struct GridPoint {
+    /// Output key, e.g. `raytrace/s4`.
+    pub key: String,
+    /// The machine.
+    pub config: Config,
+    /// The program it runs.
+    pub program: Program,
+}
+
+/// The perf gate's twelve points: the three EXPERIMENTS.md workloads
+/// (ray trace, Livermore K1, the Figure 6 linked-list loop) at 1, 2, 4
+/// and 8 thread slots.
+pub fn grid() -> Vec<GridPoint> {
+    let ray = raytrace_program(&RayTraceParams::default());
+    let k1_n = 64;
+    let fig6 = ListShape { nodes: 60, break_at: Some(59) };
+
+    let mut points = Vec::new();
+    for slots in [1usize, 2, 4, 8] {
+        let config = if slots == 1 { Config::base_risc() } else { Config::multithreaded(slots) };
+        points.push(GridPoint {
+            key: format!("raytrace/s{slots}"),
+            config: config.clone(),
+            program: ray.clone(),
+        });
+        // K1 at one slot has no threads to reserve for; use the plain
+        // sequential lowering there and the reservation strategy where
+        // the machine actually has slots.
+        let (k1_prog, fig6_prog) = if slots == 1 {
+            (kernel1_program(k1_n, Strategy::None), sequential_program(fig6))
+        } else {
+            (kernel1_program(k1_n, Strategy::ReservationB { threads: slots }), eager_program(fig6))
+        };
+        points.push(GridPoint {
+            key: format!("livermore-k1/s{slots}"),
+            config: config.clone(),
+            program: k1_prog,
+        });
+        points.push(GridPoint { key: format!("fig6-list/s{slots}"), config, program: fig6_prog });
+    }
+    points
+}
