@@ -19,6 +19,9 @@ use std::collections::VecDeque;
 
 use crate::trace::SlotSet;
 
+#[cfg(test)]
+mod reference;
+
 /// A refill or redirect completion, surfaced at the start of a cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Delivery {
@@ -28,11 +31,36 @@ pub(crate) struct Delivery {
     pub redirect: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Scheduled {
-    at: u64,
-    slot: usize,
-    redirect: bool,
+/// One fetch unit. A unit begins a new service only once its last one
+/// has delivered, so it never has more than one delivery in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Unit {
+    /// Earliest cycle the unit can begin a new service.
+    free_at: u64,
+    /// The delivery of the service in flight, landing at the start of
+    /// cycle `free_at`; `None` once a redirect or an unbind cancelled
+    /// it (the unit still stays busy until `free_at`).
+    pending: Option<Delivery>,
+}
+
+impl Unit {
+    /// Takes the pending delivery if it lands at `now`.
+    #[inline]
+    fn take_due(&mut self, now: u64) -> Option<Delivery> {
+        self.pending.take_if(|_| self.free_at == now)
+    }
+}
+
+/// One slot's fetch state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct SlotFetch {
+    /// Buffer credits (words available to decode).
+    credits: usize,
+    /// A redirect is pending or in flight, so round-robin refills are
+    /// suppressed until it lands.
+    awaiting_redirect: bool,
+    /// The slot's own unit (private fetch units only).
+    unit: Unit,
 }
 
 /// The fetch system: one shared unit, or one per slot.
@@ -41,25 +69,17 @@ pub(crate) struct FetchSystem {
     c: u64,
     capacity: usize,
     private: bool,
-    /// Earliest cycle each unit can begin a new service.
-    unit_free: Vec<u64>,
-    /// Slot currently being served by each unit, if any.
-    serving: Vec<Option<usize>>,
-    /// Pending redirect requests: (request cycle, slot), FIFO.
+    /// The shared unit (idle throughout with private units).
+    shared: Unit,
+    slots: Vec<SlotFetch>,
+    /// Pending redirect requests: (request cycle, slot), FIFO. They
+    /// arrive in cycle order, so the front is the oldest.
     redirects: VecDeque<(u64, usize)>,
-    /// Scheduled deliveries, unordered (scanned per cycle).
-    scheduled: Vec<Scheduled>,
-    /// Per-slot buffer credits (words available to decode).
-    credits: Vec<usize>,
     /// Slots with a running thread (the machine's bound slots): only
-    /// these receive refills. An inactive slot has no pending redirect,
-    /// scheduled delivery or unit serving it, so every per-cycle scan
-    /// visits the active slots (and, with private units, their units)
-    /// only.
+    /// these receive refills. An inactive slot has no pending redirect
+    /// or delivery, so every per-cycle walk over private units visits
+    /// the active slots only.
     active: SlotSet,
-    /// Per-slot: a redirect is pending or in flight, so round-robin
-    /// refills are suppressed until it lands.
-    awaiting_redirect: Vec<bool>,
     /// Round-robin pointer (shared unit only).
     rr: usize,
 }
@@ -70,26 +90,23 @@ impl FetchSystem {
             c,
             capacity,
             private,
-            unit_free: vec![0; if private { slots } else { 1 }],
-            serving: vec![None; if private { slots } else { 1 }],
+            shared: Unit::default(),
+            slots: vec![SlotFetch::default(); slots],
             redirects: VecDeque::new(),
-            scheduled: Vec::new(),
-            credits: vec![0; slots],
             active: SlotSet::EMPTY,
-            awaiting_redirect: vec![false; slots],
             rr: 0,
         }
     }
 
     /// Credits currently available to `slot`.
     pub(crate) fn credits(&self, slot: usize) -> usize {
-        self.credits[slot]
+        self.slots[slot].credits
     }
 
     /// Consumes one credit (an instruction entered decode).
     pub(crate) fn consume(&mut self, slot: usize) {
-        debug_assert!(self.credits[slot] > 0);
-        self.credits[slot] -= 1;
+        debug_assert!(self.slots[slot].credits > 0);
+        self.slots[slot].credits -= 1;
     }
 
     /// Marks a slot as having (or not having) a running thread; only
@@ -99,16 +116,22 @@ impl FetchSystem {
             self.active.insert(slot);
         } else {
             self.active.remove(slot);
-            self.credits[slot] = 0;
-            self.awaiting_redirect[slot] = false;
-            self.redirects.retain(|&(_, s)| s != slot);
-            self.scheduled.retain(|d| d.slot != slot);
-            for unit in 0..self.unit_free.len() {
-                if self.serving[unit] == Some(slot) {
-                    self.serving[unit] = None;
-                }
-            }
+            self.cancel(slot);
+            self.slots[slot].awaiting_redirect = false;
         }
+    }
+
+    /// Empties `slot`'s buffer and drops its queued redirect request
+    /// and its delivery in flight; returns the unit that was carrying
+    /// that delivery, if any.
+    fn cancel(&mut self, slot: usize) -> Option<&mut Unit> {
+        self.slots[slot].credits = 0;
+        // Only a slot awaiting a redirect can have one queued.
+        if self.slots[slot].awaiting_redirect {
+            self.redirects.retain(|&(_, s)| s != slot);
+        }
+        let unit = if self.private { &mut self.slots[slot].unit } else { &mut self.shared };
+        unit.pending.take_if(|d| d.slot == slot).map(|_| unit)
     }
 
     /// Requests a redirect for `slot` at cycle `now` (branch resolved,
@@ -117,43 +140,42 @@ impl FetchSystem {
     /// "can preempt the fetching operation").
     pub(crate) fn request_redirect(&mut self, slot: usize, now: u64) {
         debug_assert!(self.active.contains(slot), "redirect for inactive slot {slot}");
-        self.credits[slot] = 0;
-        // Drop any in-flight refill for this slot: its words are stale.
-        self.scheduled.retain(|d| d.slot != slot);
-        self.redirects.retain(|&(_, s)| s != slot);
-        self.redirects.push_back((now, slot));
-        self.awaiting_redirect[slot] = true;
-        // Abort the unit mid-service if it is fetching for this slot.
-        for unit in 0..self.unit_free.len() {
-            if self.serving[unit] == Some(slot) && self.unit_free[unit] > now {
-                self.unit_free[unit] = now + 1;
-                self.serving[unit] = None;
-            }
+        if let Some(unit) = self.cancel(slot) {
+            // Abort the unit mid-service: its words are stale.
+            debug_assert!(unit.free_at > now, "a landed delivery left pending");
+            unit.free_at = now + 1;
         }
+        self.redirects.push_back((now, slot));
+        self.slots[slot].awaiting_redirect = true;
     }
 
     /// Start-of-cycle: applies deliveries landing at `now`, appending
     /// them to `out` (a reused scratch buffer — see the machine's
-    /// cycle loop).
+    /// cycle loop) in slot order.
+    #[inline]
     pub(crate) fn begin_cycle(&mut self, now: u64, out: &mut Vec<Delivery>) {
-        let start = out.len();
-        let mut i = 0;
-        while i < self.scheduled.len() {
-            if self.scheduled[i].at == now {
-                let d = self.scheduled.swap_remove(i);
-                self.credits[d.slot] = self.capacity;
-                if d.redirect {
-                    self.awaiting_redirect[d.slot] = false;
-                }
-                out.push(Delivery { slot: d.slot, redirect: d.redirect });
-            } else {
-                i += 1;
+        if self.private {
+            self.begin_private_cycle(now, out);
+        } else if let Some(d) = self.shared.take_due(now) {
+            self.deliver(d, out);
+        }
+    }
+
+    fn begin_private_cycle(&mut self, now: u64, out: &mut Vec<Delivery>) {
+        for slot in self.active.iter() {
+            if let Some(d) = self.slots[slot].unit.take_due(now) {
+                self.deliver(d, out);
             }
         }
-        // Deterministic order for the machine's bookkeeping. At most
-        // one delivery lands per slot per cycle, so slot keys are
-        // unique and an unstable sort is exact.
-        out[start..].sort_unstable_by_key(|d| d.slot);
+    }
+
+    fn deliver(&mut self, d: Delivery, out: &mut Vec<Delivery>) {
+        let slot = &mut self.slots[d.slot];
+        slot.credits = self.capacity;
+        if d.redirect {
+            slot.awaiting_redirect = false;
+        }
+        out.push(d);
     }
 
     /// End-of-cycle: lets idle units begin their next service. A
@@ -162,63 +184,67 @@ impl FetchSystem {
     /// Redirect requests made *this* cycle become eligible next cycle
     /// (the fetch request goes out at the end of the branch's D1
     /// stage), which yields the paper's branch shadows exactly.
+    #[inline]
     pub(crate) fn end_cycle(&mut self, now: u64) {
-        for unit in self.live_units().iter() {
-            if self.unit_free[unit] > now {
-                continue; // mid-service
+        if self.private {
+            self.end_private_cycle(now);
+        } else if self.shared.free_at <= now {
+            if let Some(d) = self.pick_for_shared_unit(now) {
+                self.shared = Unit { free_at: now + self.c, pending: Some(d) };
             }
-            self.serving[unit] = None;
-            let slot = if self.private {
-                self.pick_for_private_unit(unit, now)
-            } else {
-                self.pick_for_shared_unit(now)
-            };
-            let Some((slot, redirect)) = slot else { continue };
-            self.unit_free[unit] = now + self.c;
-            self.serving[unit] = Some(slot);
-            self.scheduled.push(Scheduled { at: now + self.c, slot, redirect });
         }
     }
 
-    /// The units worth visiting: the shared unit, or the private units
-    /// of the active slots (an inactive slot's unit has nothing to do).
-    fn live_units(&self) -> SlotSet {
-        if self.private {
-            self.active
-        } else {
-            SlotSet::first(1)
-        }
-    }
-
-    /// The unit that serves `slot`.
-    fn unit_of(&self, slot: usize) -> usize {
-        if self.private {
-            slot
-        } else {
-            0
+    fn end_private_cycle(&mut self, now: u64) {
+        for slot in self.active.iter() {
+            if self.slots[slot].unit.free_at <= now {
+                if let Some(d) = self.pick_for_private_unit(slot, now) {
+                    self.slots[slot].unit = Unit { free_at: now + self.c, pending: Some(d) };
+                }
+            }
         }
     }
 
     /// True if active `slot` is due a round-robin refill: no redirect
-    /// pending, room in its buffer, and no delivery already scheduled.
+    /// pending, room in its buffer, and no delivery already in flight.
     fn needs_refill(&self, slot: usize) -> bool {
-        !self.awaiting_redirect[slot]
-            && self.credits[slot] < self.capacity
-            && !self.scheduled.iter().any(|d| d.slot == slot)
+        let s = &self.slots[slot];
+        let unit = if self.private { &s.unit } else { &self.shared };
+        !s.awaiting_redirect
+            && s.credits < self.capacity
+            && unit.pending.is_none_or(|d| d.slot != slot)
     }
 
-    fn pick_for_private_unit(&mut self, unit: usize, now: u64) -> Option<(usize, bool)> {
-        let slot = unit; // one unit per slot
+    fn pick_for_private_unit(&mut self, slot: usize, now: u64) -> Option<Delivery> {
         if let Some(pos) = self.redirects.iter().position(|&(t, s)| s == slot && t < now) {
             self.redirects.remove(pos);
-            return Some((slot, true));
+            return Some(Delivery { slot, redirect: true });
         }
-        (self.active.contains(slot) && self.needs_refill(slot)).then_some((slot, false))
+        self.needs_refill(slot).then_some(Delivery { slot, redirect: false })
     }
 
-    /// Earliest scheduled delivery (`u64::MAX` if none).
+    fn pick_for_shared_unit(&mut self, now: u64) -> Option<Delivery> {
+        // Redirects first (branch preemption), FIFO.
+        if let Some(&(t, slot)) = self.redirects.front() {
+            if t < now {
+                self.redirects.pop_front();
+                return Some(Delivery { slot, redirect: true });
+            }
+        }
+        // Round-robin refill over active, needy slots.
+        let n = self.slots.len();
+        let slot = self.active.iter_from(self.rr, n).find(|&slot| self.needs_refill(slot))?;
+        self.rr = if slot + 1 == n { 0 } else { slot + 1 };
+        Some(Delivery { slot, redirect: false })
+    }
+
+    /// Earliest pending delivery (`u64::MAX` if none).
     fn next_delivery(&self) -> u64 {
-        self.scheduled.iter().map(|d| d.at).min().unwrap_or(u64::MAX)
+        let due = |unit: &Unit| unit.pending.map_or(u64::MAX, |_| unit.free_at);
+        if !self.private {
+            return due(&self.shared);
+        }
+        self.active.iter().map(|slot| due(&self.slots[slot].unit)).min().unwrap_or(u64::MAX)
     }
 
     /// Earliest cycle `>= from` at which an idle unit could begin a new
@@ -226,31 +252,30 @@ impl FetchSystem {
     /// is past its request cycle or an active slot is due a refill).
     /// Static while no credits are consumed and no requests arrive.
     fn next_service_start(&self, from: u64) -> u64 {
+        // A redirect requested at `t` becomes eligible at the end of
+        // cycle `t + 1` (see `end_cycle`), so the shared unit's oldest
+        // is its earliest; a refill can start as soon as it is free.
+        if !self.private {
+            let free = self.shared.free_at.max(from);
+            if self.active.iter().any(|slot| self.needs_refill(slot)) {
+                return free;
+            }
+            return self.redirects.front().map_or(u64::MAX, |&(t, _)| free.max(t + 1));
+        }
         let mut next = u64::MAX;
         for &(t, slot) in &self.redirects {
-            // A redirect requested at `t` becomes eligible at the end
-            // of cycle `t + 1` (see `end_cycle`).
-            next = next.min(self.unit_free[self.unit_of(slot)].max(from).max(t + 1));
+            next = next.min(self.slots[slot].unit.free_at.max(from).max(t + 1));
         }
         for slot in self.active.iter() {
             if self.needs_refill(slot) {
-                next = next.min(self.unit_free[self.unit_of(slot)].max(from));
+                next = next.min(self.slots[slot].unit.free_at.max(from));
             }
         }
         next
     }
 
-    /// Marks every unit that went free before cycle `before` as idle.
-    fn release_idle_units(&mut self, before: u64) {
-        for unit in self.live_units().iter() {
-            if self.unit_free[unit] < before {
-                self.serving[unit] = None;
-            }
-        }
-    }
-
     /// Earliest cycle `>= from` at which the fetch system does
-    /// anything at all: a scheduled delivery lands (`begin_cycle`) or
+    /// anything at all: a pending delivery lands (`begin_cycle`) or
     /// an idle unit could begin a new service (`end_cycle`). Between
     /// `from` and the returned cycle the system is provably inert as
     /// long as nothing calls `consume`/`request_redirect`/`set_active`
@@ -282,21 +307,24 @@ impl FetchSystem {
         out: &mut Vec<Delivery>,
     ) -> Option<u64> {
         loop {
+            let next_del = self.next_delivery();
             debug_assert!(
-                self.scheduled.iter().all(|d| d.at >= t),
+                next_del == u64::MAX || next_del >= t,
                 "delivery from the past left unapplied"
             );
-            let next_del = self.next_delivery();
-            let next_start = self.next_service_start(t);
+            // The shared unit begins no service before its pending
+            // delivery lands, so its start matters only when idle.
+            let next_start = if self.private || next_del == u64::MAX {
+                self.next_service_start(t)
+            } else {
+                u64::MAX
+            };
             if next_del < target && next_del <= next_start {
                 // A delivery lands first (ties go to the delivery:
                 // `begin_cycle` runs before `end_cycle` in a cycle).
                 out.clear();
                 self.begin_cycle(next_del, out);
                 if stop_on_refill || out.iter().any(|d| d.redirect) {
-                    // Units that went free on a skipped cycle never
-                    // restarted (no eligible pick before this one).
-                    self.release_idle_units(next_del);
                     return Some(next_del);
                 }
                 self.end_cycle(next_del);
@@ -305,23 +333,9 @@ impl FetchSystem {
                 self.end_cycle(next_start);
                 t = next_start + 1;
             } else {
-                self.release_idle_units(target);
                 return None;
             }
         }
-    }
-
-    fn pick_for_shared_unit(&mut self, now: u64) -> Option<(usize, bool)> {
-        // Redirects first (branch preemption), FIFO.
-        if let Some(pos) = self.redirects.iter().position(|&(t, _)| t < now) {
-            let (_, slot) = self.redirects.remove(pos).expect("position just found");
-            return Some((slot, true));
-        }
-        // Round-robin refill over active, needy slots.
-        let n = self.credits.len();
-        let slot = self.active.iter_from(self.rr, n).find(|&slot| self.needs_refill(slot))?;
-        self.rr = (slot + 1) % n;
-        Some((slot, false))
     }
 }
 

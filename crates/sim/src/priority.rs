@@ -34,22 +34,10 @@ impl Priorities {
         (0..slots).map(move |rank| (highest + rank) % slots)
     }
 
-    /// Priority rank of `slot` (0 = highest).
-    #[allow(dead_code)] // used by tests and kept for diagnostics
-    pub(crate) fn rank(&self, slot: usize) -> usize {
-        (slot + self.slots - self.highest) % self.slots
-    }
-
     /// The highest-priority slot.
     #[inline]
     pub(crate) fn highest(&self) -> usize {
         self.highest
-    }
-
-    /// Current rotation mode.
-    #[allow(dead_code)] // used by tests and kept for diagnostics
-    pub(crate) fn mode(&self) -> RotationMode {
-        self.mode
     }
 
     /// Switches mode (the privileged `setrot` instruction) and resets
@@ -84,9 +72,12 @@ impl Priorities {
         if first >= to {
             return 0;
         }
-        let count = 1 + (to - 1 - first) / interval;
+        // One rotation, the common case, needs no division.
+        let count = if to - first <= interval { 1 } else { 1 + (to - 1 - first) / interval };
         self.last_rotation = first + (count - 1) * interval;
-        self.highest = (self.highest + (count % self.slots as u64) as usize) % self.slots;
+        let highest =
+            self.highest + if count == 1 { 1 } else { (count % self.slots as u64) as usize };
+        self.highest = if highest >= self.slots { highest - self.slots } else { highest };
         count
     }
 
@@ -142,7 +133,6 @@ mod tests {
         let p = Priorities::new(3, RotationMode::Explicit);
         assert_eq!(order(&p), [0, 1, 2]);
         assert_eq!(p.highest(), 0);
-        assert_eq!(p.rank(2), 2);
     }
 
     #[test]
@@ -162,7 +152,6 @@ mod tests {
         let mut p = Priorities::new(4, RotationMode::Implicit { interval: 1 });
         p.tick(1);
         assert_eq!(order(&p), [1, 2, 3, 0]);
-        assert_eq!(p.rank(0), 3);
     }
 
     #[test]

@@ -200,6 +200,7 @@ impl RunStats {
 
     /// Records one stalled slot-cycle at machine time `now`, updating
     /// both the aggregate breakdown and the per-window attribution.
+    #[inline(always)]
     pub(crate) fn record_stall(&mut self, reason: StallReason, now: u64) {
         self.stalls.record(reason);
         let window = (now / STALL_WINDOW_CYCLES) as usize;
@@ -251,14 +252,16 @@ impl RunStats {
             return;
         }
         self.stalls.record_n(reason, (to - from) * slots);
-        let last_window = ((to - 1) / STALL_WINDOW_CYCLES) as usize;
-        self.ensure_windows(last_window);
-        let mut t = from;
-        while t < to {
-            let w = t / STALL_WINDOW_CYCLES;
-            let end = ((w + 1) * STALL_WINDOW_CYCLES).min(to);
-            self.stall_windows[w as usize][reason.index()] += (end - t) * slots;
-            t = end;
+        // One division finds the first window; a span seldom leaves it.
+        let (mut t, mut w) = (from, (from / STALL_WINDOW_CYCLES) as usize);
+        loop {
+            let end = ((w as u64 + 1) * STALL_WINDOW_CYCLES).min(to);
+            self.ensure_windows(w);
+            self.stall_windows[w][reason.index()] += (end - t) * slots;
+            if end == to {
+                return;
+            }
+            (t, w) = (end, w + 1);
         }
     }
 
