@@ -230,12 +230,12 @@ fn run(workload: &str, seconds: u64) -> (u64, u64) {
         }
         _ if workload == "kernel" || workload.starts_with("point:") => {
             let points = match workload.strip_prefix("point:") {
-                Some(key) => hirata_bench::points(&[key]),
+                Some(key) => hirata_bench::points(&[key]).unwrap_or_else(|e| {
+                    eprintln!("sample_profile: {e}");
+                    std::process::exit(2)
+                }),
                 None => hirata_bench::grid(),
             };
-            if points.is_empty() {
-                usage();
-            }
             sampler::start();
             let end = deadline(Instant::now());
             while Instant::now() < end {

@@ -7,7 +7,8 @@
 //! (ray trace, Livermore K1, the Figure 6 linked-list loop) at 1, 2, 4
 //! and 8 thread slots. `--points` also selects Table 3's hybrid shapes
 //! `raytrace/d2s4`, `raytrace/d4s2` and `raytrace/d8s1`, which the
-//! default leaves out. Each estimate is the fastest of a few short
+//! default leaves out; an unknown key is a usage error (exit status
+//! 2) that names it. Each estimate is the fastest of a few short
 //! batches of runs; repetition and pairing live in the harness, not
 //! here.
 //!
@@ -61,7 +62,10 @@ fn main() {
     }
     let selected = match keys.as_deref() {
         None => grid(),
-        Some(list) => points(&list.split(',').collect::<Vec<_>>()),
+        Some(list) => points(&list.split(',').collect::<Vec<_>>()).unwrap_or_else(|e| {
+            eprintln!("throughput_check: {e}");
+            std::process::exit(2)
+        }),
     };
     for point in selected {
         println!("{}\t{:.1}", point.key, cycles_per_sec(&point));

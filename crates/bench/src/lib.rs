@@ -79,7 +79,39 @@ fn hybrid_points() -> Vec<GridPoint> {
 }
 
 /// The grid points and hybrid shapes whose keys are in `keys`, in
-/// grid order, hybrids last. Unknown keys select nothing.
-pub fn points(keys: &[&str]) -> Vec<GridPoint> {
-    grid().into_iter().chain(hybrid_points()).filter(|point| keys.contains(&&*point.key)).collect()
+/// grid order, hybrids last.
+///
+/// # Errors
+///
+/// Names every key that matches no point, so a typo ends in a usage
+/// error rather than an empty selection.
+pub fn points(keys: &[&str]) -> Result<Vec<GridPoint>, String> {
+    let all: Vec<GridPoint> = grid().into_iter().chain(hybrid_points()).collect();
+    let unknown: Vec<&str> =
+        keys.iter().copied().filter(|&key| !all.iter().any(|point| point.key == key)).collect();
+    if !unknown.is_empty() {
+        return Err(format!("unknown point key(s): {}", unknown.join(", ")));
+    }
+    Ok(all.into_iter().filter(|point| keys.contains(&&*point.key)).collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::points;
+
+    #[test]
+    fn points_come_in_grid_order_and_unknown_keys_are_errors() {
+        let keys = |selected: &[&str]| match points(selected) {
+            Ok(points) => Ok(points.into_iter().map(|point| point.key).collect::<Vec<_>>()),
+            Err(e) => Err(e),
+        };
+        assert_eq!(
+            keys(&["raytrace/d8s1", "fig6-list/s2", "raytrace/s1"]),
+            Ok(vec!["raytrace/s1".into(), "fig6-list/s2".into(), "raytrace/d8s1".into()])
+        );
+        assert_eq!(
+            keys(&["raytrace/s1", "no/such-key", ""]),
+            Err("unknown point key(s): no/such-key, ".into())
+        );
+    }
 }

@@ -3,9 +3,10 @@
 use hirata_isa::{FuClass, FuConfig, RotationMode};
 
 /// Maximum standby-station depth the machine supports. The stations
-/// are fixed-capacity inline arrays (no per-entry heap allocation), so
-/// the depth ablation sweep (`1`, `2`, `4`) must fit under this bound;
-/// [`Config::validate`] rejects deeper configurations.
+/// are sized to the configured depth once, at construction, and a
+/// station's length is a byte; the depth ablation sweep (`1`, `2`,
+/// `4`) fits under this bound, and [`Config::validate`] rejects deeper
+/// configurations.
 pub const MAX_STANDBY_DEPTH: usize = 8;
 
 /// Maximum number of thread slots. Per-slot sets such as the ready

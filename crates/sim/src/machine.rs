@@ -9,6 +9,7 @@ use hirata_isa::{FuClass, GReg, Inst, Program, FU_CLASS_COUNT};
 use hirata_mem::{Access, DataMemModel, IdealCache, MemStats, Memory};
 
 mod fupool;
+mod standby;
 mod wheel;
 
 use crate::config::Config;
@@ -16,6 +17,7 @@ use crate::error::{MachineError, StuckSlot};
 use crate::exec::{branch_taken, debug_assert_fresh_decode, fu_action, resolve_operands, FuAction};
 use crate::fetch::{Delivery, FetchSystem};
 use crate::machine::fupool::FuPool;
+use crate::machine::standby::Standby;
 use crate::predecode::{
     is_reg, operand, reg_name, DecodedInst, PredecodedProgram, NO_REG, SRC_IMM,
 };
@@ -23,7 +25,7 @@ use crate::priority::Priorities;
 use crate::queue::QueueRing;
 use crate::regfile::RegBank;
 use crate::stats::{RunStats, StallReason};
-use crate::trace::{set_bits, RotationKind, SlotSet, TraceEvent, TraceSink};
+use crate::trace::{RotationKind, SlotSet, TraceEvent, TraceSink};
 
 /// An issued instruction travelling to (or waiting in a standby
 /// station of) a functional unit, with its operand values captured at
@@ -43,76 +45,6 @@ struct InFlight {
     issued_at: u64,
 }
 
-impl InFlight {
-    /// Placeholder filling unused standby-station capacity; never
-    /// observable (stations expose only their first `len` entries).
-    fn vacant() -> Self {
-        InFlight {
-            slot: 0,
-            ctx: 0,
-            pc: 0,
-            di: DecodedInst::of(Inst::Nop),
-            vals: [0; 2],
-            replayed: false,
-            issued_at: 0,
-        }
-    }
-}
-
-/// The standby stations, one FIFO of issued instructions per slot and
-/// FU class waiting for its functional unit (§2.1.1 — the paper's
-/// depth is one; deeper stations are an ablation, bounded by
-/// [`crate::MAX_STANDBY_DEPTH`]). Flattened: station `st` keeps its `len[st]`
-/// entries at the front of `buf[st * depth..(st + 1) * depth]`. No
-/// station ever holds more than `depth`, since `check_issue` refuses
-/// an issue to a full one and `class_taken` allows one issue per class
-/// per cycle. Sized once at construction, so arbitration never
-/// allocates.
-#[derive(Debug)]
-struct Stations {
-    buf: Vec<InFlight>,
-    len: Vec<u8>,
-    depth: usize,
-}
-
-impl Stations {
-    fn new(stations: usize, depth: usize) -> Self {
-        Stations { buf: vec![InFlight::vacant(); stations * depth], len: vec![0; stations], depth }
-    }
-
-    /// Station `st`'s entries, oldest first.
-    #[inline]
-    fn get(&self, st: usize) -> &[InFlight] {
-        let base = st * self.depth;
-        &self.buf[base..base + self.len[st] as usize]
-    }
-
-    #[inline]
-    fn push_back(&mut self, st: usize, f: InFlight) {
-        let len = self.len[st] as usize;
-        assert!(len < self.depth, "standby station overflow");
-        self.buf[st * self.depth + len] = f;
-        self.len[st] += 1;
-    }
-
-    #[inline]
-    fn pop_front(&mut self, st: usize) -> InFlight {
-        let base = st * self.depth;
-        let len = self.len[st] as usize;
-        debug_assert!(len > 0);
-        let f = self.buf[base];
-        self.buf.copy_within(base + 1..base + len, base);
-        self.len[st] -= 1;
-        f
-    }
-
-    /// Empties station `st`; returns how many entries it held.
-    #[inline]
-    fn clear(&mut self, st: usize) -> usize {
-        std::mem::take(&mut self.len[st]) as usize
-    }
-}
-
 /// Per-machine scratch buffers reused across cycles so the steady
 /// state of [`Machine::step`] performs no heap allocation. Taken out
 /// with `mem::take` for the duration of a phase (to sidestep borrow
@@ -129,9 +61,11 @@ struct Scratch {
 /// A proven slot block (the ready-frontier entry for one bound slot):
 /// the slot provably re-records exactly this stall every cycle strictly
 /// before `wake`, unless a clearing event lifts it first. `wake` is
-/// `u64::MAX` for blocks only an event can lift. Unbound slots never
-/// hold one: they are outside the bound-slot mask, and their NoThread
-/// stalls are counted in bulk. The reason doubles as the block's kind:
+/// `u64::MAX` for blocks only an event can lift; a block whose `wake`
+/// has come is inert, as every reader compares it first. Unbound slots
+/// never hold one: they are outside the bound-slot mask, and their
+/// NoThread stalls are counted in bulk. The reason doubles as the
+/// block's kind:
 ///
 /// * `BranchShadow` — `now < earliest_issue`; `wake` is the shadow
 ///   expiry, and every event that moves `earliest_issue` (redirect
@@ -142,8 +76,8 @@ struct Scratch {
 ///   the memoized single-issue head stall inherited from the old
 ///   `StallMemo`: created only when the window holds exactly one
 ///   fresh non-gated head, cleared by register writeback to the bound
-///   context, standby pops/clears for the slot, queue pushes/pops on
-///   the slot's links, and any rebind/redirect/kill.
+///   context, standby pops for the slot, queue pushes/pops on the
+///   slot's links, a redirect delivery, and an unbind.
 ///
 /// Rotations never flip a block: none of the blockable conditions
 /// reads the priority order (priority-gated stalls are deliberately
@@ -176,9 +110,10 @@ struct Slot {
     /// The bound context frame (mirrored by the machine's `bound`
     /// mask).
     ctx: Option<usize>,
-    /// The slot's ready-frontier state: `None` whenever no proof of a
-    /// stable stall is held. Purely an optimization: replaying the
-    /// block records exactly the stall a fresh evaluation would.
+    /// The slot's ready-frontier state: `None`, or expired, whenever
+    /// no proof of a stable stall is held. Purely an optimization:
+    /// replaying the block records exactly the stall a fresh
+    /// evaluation would.
     block: Option<SlotBlock>,
     earliest_issue: u64,
     fetch_pc: u32,
@@ -204,6 +139,18 @@ enum CtxState {
     Waiting { until: u64 },
     /// Finished (halted or killed).
     Done,
+}
+
+impl CtxState {
+    /// Counted by `Machine::live_contexts`: allocated and unfinished.
+    fn is_live(self) -> bool {
+        !matches!(self, CtxState::Free | CtxState::Done)
+    }
+
+    /// Counted by `Machine::idle_contexts`: awaiting a slot.
+    fn is_idle(self) -> bool {
+        matches!(self, CtxState::Ready | CtxState::Waiting { .. })
+    }
 }
 
 /// A context frame (§2.1.3): register sets, saved program counter,
@@ -280,36 +227,17 @@ pub struct Machine {
     mem_model: Box<dyn DataMemModelDebug>,
     slots: Vec<Slot>,
     contexts: Vec<Context>,
-    /// Standby stations: the station of slot `s` and FU class index
-    /// `ci` is number `s * FU_CLASS_COUNT + ci`.
-    standby: Stations,
-    /// Per FU class, the slots whose standby station for that class is
-    /// non-empty — kept in sync with `standby` at every mutation so
-    /// the tracing path reads competitor sets without rescanning the
-    /// stations each cycle.
-    standby_mask: [SlotSet; FU_CLASS_COUNT],
-    /// The FU classes with anything standing by, one bit per class
-    /// index (bit `ci` is set iff `standby_mask[ci]` is non-empty; the
-    /// seven classes fit a byte), so arbitration and the event wheel
-    /// visit only occupied classes, in [`FuClass::ALL`] order.
-    standby_classes: u8,
-    /// Occupied standby entries per slot (all classes), for the O(1)
-    /// "does this slot have anything standing by" queries in the
-    /// decode-blocking, `drain`, rebind, and trap paths.
-    standby_slot_count: Vec<u16>,
-    /// Occupied standby entries machine-wide, so `is_done` need not
-    /// rescan the stations every cycle.
-    standby_total: usize,
-    /// Contexts that are not `Done`/`Free` — kept in sync at every
-    /// state transition so [`Machine::is_done`] is O(1) in the cycle
-    /// loop instead of rescanning every frame twice per step.
+    /// The standby stations and their occupancy.
+    standby: Standby,
+    /// Contexts that are not `Done`/`Free`, so [`Machine::is_done`] is
+    /// O(1) in the cycle loop instead of rescanning every frame twice
+    /// per step. Written only by [`Machine::set_ctx_state`].
     live_contexts: usize,
     /// Contexts in `Ready` or `Waiting` state — the population
-    /// `wake_and_bind` serves. Kept in sync at the same transitions
-    /// as [`Self::live_contexts`] so the per-cycle wake-and-bind scan
-    /// exits O(1) when every context is running (the steady state of
-    /// fully-bound workloads); a debug assert in `wake_and_bind`
-    /// rescans the frames to prove the counter exact.
+    /// `wake_and_bind` serves, so its per-cycle scan exits O(1) when
+    /// every context is running (the steady state of fully-bound
+    /// workloads). Written only by [`Machine::set_ctx_state`]; a debug
+    /// assert in `wake_and_bind` rescans the frames to prove it exact.
     idle_contexts: usize,
     fu_pool: FuPool,
     queues: QueueRing,
@@ -318,8 +246,8 @@ pub struct Machine {
     stats: RunStats,
     cycle: u64,
     /// The bound-slot mask: slot `s` is set iff `slots[s].ctx` is
-    /// `Some` — kept in lockstep at every bind (`wake_and_bind`,
-    /// `fastfork`) and unbind (`detach`, `killothers`). Every per-cycle
+    /// `Some`. [`Machine::bind`] and [`Machine::unbind`] are the only
+    /// writers of both, and of the slot's fetch activity. Every per-cycle
     /// path (issue, forced rotation, fetch round-robin, writeback
     /// unblocking, the event wheel's probe and stall accounting)
     /// visits only these slots; the others record a NoThread stall
@@ -442,10 +370,8 @@ impl Machine {
             })?;
         }
         let s = config.thread_slots;
-        let mut contexts: Vec<Context> =
-            (0..config.context_frames).map(|_| Context::free()).collect();
-        contexts[0].state = CtxState::Ready;
-        contexts[0].resume_pc = program.entry();
+        let contexts = (0..config.context_frames).map(|_| Context::free()).collect();
+        let entry = program.entry();
         let fu_pool = FuPool::new(std::array::from_fn(|i| config.fu.count(FuClass::ALL[i])));
         let mut stats = RunStats { per_slot_issued: vec![0; s], ..RunStats::default() };
         for class in FuClass::ALL {
@@ -466,7 +392,7 @@ impl Machine {
                 self.0.stats()
             }
         }
-        Ok(Machine {
+        let mut machine = Machine {
             fetch: FetchSystem::new(
                 s,
                 config.icache_cycles as u64,
@@ -476,14 +402,9 @@ impl Machine {
             prio: Priorities::new(s, config.rotation),
             queues: QueueRing::new(s, config.queue_capacity),
             slots: (0..s).map(|_| Slot::new()).collect(),
-            standby: Stations::new(s * FU_CLASS_COUNT, config.standby_depth),
-            standby_mask: [SlotSet::EMPTY; FU_CLASS_COUNT],
-            standby_classes: 0,
-            standby_slot_count: vec![0; s],
-            standby_total: 0,
-            live_contexts: 1,
-            idle_contexts: 1, // contexts[0] starts Ready
-
+            standby: Standby::new(s, config.standby_depth),
+            live_contexts: 0,
+            idle_contexts: 0,
             contexts,
             fu_pool,
             memory,
@@ -500,22 +421,15 @@ impl Machine {
             },
             trace: None,
             sink: None,
-        })
+        };
+        // The program's own thread starts Ready in frame 0.
+        machine.add_thread(entry)?;
+        Ok(machine)
     }
 
     // ------------------------------------------------------------------
     // Ready-frontier bookkeeping
     // ------------------------------------------------------------------
-
-    /// Installs a proven block for `s`, dropping it from the ready
-    /// frontier. Callers must guarantee the [`SlotBlock`] contract: the
-    /// slot re-records exactly this stall every cycle before `wake`,
-    /// and every event that could change that outcome runs through
-    /// [`Machine::unblock`].
-    #[inline]
-    fn block_slot(&mut self, s: usize, reason: StallReason, pc: Option<u32>, wake: u64) {
-        self.slots[s].block = Some(SlotBlock { reason, pc, wake });
-    }
 
     /// Clears `s`'s block (if any), returning it to the ready frontier
     /// — the universal "something about this slot changed"
@@ -523,12 +437,6 @@ impl Machine {
     #[inline]
     fn unblock(&mut self, s: usize) {
         self.slots[s].block = None;
-    }
-
-    /// Slots with anything parked in a standby station.
-    #[inline]
-    fn standby_slots(&self) -> SlotSet {
-        self.standby_mask.iter().fold(SlotSet::EMPTY, |acc, &m| acc.union(m))
     }
 
     /// True when at most one slot can act: a one-slot machine, or a
@@ -540,70 +448,50 @@ impl Machine {
     #[inline]
     fn single_live_slot(&self) -> bool {
         self.slots.len() == 1
-            || self
-                .bound
-                .only()
-                .is_some_and(|b| self.standby_total == self.standby_slot_count[b] as usize)
+            || self.bound.only().is_some_and(|b| self.standby.total() == self.standby.occupancy(b))
     }
 
     // ------------------------------------------------------------------
-    // Standby-station bookkeeping (occupancy masks and counts are kept
-    // in lockstep with the stations; `arbitrate` rescans them in debug
-    // builds)
+    // Slot and context lifecycle
     // ------------------------------------------------------------------
 
-    #[inline]
-    fn station(&self, s: usize, ci: usize) -> &[InFlight] {
-        self.standby.get(s * FU_CLASS_COUNT + ci)
+    /// Binds context `c` to unbound slot `s`, to fetch from `pc` and
+    /// issue no earlier than `earliest_issue`. With
+    /// [`Machine::unbind`], the only writer of `Slot::ctx`, the bound
+    /// mask and the slot's fetch activity. An unbound slot holds no
+    /// block, since `unbind` clears it.
+    fn bind(&mut self, s: usize, c: usize, pc: u32, earliest_issue: u64, now: u64) {
+        let slot = &mut self.slots[s];
+        slot.ctx = Some(c);
+        slot.fetch_pc = pc;
+        slot.window.clear();
+        slot.earliest_issue = earliest_issue;
+        self.bound.insert(s);
+        self.fetch.set_active(s, true);
+        self.fetch.request_redirect(s, now);
     }
 
-    #[inline(always)]
-    fn standby_push(&mut self, s: usize, ci: usize, f: InFlight) {
-        self.standby.push_back(s * FU_CLASS_COUNT + ci, f);
-        self.standby_mask[ci].insert(s);
-        self.standby_classes |= 1 << ci;
-        self.standby_slot_count[s] += 1;
-        self.standby_total += 1;
+    /// Empties slot `s` (on `halt`, a data-absence trap or
+    /// `killothers`) and returns the context it held. A no-op on an
+    /// unbound slot.
+    fn unbind(&mut self, s: usize) -> Option<usize> {
+        self.bound.remove(s);
+        self.fetch.set_active(s, false);
+        let slot = &mut self.slots[s];
+        slot.window.clear();
+        slot.block = None;
+        slot.ctx.take()
     }
 
-    #[inline(always)]
-    fn standby_pop(&mut self, s: usize, ci: usize) -> InFlight {
-        let st = s * FU_CLASS_COUNT + ci;
-        let f = self.standby.pop_front(st);
-        if self.standby.len[st] == 0 {
-            self.standby_emptied(s, ci);
-        }
-        self.standby_slot_count[s] -= 1;
-        self.standby_total -= 1;
-        self.unblock(s); // a station drained: FuConflict may lift
-        f
-    }
-
-    /// Empties one station, fixing up the occupancy bookkeeping;
-    /// returns how many entries were dropped.
-    fn standby_clear(&mut self, s: usize, ci: usize) -> usize {
-        let n = self.standby.clear(s * FU_CLASS_COUNT + ci);
-        self.standby_emptied(s, ci);
-        self.standby_slot_count[s] -= n as u16;
-        self.standby_total -= n;
-        self.unblock(s);
-        n
-    }
-
-    /// Drops the station of slot `s` and class `ci`, just emptied, from
-    /// the occupancy masks.
-    #[inline]
-    fn standby_emptied(&mut self, s: usize, ci: usize) {
-        self.standby_mask[ci].remove(s);
-        if self.standby_mask[ci].is_empty() {
-            self.standby_classes &= !(1 << ci);
-        }
-    }
-
-    /// True if any of `s`'s standby stations holds an instruction.
-    #[inline]
-    fn slot_has_standby(&self, s: usize) -> bool {
-        self.standby_slot_count[s] > 0
+    /// Moves context `c` to `state`. The one writer of
+    /// `live_contexts` and `idle_contexts`, which it derives from the
+    /// old and new state.
+    fn set_ctx_state(&mut self, c: usize, state: CtxState) {
+        let old = std::mem::replace(&mut self.contexts[c].state, state);
+        self.live_contexts =
+            self.live_contexts + usize::from(state.is_live()) - usize::from(old.is_live());
+        self.idle_contexts =
+            self.idle_contexts + usize::from(state.is_idle()) - usize::from(old.is_idle());
     }
 
     /// Disjoint `(&contexts[a], &mut contexts[b])` borrows for
@@ -636,13 +524,10 @@ impl Machine {
             .iter()
             .position(|c| c.state == CtxState::Free)
             .ok_or(MachineError::NoFreeContext { pc: u32::MAX })?;
-        let lpid = idx as i64;
-        self.live_contexts += 1;
-        self.idle_contexts += 1;
+        self.set_ctx_state(idx, CtxState::Ready);
         let ctx = &mut self.contexts[idx];
-        ctx.state = CtxState::Ready;
         ctx.resume_pc = pc;
-        ctx.lpid = lpid;
+        ctx.lpid = idx as i64;
         Ok(())
     }
 
@@ -735,16 +620,11 @@ impl Machine {
         }
         if self.prio.tick(now) {
             self.stats.rotations += 1;
-            let highest = self.prio.highest();
-            if TRACED {
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.event(&TraceEvent::Rotation {
-                        cycle: now,
-                        kind: RotationKind::Implicit,
-                        highest,
-                    });
-                }
-            }
+            self.emit::<TRACED>(|m| TraceEvent::Rotation {
+                cycle: now,
+                kind: RotationKind::Implicit,
+                highest: m.prio.highest(),
+            });
         }
         self.skip_empty_priority_slots::<TRACED>(now);
         let depth = self.config.pipeline.decode_depth();
@@ -762,15 +642,11 @@ impl Machine {
                 // don't read the credit count).
                 slot.block = None;
             }
-            if TRACED {
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.event(&TraceEvent::Fetch {
-                        cycle: now,
-                        slot: d.slot,
-                        redirect: d.redirect,
-                    });
-                }
-            }
+            self.emit::<TRACED>(|_| TraceEvent::Fetch {
+                cycle: now,
+                slot: d.slot,
+                redirect: d.redirect,
+            });
         }
         self.scratch.deliveries = deliveries;
         self.wake_and_bind::<TRACED>(now);
@@ -788,16 +664,11 @@ impl Machine {
         res?;
         if self.prio.apply_pending(now) {
             self.stats.rotations += 1;
-            let highest = self.prio.highest();
-            if TRACED {
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.event(&TraceEvent::Rotation {
-                        cycle: now,
-                        kind: RotationKind::Explicit,
-                        highest,
-                    });
-                }
-            }
+            self.emit::<TRACED>(|m| TraceEvent::Rotation {
+                cycle: now,
+                kind: RotationKind::Explicit,
+                highest: m.prio.highest(),
+            });
         }
         self.fetch.end_cycle(now);
         self.cycle += 1;
@@ -810,13 +681,10 @@ impl Machine {
     pub fn is_done(&self) -> bool {
         debug_assert_eq!(
             self.live_contexts,
-            self.contexts
-                .iter()
-                .filter(|c| !matches!(c.state, CtxState::Done | CtxState::Free))
-                .count(),
+            self.contexts.iter().filter(|c| c.state.is_live()).count(),
             "live-context counter out of sync"
         );
-        self.standby_total == 0 && self.live_contexts == 0
+        self.standby.total() == 0 && self.live_contexts == 0
     }
 
     /// Statistics accumulated so far.
@@ -901,7 +769,7 @@ impl Machine {
             lpid: s.ctx.map(|c| self.contexts[c].lpid),
             next_pc: s.ctx.map(|_| self.next_window_pc(slot)),
             window_len: s.window.len(),
-            standby_occupancy: self.standby_slot_count[slot] as usize,
+            standby_occupancy: self.standby.occupancy(slot),
         }
     }
 
@@ -957,9 +825,19 @@ impl Machine {
         pc: Option<u32>,
     ) {
         self.stats.record_stall(reason, now);
-        if TRACED {
+        self.emit::<TRACED>(|_| TraceEvent::Stall { cycle: now, slot, reason, pc });
+    }
+
+    /// Sends the event `event` builds to the trace sink, if one is
+    /// attached. The event is built only then, so the untraced kernel
+    /// (`TRACED` false) compiles every call away, fields that could
+    /// panic (`reg_name`) or index (`queues.len`) included.
+    #[inline(always)]
+    fn emit<const TRACED: bool>(&mut self, event: impl FnOnce(&Self) -> TraceEvent) {
+        if TRACED && self.sink.is_some() {
+            let event = event(self);
             if let Some(sink) = self.sink.as_deref_mut() {
-                sink.event(&TraceEvent::Stall { cycle: now, slot, reason, pc });
+                sink.event(&event);
             }
         }
     }
@@ -979,23 +857,18 @@ impl Machine {
         let h = self.prio.highest();
         // With no bound slot anywhere the token has nowhere useful to
         // land; leave it parked rather than spinning forever.
-        if self.bound.contains(h) || self.slot_has_standby(h) || self.bound.is_empty() {
+        if self.bound.contains(h) || self.standby.has(h) || self.bound.is_empty() {
             return;
         }
-        let live = self.bound.union(self.standby_slots());
+        let live = self.bound.union(self.standby.slots());
         let rank = live.next_in_rotation(h, self.slots.len(), 0).expect("a bound slot exists");
         for _ in 0..rank {
             self.prio.force_rotate(now);
-            let highest = self.prio.highest();
-            if TRACED {
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.event(&TraceEvent::Rotation {
-                        cycle: now,
-                        kind: RotationKind::Forced,
-                        highest,
-                    });
-                }
-            }
+            self.emit::<TRACED>(|m| TraceEvent::Rotation {
+                cycle: now,
+                kind: RotationKind::Forced,
+                highest: m.prio.highest(),
+            });
         }
     }
 
@@ -1004,10 +877,7 @@ impl Machine {
     fn wake_and_bind<const TRACED: bool>(&mut self, now: u64) {
         debug_assert_eq!(
             self.idle_contexts,
-            self.contexts
-                .iter()
-                .filter(|c| matches!(c.state, CtxState::Ready | CtxState::Waiting { .. }))
-                .count(),
+            self.contexts.iter().filter(|c| c.state.is_idle()).count(),
             "idle-context counter out of sync"
         );
         // With no context Ready or Waiting, both loops below are
@@ -1022,35 +892,23 @@ impl Machine {
                 }
             }
         }
-        let free = SlotSet::first(self.slots.len()).minus(self.bound).minus(self.standby_slots());
+        let free = SlotSet::first(self.slots.len()).minus(self.bound).minus(self.standby.slots());
         for s in free.iter() {
             let Some(c) = self.contexts.iter().position(|c| c.state == CtxState::Ready) else {
                 break;
             };
             let penalty =
                 if self.contexts[c].started { self.config.switch_penalty as u64 } else { 0 };
+            self.set_ctx_state(c, CtxState::Running);
+            let pc = self.contexts[c].resume_pc;
+            self.bind(s, c, pc, now + penalty, now);
             let ctx = &mut self.contexts[c];
-            ctx.state = CtxState::Running;
             ctx.started = true;
-            self.idle_contexts -= 1;
-            let slot = &mut self.slots[s];
-            slot.ctx = Some(c);
-            slot.fetch_pc = ctx.resume_pc;
-            slot.window.clear();
-            slot.block = None;
+            let window = &mut self.slots[s].window;
             for (inst, vals) in ctx.replay.drain(..) {
-                slot.window.push_back(WinEntry::Replay(inst, vals));
+                window.push_back(WinEntry::Replay(inst, vals));
             }
-            slot.earliest_issue = now + penalty;
-            let pc = slot.fetch_pc;
-            self.bound.insert(s);
-            self.fetch.set_active(s, true);
-            self.fetch.request_redirect(s, now);
-            if TRACED {
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.event(&TraceEvent::ThreadBind { cycle: now, slot: s, ctx: c, pc });
-                }
-            }
+            self.emit::<TRACED>(|_| TraceEvent::ThreadBind { cycle: now, slot: s, ctx: c, pc });
         }
     }
 
@@ -1094,14 +952,11 @@ impl Machine {
             // a queue pop by an earlier slot, take effect in the same
             // cycle, exactly like the full rescan), a fresh evaluation
             // would reach the identical first-failing check.
-            if let Some(b) = self.slots[s].block {
-                if now < b.wake {
-                    #[cfg(debug_assertions)]
-                    self.assert_block_matches_fresh_eval(s, &b, now);
-                    self.record_stall::<TRACED>(now, s, b.reason, b.pc);
-                    continue;
-                }
-                self.unblock(s);
+            if let Some(b) = self.slots[s].block.filter(|b| now < b.wake) {
+                #[cfg(debug_assertions)]
+                self.assert_verdict(s, now, b.reason, b.pc, Some(b.wake));
+                self.record_stall::<TRACED>(now, s, b.reason, b.pc);
+                continue;
             }
             self.issue_slot::<TRACED>(s, now, cands)?;
         }
@@ -1123,18 +978,14 @@ impl Machine {
             return;
         }
         self.stats.record_stalls(StallReason::NoThread, now, (to - from) as u64);
-        if TRACED {
-            let slots = self.slots.len();
-            if let Some(sink) = self.sink.as_deref_mut() {
-                for rank in from..to {
-                    sink.event(&TraceEvent::Stall {
-                        cycle: now,
-                        slot: (highest + rank) % slots,
-                        reason: StallReason::NoThread,
-                        pc: None,
-                    });
-                }
-            }
+        let slots = self.slots.len();
+        for rank in from..to {
+            self.emit::<TRACED>(|_| TraceEvent::Stall {
+                cycle: now,
+                slot: (highest + rank) % slots,
+                reason: StallReason::NoThread,
+                pc: None,
+            });
         }
     }
 
@@ -1146,16 +997,16 @@ impl Machine {
     ) -> Result<(), MachineError> {
         let ctx_i = self.slots[s].ctx.expect("the issue phase visits bound slots");
         if now < self.slots[s].earliest_issue {
-            // The redirect (or rebind) has been delivered but the
-            // decode pipeline is still refilling: the branch-shadow
-            // tail, distinct from waiting on the fetch unit itself.
-            // Stable until the shadow expires: the window and fetch PC
-            // only change through events that unblock (redirect
-            // deliveries, rebinds, kills), and the fill loop below is
-            // skipped throughout the shadow.
-            let pc = self.next_window_pc(s);
-            self.record_stall::<TRACED>(now, s, StallReason::BranchShadow, Some(pc));
-            self.block_slot(s, StallReason::BranchShadow, Some(pc), self.slots[s].earliest_issue);
+            // Stable until the shadow expires (see `pipeline_stall`);
+            // the fill below waits for it.
+            let pc = Some(self.next_window_pc(s));
+            let b = SlotBlock {
+                reason: StallReason::BranchShadow,
+                pc,
+                wake: self.slots[s].earliest_issue,
+            };
+            self.record_stall::<TRACED>(now, s, b.reason, b.pc);
+            self.slots[s].block = Some(b);
             return Ok(());
         }
         // Fill the decode window ("the instruction window is filled
@@ -1172,24 +1023,23 @@ impl Machine {
             self.fetch.consume(s);
         }
         if self.slots[s].window.is_empty() {
-            if self.fetch.credits(s) > 0 && (self.slots[s].fetch_pc as usize) >= program_len {
+            if self.fetch.credits(s) > 0 {
+                // Not starved, so the fill stopped at the program's end.
                 return Err(MachineError::PcOutOfRange { slot: s, pc: self.slots[s].fetch_pc });
             }
-            // An empty window after the fill implies no credits (with
-            // credits, either the fill pushed an entry or the fault
-            // above fired), so only a delivery — which unblocks —
-            // changes this. A delivered PC past the end faults on that
-            // re-evaluation, the same cycle the plain rescan would.
-            debug_assert_eq!(self.fetch.credits(s), 0, "starved slot still holds fetch credits");
-            let pc = self.slots[s].fetch_pc;
-            self.record_stall::<TRACED>(now, s, StallReason::Fetch, Some(pc));
-            self.block_slot(s, StallReason::Fetch, Some(pc), u64::MAX);
+            // Fetch starvation (see `pipeline_stall`).
+            let pc = Some(self.slots[s].fetch_pc);
+            self.record_stall::<TRACED>(now, s, StallReason::Fetch, pc);
+            self.slots[s].block =
+                Some(SlotBlock { reason: StallReason::Fetch, pc, wake: u64::MAX });
             return Ok(());
         }
         // Without standby stations, a previously issued instruction
         // that lost arbitration blocks the whole decode unit.
-        if !self.config.standby_stations && self.slot_has_standby(s) {
-            let pc = (0..FU_CLASS_COUNT).find_map(|ci| self.station(s, ci).first()).map(|f| f.pc);
+        if !self.config.standby_stations && self.standby.has(s) {
+            let pc = (0..FU_CLASS_COUNT)
+                .find_map(|ci| self.standby.station(s, ci).first())
+                .map(|f| f.pc);
             self.record_stall::<TRACED>(now, s, StallReason::FuConflict, pc);
             return Ok(());
         }
@@ -1226,19 +1076,7 @@ impl Machine {
             let check = if probe_passed {
                 #[cfg(debug_assertions)]
                 assert!(
-                    self.check_issue(
-                        s,
-                        ctx_i,
-                        &di,
-                        false,
-                        now,
-                        0,
-                        0,
-                        (false, false),
-                        &[false; FU_CLASS_COUNT],
-                        true,
-                    )
-                    .is_ok(),
+                    self.head_check(s, ctx_i, &di, false, now).is_ok(),
                     "head-issue proof diverged from a fresh evaluation"
                 );
                 Ok(())
@@ -1301,11 +1139,12 @@ impl Machine {
                     if let Some(trace) = &mut self.trace {
                         trace.push(IssueEvent { cycle: now, slot: s, ctx: ctx_i, pc });
                     }
-                    if TRACED {
-                        if let Some(sink) = self.sink.as_deref_mut() {
-                            sink.event(&TraceEvent::Issue { cycle: now, slot: s, ctx: ctx_i, pc });
-                        }
-                    }
+                    self.emit::<TRACED>(|_| TraceEvent::Issue {
+                        cycle: now,
+                        slot: s,
+                        ctx: ctx_i,
+                        pc,
+                    });
                     if let Some(class) = di.fu {
                         class_taken[class.index()] = true;
                         let fi = self.capture::<TRACED>(s, ctx_i, pc, &di, preset, now);
@@ -1332,7 +1171,7 @@ impl Machine {
             if self.config.issue_width == 1 && self.slots[s].window.len() == 1 && head_blockable {
                 if let (Some(reason), Some(pc), Some(wake)) = (head_reason, head_pc, head_wake) {
                     if wake > now + 1 {
-                        self.block_slot(s, reason, Some(pc), wake);
+                        self.slots[s].block = Some(SlotBlock { reason, pc: Some(pc), wake });
                     }
                 }
             }
@@ -1340,57 +1179,27 @@ impl Machine {
         Ok(())
     }
 
-    /// Debug-only proof that replaying a block records exactly the
-    /// stall a fresh evaluation would (`check_issue` is side-effect
-    /// free). Panics on any divergence.
-    #[cfg(debug_assertions)]
-    fn assert_block_matches_fresh_eval(&self, s: usize, b: &SlotBlock, now: u64) {
+    /// The stall bound slot `s` records at cycle `t` before its
+    /// window's head is looked at, as the block that holds it. First
+    /// the branch shadow: a redirect or bind has been delivered but the
+    /// decode pipeline is still refilling; the window and fetch pc
+    /// change only through events that unblock (redirect deliveries,
+    /// unbinds) until the shadow expires. Then fetch starvation: an
+    /// empty window and no credits, which only a delivery changes (it
+    /// unblocks; a delivered pc past the end faults on that
+    /// re-evaluation). The issue path classifies the same two stalls
+    /// around its window fill; [`Machine::verdict`] and the watchdog
+    /// start here.
+    #[inline(always)]
+    fn pipeline_stall(&self, s: usize, t: u64) -> Option<SlotBlock> {
         let slot = &self.slots[s];
-        match b.reason {
-            StallReason::BranchShadow => {
-                assert!(slot.ctx.is_some(), "BranchShadow block on an unbound slot {s}");
-                assert!(now < slot.earliest_issue, "BranchShadow block past the shadow expiry");
-                assert_eq!(
-                    b.wake, slot.earliest_issue,
-                    "BranchShadow wake drifted from the shadow"
-                );
-                assert_eq!(b.pc, Some(self.next_window_pc(s)), "BranchShadow pc drifted");
-            }
-            StallReason::Fetch => {
-                assert!(slot.ctx.is_some(), "Fetch block on an unbound slot {s}");
-                assert!(now >= slot.earliest_issue, "Fetch block inside a branch shadow");
-                assert!(slot.window.is_empty(), "Fetch block with a non-empty window");
-                assert_eq!(self.fetch.credits(s), 0, "Fetch block with credits available");
-                assert_eq!(b.pc, Some(slot.fetch_pc), "Fetch block pc drifted");
-            }
-            _ => {
-                // A blocked head stall: re-run the full head check.
-                let ctx_i = slot.ctx.expect("head block on an unbound slot");
-                assert!(now >= slot.earliest_issue, "head block across a redirect");
-                let Some(&WinEntry::Fresh(pc)) = slot.window.front() else {
-                    panic!("head block without a fresh window head on slot {s}");
-                };
-                assert!(slot.window.len() == 1 && Some(pc) == b.pc, "head block pc drifted");
-                let di = self.program.insts()[pc as usize];
-                assert!(
-                    matches!(
-                        self.check_issue(
-                            s,
-                            ctx_i,
-                            &di,
-                            false,
-                            now,
-                            0,
-                            0,
-                            (false, false),
-                            &[false; FU_CLASS_COUNT],
-                            true,
-                        ),
-                        Err(IssueBlock::Stall(r, _)) if r == b.reason
-                    ),
-                    "head block diverged from a fresh head evaluation on slot {s}"
-                );
-            }
+        if t < slot.earliest_issue {
+            let pc = Some(self.next_window_pc(s));
+            Some(SlotBlock { reason: StallReason::BranchShadow, pc, wake: slot.earliest_issue })
+        } else if slot.window.is_empty() && self.fetch.credits(s) == 0 {
+            Some(SlotBlock { reason: StallReason::Fetch, pc: Some(slot.fetch_pc), wake: u64::MAX })
+        } else {
+            None
         }
     }
 
@@ -1409,12 +1218,9 @@ impl Machine {
                     pc,
                     wake: (wake != u64::MAX).then_some(wake),
                 };
-                if let Some(b) = slot.block.filter(|b| now < b.wake) {
+                let live = slot.block.filter(|b| now < b.wake);
+                if let Some(b) = live.or_else(|| self.pipeline_stall(s, now)) {
                     return Some(stuck(b.reason, b.pc, b.wake));
-                }
-                if now < slot.earliest_issue {
-                    let pc = Some(self.next_window_pc(s));
-                    return Some(stuck(StallReason::BranchShadow, pc, slot.earliest_issue));
                 }
                 let (di, replay, pc) = match slot.window.front() {
                     Some(&WinEntry::Fresh(pc)) => (self.program.insts()[pc as usize], false, pc),
@@ -1425,10 +1231,7 @@ impl Machine {
                         return Some(stuck(StallReason::Fetch, Some(slot.fetch_pc), u64::MAX));
                     }
                 };
-                let idle = &[false; FU_CLASS_COUNT];
-                let check =
-                    self.check_issue(s, ctx_i, &di, replay, now, 0, 0, (false, false), idle, true);
-                Some(match check {
+                Some(match self.head_check(s, ctx_i, &di, replay, now) {
                     Err(IssueBlock::Stall(reason, wake)) => {
                         stuck(reason, Some(pc), wake.unwrap_or(u64::MAX))
                     }
@@ -1455,6 +1258,23 @@ impl Machine {
                 WinEntry::Replay(..) => None,
             })
             .unwrap_or(self.slots[s].fetch_pc)
+    }
+
+    /// [`Machine::check_issue`] for the window's head with nothing
+    /// issued before it this cycle: the question the wheel's probe,
+    /// the block oracle, the head-issue proof's oracle and the
+    /// watchdog ask.
+    #[inline(always)]
+    fn head_check(
+        &self,
+        s: usize,
+        ctx_i: usize,
+        di: &DecodedInst,
+        is_replay: bool,
+        now: u64,
+    ) -> Result<(), IssueBlock> {
+        let idle = &[false; FU_CLASS_COUNT];
+        self.check_issue(s, ctx_i, di, is_replay, now, 0, 0, (false, false), idle, true)
     }
 
     /// All the §2.1.1/§2.2 issue conditions for one instruction.
@@ -1500,7 +1320,7 @@ impl Machine {
         // every previously issued instruction has been performed (the
         // slot's standby stations are empty; in this model selection
         // is completion, so empty stations mean all effects applied).
-        if matches!(di.inst, Inst::Drain) && self.slot_has_standby(s) {
+        if matches!(di.inst, Inst::Drain) && self.standby.has(s) {
             return Err(Stall(StallReason::Data, None));
         }
         // `fastfork` copies the parent's register set into the
@@ -1516,7 +1336,7 @@ impl Machine {
         // performed at the highest priority), so `chgpri` waits for it.
         if matches!(di.inst, Inst::ChgPri) {
             let ls = FuClass::LoadStore.index();
-            if self.station(s, ls).iter().any(|f| f.di.is_gated_store()) {
+            if self.standby.station(s, ls).iter().any(|f| f.di.is_gated_store()) {
                 return Err(Stall(StallReason::Priority, None));
             }
         }
@@ -1565,9 +1385,7 @@ impl Machine {
                     // trap can switch the context out) nothing behind
                     // this head ever issues to pop the link — a certain
                     // deadlock, reported now rather than by the watchdog.
-                    if self.slots.len() == 1
-                        && self.config.issue_width == 1
-                        && !self.slot_has_standby(s)
+                    if self.slots.len() == 1 && self.config.issue_width == 1 && !self.standby.has(s)
                     {
                         return Err(Fault(MachineError::QueueMisuse {
                             slot: s,
@@ -1599,7 +1417,7 @@ impl Machine {
             if self.config.fu.count(class) == 0 {
                 return Err(Fault(MachineError::NoFunctionalUnit { slot: s, pc: 0, class }));
             }
-            if self.station(s, class.index()).len() >= self.config.standby_depth
+            if self.standby.station(s, class.index()).len() >= self.config.standby_depth
                 || class_taken[class.index()]
             {
                 return Err(Stall(StallReason::FuConflict, Some(u64::MAX)));
@@ -1674,12 +1492,12 @@ impl Machine {
         if popped.is_some() {
             let writer = (link + self.slots.len() - 1) % self.slots.len();
             self.unblock(writer);
-            if TRACED {
-                let depth = self.queues.len(link);
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.event(&TraceEvent::QueuePop { cycle: now, slot: s, link, depth });
-                }
-            }
+            self.emit::<TRACED>(|m| TraceEvent::QueuePop {
+                cycle: now,
+                slot: s,
+                link,
+                depth: m.queues.len(link),
+            });
         }
         vals
     }
@@ -1722,9 +1540,8 @@ impl Machine {
                 Ok(true)
             }
             Inst::Halt => {
-                self.contexts[ctx_i].state = CtxState::Done;
-                self.live_contexts -= 1;
-                self.detach(s);
+                self.set_ctx_state(ctx_i, CtxState::Done);
+                self.unbind(s);
                 Ok(true)
             }
             Inst::FastFork => self.fast_fork(s, ctx_i, pc, now).map(|()| false),
@@ -1764,20 +1581,14 @@ impl Machine {
         }
     }
 
+    /// Flushes slot `s`'s window and refetches from `next_pc`. The
+    /// slot is issuing, so it holds no live block; the redirect's
+    /// delivery clears the `Fetch` block it may take meanwhile.
     fn redirect(&mut self, s: usize, next_pc: u32, now: u64) {
         let slot = &mut self.slots[s];
         slot.fetch_pc = next_pc;
         slot.window.clear();
-        slot.block = None;
         self.fetch.request_redirect(s, now);
-    }
-
-    fn detach(&mut self, s: usize) {
-        self.slots[s].ctx = None;
-        self.slots[s].window.clear();
-        self.unblock(s);
-        self.bound.remove(s);
-        self.fetch.set_active(s, false);
     }
 
     fn fast_fork(&mut self, s: usize, ctx_i: usize, pc: u32, now: u64) -> Result<(), MachineError> {
@@ -1801,61 +1612,35 @@ impl Machine {
             // full clone — without the heap traffic of one.
             let (parent, child) = Self::pair_mut(&mut self.contexts, ctx_i, free);
             child.regs.copy_arch_from(&parent.regs);
-            self.live_contexts += 1;
-            let child = &mut self.contexts[free];
-            child.state = CtxState::Running;
             child.lpid = j as i64;
             child.resume_pc = pc + 1;
             child.qread = qread;
             child.qwrite = qwrite;
             child.started = true;
-            let slot = &mut self.slots[j];
-            slot.ctx = Some(free);
-            slot.fetch_pc = pc + 1;
-            slot.window.clear();
-            slot.block = None;
-            slot.earliest_issue = 0;
-            self.bound.insert(j);
-            self.fetch.set_active(j, true);
-            self.fetch.request_redirect(j, now);
+            self.set_ctx_state(free, CtxState::Running);
+            self.bind(j, free, pc + 1, 0, now);
         }
         Ok(())
     }
 
     fn kill_others(&mut self, s: usize) {
-        let my_ctx = self.slots[s].ctx;
-        for j in 0..self.slots.len() {
-            if j == s {
-                continue;
-            }
-            if let Some(c) = self.slots[j].ctx.take() {
-                self.contexts[c].state = CtxState::Done;
-                self.live_contexts -= 1;
+        for j in (0..self.slots.len()).filter(|&j| j != s) {
+            if let Some(c) = self.unbind(j) {
+                self.set_ctx_state(c, CtxState::Done);
                 self.stats.threads_killed += 1;
             }
-            self.slots[j].window.clear();
-            self.unblock(j);
             for ci in 0..FU_CLASS_COUNT {
-                self.standby_clear(j, ci);
+                self.standby.clear(j, ci);
             }
-            self.fetch.set_active(j, false);
         }
-        self.bound = SlotSet::EMPTY;
-        self.bound.insert(s);
-        // Unbound runnable/waiting contexts die too.
-        let mut killed = 0usize;
-        for (i, ctx) in self.contexts.iter_mut().enumerate() {
-            if Some(i) == my_ctx {
-                continue;
-            }
-            if matches!(ctx.state, CtxState::Ready | CtxState::Waiting { .. }) {
-                ctx.state = CtxState::Done;
-                killed += 1;
+        // Unbound runnable/waiting contexts die too (the killer's own
+        // context is running).
+        for c in 0..self.contexts.len() {
+            if self.contexts[c].state.is_idle() {
+                self.set_ctx_state(c, CtxState::Done);
                 self.stats.threads_killed += 1;
             }
         }
-        self.live_contexts -= killed;
-        self.idle_contexts -= killed;
         self.queues.flush();
     }
 
@@ -1871,9 +1656,8 @@ impl Machine {
         cands: &mut Vec<InFlight>,
         now: u64,
     ) -> Result<(), MachineError> {
-        let tracing = TRACED && self.sink.is_some();
         #[cfg(debug_assertions)]
-        assert!(self.standby_bookkeeping_consistent(), "standby bookkeeping is in sync");
+        assert!(self.standby.consistent(), "standby bookkeeping is in sync");
         // Every issue joins the back of its slot's standby queue up
         // front — it is the youngest there, and `class_taken` caps a
         // slot at one issue per class per cycle, so cross-class push
@@ -1881,23 +1665,23 @@ impl Machine {
         // the per-class occupancy masks: no candidate scans, and the
         // per-class loops visit exactly the slots with work
         // (find-first-set in priority order) instead of walking every
-        // slot. The masks are snapshotted before any unit is granted:
-        // a mid-drain detach empties the detaching slot's LoadStore
-        // station, and the trace's competitor sets must describe the
-        // cycle's entrants, not the survivors.
+        // slot. A class's mask is read before any of its units is
+        // granted (no other class's drain touches it): a mid-drain
+        // trap empties the trapping slot's LoadStore station, and the
+        // trace's competitor sets must describe the cycle's entrants,
+        // not the survivors.
         for f in cands.drain(..) {
             let class = f.di.fu.expect("arbitrated candidates target a functional unit");
-            self.standby_push(f.slot, class.index(), f);
+            self.standby.push(f.slot, class.index(), f);
         }
-        let competing_by_class = self.standby_mask;
         let slots = self.slots.len();
         let highest = self.prio.highest();
-        for ci in set_bits(self.standby_classes.into()) {
+        for ci in self.standby.classes() {
             let class = FuClass::ALL[ci];
-            let competing = competing_by_class[ci];
+            let competing = self.standby.slots_in(ci);
             let mut winner_slots = SlotSet::EMPTY;
             for s in competing.iter_from(highest, slots) {
-                while let Some(&front) = self.station(s, ci).first() {
+                while let Some(&front) = self.standby.station(s, ci).first() {
                     // A priority-gated store is performed only by the
                     // highest-priority logical processor (§2.3.3); if
                     // the priority rotated away while it sat in
@@ -1909,35 +1693,31 @@ impl Machine {
                     let Some(instance) = self.fu_pool.first_free(ci, now) else {
                         break;
                     };
-                    let f = self.standby_pop(s, ci);
+                    let f = self.standby.pop(s, ci);
+                    self.unblock(s); // a station drained: FuConflict may lift
                     self.fu_pool.occupy(ci, instance, now + f.di.issue_latency() as u64);
-                    if tracing {
-                        winner_slots.insert(s);
-                        if let Some(sink) = self.sink.as_deref_mut() {
-                            sink.event(&TraceEvent::FuWin {
-                                cycle: now,
-                                slot: s,
-                                class,
-                                instance,
-                                pc: f.pc,
-                                busy: f.di.issue_latency() as u64,
-                                competitors: competing.without(s),
-                            });
-                        }
-                    }
+                    winner_slots.insert(s);
+                    self.emit::<TRACED>(|_| TraceEvent::FuWin {
+                        cycle: now,
+                        slot: s,
+                        class,
+                        instance,
+                        pc: f.pc,
+                        busy: f.di.issue_latency() as u64,
+                        competitors: competing.without(s),
+                    });
                     self.execute_selected::<TRACED>(f, class, instance, now)?;
                 }
             }
-            if tracing {
+            if TRACED {
                 // Everything still standing by either lost arbitration
                 // (the slot's front runner) or parked behind it. The
                 // standby and sink fields borrow disjointly, so losses
                 // emit directly without buffering.
-                let parked = self.standby_mask[ci];
                 let standby = &self.standby;
                 if let Some(sink) = self.sink.as_deref_mut() {
-                    for s in parked.iter_from(highest, slots) {
-                        for (i, f) in standby.get(s * FU_CLASS_COUNT + ci).iter().enumerate() {
+                    for s in standby.slots_in(ci).iter_from(highest, slots) {
+                        for (i, f) in standby.station(s, ci).iter().enumerate() {
                             if i == 0 {
                                 sink.event(&TraceEvent::FuLoss {
                                     cycle: now,
@@ -1962,35 +1742,6 @@ impl Machine {
         }
         debug_assert!(cands.is_empty(), "every candidate must be selected or parked");
         Ok(())
-    }
-
-    /// Debug-build rescan: the occupancy mask, per-slot counts, and
-    /// machine-wide total all agree with the stations themselves.
-    /// Allocation-free so the counting-allocator test can run with
-    /// debug assertions enabled.
-    #[cfg(debug_assertions)]
-    fn standby_bookkeeping_consistent(&self) -> bool {
-        let mut rescan = [SlotSet::EMPTY; FU_CLASS_COUNT];
-        let mut total = 0usize;
-        let mut counts_ok = true;
-        for s in 0..self.slots.len() {
-            let mut slot_count = 0u16;
-            for (ci, mask) in rescan.iter_mut().enumerate() {
-                let n = self.station(s, ci).len();
-                if n > 0 {
-                    mask.insert(s);
-                }
-                slot_count += n as u16;
-                total += n;
-            }
-            counts_ok &= slot_count == self.standby_slot_count[s];
-        }
-        let classes =
-            (0..FU_CLASS_COUNT).filter(|&ci| !rescan[ci].is_empty()).fold(0, |m, ci| m | 1 << ci);
-        counts_ok
-            && rescan == self.standby_mask
-            && classes == self.standby_classes
-            && total == self.standby_total
     }
 
     fn execute_selected<const TRACED: bool>(
@@ -2086,41 +1837,33 @@ impl Machine {
             // entry; the push changes what a fresh evaluation would
             // see.
             self.unblock(link);
-            if TRACED {
-                let depth = self.queues.len(link);
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.event(&TraceEvent::QueuePush {
-                        cycle: now,
-                        slot: f.slot,
-                        link,
-                        avail,
-                        depth,
-                    });
-                }
-            }
+            self.emit::<TRACED>(|m| TraceEvent::QueuePush {
+                cycle: now,
+                slot: f.slot,
+                link,
+                avail,
+                depth: m.queues.len(link),
+            });
         } else {
             self.contexts[f.ctx].regs.write(d, bits, now, result_latency);
             // A register just left the busy state: any Data block of
-            // the slot this context is bound to may lift. That is the
-            // issuing slot unless a trap migrated the context (or it
-            // finished); a context is bound to at most one slot.
-            if self.slots[f.slot].ctx == Some(f.ctx) {
-                self.unblock(f.slot);
-            } else if let Some(s) = self.bound.iter().find(|&s| self.slots[s].ctx == Some(f.ctx)) {
-                self.unblock(s);
-            }
-            if TRACED {
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.event(&TraceEvent::Writeback {
-                        cycle: now,
-                        slot: f.slot,
-                        ctx: f.ctx,
-                        pc: f.pc,
-                        dest: reg_name(d),
-                        avail: now + result_latency as u64,
-                    });
+            // the slot this context is bound to may lift. The standby
+            // pop that brought `f` here unblocked the issuing slot; a
+            // context a trap moved to another slot is found among the
+            // bound ones (a context is bound to at most one slot).
+            if self.slots[f.slot].ctx != Some(f.ctx) {
+                if let Some(s) = self.bound.iter().find(|&s| self.slots[s].ctx == Some(f.ctx)) {
+                    self.unblock(s);
                 }
             }
+            self.emit::<TRACED>(|_| TraceEvent::Writeback {
+                cycle: now,
+                slot: f.slot,
+                ctx: f.ctx,
+                pc: f.pc,
+                dest: reg_name(d),
+                avail: now + result_latency as u64,
+            });
         }
     }
 
@@ -2157,17 +1900,16 @@ impl Machine {
         // The station and the context are disjoint fields, so the
         // flush moves directly without a temporary buffer.
         {
-            let station = self.standby.get(s * FU_CLASS_COUNT + ls);
+            let station = self.standby.station(s, ls);
             let ctx = &mut self.contexts[f.ctx];
             ctx.replay.push((f.di.inst, f.vals));
             ctx.replay.extend(station.iter().map(|g| (g.di.inst, g.vals)));
         }
-        self.standby_clear(s, ls);
-        self.idle_contexts += 1;
+        self.standby.clear(s, ls);
+        self.set_ctx_state(f.ctx, CtxState::Waiting { until: ready_at });
         // Save the restart point: the oldest unissued instruction.
         let resume_pc = self.next_window_pc(s);
         let ctx = &mut self.contexts[f.ctx];
-        ctx.state = CtxState::Waiting { until: ready_at };
         ctx.resume_pc = resume_pc;
         // Earlier replay entries still in the window move back to the
         // buffer so they re-execute on resume.
@@ -2176,18 +1918,14 @@ impl Machine {
                 ctx.replay.push((*inst, *vals));
             }
         }
-        self.detach(s);
+        self.unbind(s);
         self.stats.context_switches += 1;
-        if TRACED {
-            if let Some(sink) = self.sink.as_deref_mut() {
-                sink.event(&TraceEvent::ContextSwitch {
-                    cycle: self.cycle,
-                    slot: s,
-                    ctx: f.ctx,
-                    resume_at: ready_at,
-                });
-            }
-        }
+        self.emit::<TRACED>(|m| TraceEvent::ContextSwitch {
+            cycle: m.cycle,
+            slot: s,
+            ctx: f.ctx,
+            resume_at: ready_at,
+        });
         Ok(())
     }
 }

@@ -40,29 +40,31 @@
 //!
 //! The slot's wake reason comes from its [`super::SlotBlock`] — the
 //! ready-frontier descriptor the issue phase maintains for a provably
-//! stalled bound slot (an unexpired branch shadow, fetch starvation,
-//! or a blocked head stall with a wake hint from the scoreboard, the
-//! queue ring, or the standby occupancy) — or from the same facts
-//! re-derived from live state, including a head probe. Unbound slots
-//! stay NoThread until a bind, which the jump conditions bound. A slot
-//! whose next change is not provably timed (e.g. a non-blockable head
-//! stall) vetoes the jump — correctness never depends on the wheel
-//! firing — and so do one-cycle jumps, whose bookkeeping costs more
-//! than the step they would save.
+//! stalled bound slot — or else from [`Machine::verdict`], the one
+//! derivation from live state of what a bound slot does at a cycle:
+//! an unexpired branch shadow, fetch starvation, or a single-issue
+//! head probe whose stall carries a wake hint from the scoreboard, the
+//! queue ring, or the standby occupancy. Unbound slots stay NoThread
+//! until a bind, which the jump conditions bound. A slot whose next
+//! change is not provably timed (e.g. a non-blockable head stall)
+//! vetoes the jump — correctness never depends on the wheel firing —
+//! and so do one-cycle jumps, whose bookkeeping costs more than the
+//! step they would save. The verdict is also the debug oracle of every
+//! block the issue phase replays and of both ends of every span
+//! ([`Machine::assert_verdict`]).
 
 use super::*;
 
-/// What `slot_stall_horizon` proved about a slot at cycle `next`.
+/// What a bound slot provably does at a cycle `t` (see
+/// [`Machine::verdict`]).
 enum Horizon {
-    /// The slot provably re-records `reason`/`pc` every cycle strictly
-    /// before `wake` (`u64::MAX`: until an event absorbed by the span
-    /// walk). `fill` flags a probed head still in the fetch buffer —
-    /// the span walk replays the window fill at the span's first
-    /// cycle. `probed` marks descriptors derived from a fresh
-    /// `check_issue` probe (rather than an existing block or a pure
-    /// state countdown), which the wheel installs as a block.
-    Stall { wake: u64, reason: StallReason, pc: Option<u32>, fill: bool, probed: bool },
-    /// The probe proved the head passes `check_issue` at `next`: no
+    /// The slot re-records `stall`'s reason and pc every cycle from `t`
+    /// strictly before its wake (`u64::MAX`: until an event absorbed by
+    /// the span walk). `fill` flags a probed head still in the fetch
+    /// buffer — the span walk replays the window fill at the span's
+    /// first cycle.
+    Stall { stall: SlotBlock, fill: bool },
+    /// The probe proved the head passes `check_issue` at `t`: no
     /// jump, but the proof is reusable — the next step's issue path
     /// can skip its own head evaluation (see `Machine::head_pass`).
     Issues { pc: u32 },
@@ -93,7 +95,7 @@ impl Machine {
         // at the start of the next step — an event in itself (it can
         // ungate stores), so never jump over it.
         let h = self.prio.highest();
-        if !self.bound.contains(h) && !self.slot_has_standby(h) && !self.bound.is_empty() {
+        if !self.bound.contains(h) && !self.standby.has(h) && !self.bound.is_empty() {
             return;
         }
         // The watchdog trips at `max_cycles`, so a span may extend to
@@ -106,18 +108,9 @@ impl Machine {
         let mut stall = None;
         if let Some(s) = self.bound.iter().next() {
             match self.slot_stall_horizon(s, from) {
-                Horizon::Stall { wake, reason, pc, fill, probed } => {
-                    target = target.min(wake);
-                    if probed && !fill {
-                        // The probe satisfied the head block's creation
-                        // preconditions (single-issue, the window holds
-                        // exactly this fresh non-gated head) — keep its
-                        // result, so a landing step short of `wake`
-                        // short-circuits instead of re-evaluating.
-                        let pc = pc.expect("probed stalls carry the head pc");
-                        self.block_slot(s, reason, Some(pc), wake);
-                    }
-                    stall = Some(SpanStall { slot: s, reason, pc, fill });
+                Horizon::Stall { stall: b, fill } => {
+                    target = target.min(b.wake);
+                    stall = Some(SpanStall { slot: s, reason: b.reason, pc: b.pc, fill });
                 }
                 Horizon::Issues { pc } => {
                     // No jump — but the next step can reuse the proof,
@@ -130,10 +123,9 @@ impl Machine {
             }
         }
         // A one-cycle jump is never worth the span-walk bookkeeping —
-        // the next real step re-records the same stall (cheaply, via
-        // the block the probe just installed) at the same cost. The
-        // scans below only lower `target`, so bail before paying for
-        // them.
+        // the next real step re-records the same stall at the same
+        // cost. The scans below only lower `target`, so bail before
+        // paying for them.
         if target <= from + 1 {
             return;
         }
@@ -142,7 +134,7 @@ impl Machine {
         // boundary, where the per-cycle flips are replayed.
         let bindable = !SlotSet::first(self.slots.len())
             .minus(self.bound)
-            .minus(self.standby_slots())
+            .minus(self.standby.slots())
             .is_empty();
         if bindable && self.idle_contexts > 0 {
             for ctx in &self.contexts {
@@ -157,9 +149,10 @@ impl Machine {
         // of their class frees — unless gated on the priority, which
         // only a rotation lifts (with a single live slot, the token
         // always comes straight back to that slot).
-        for ci in set_bits(self.standby_classes.into()) {
-            let ungated = self.standby_mask[ci].iter().any(|s| {
-                self.station(s, ci)
+        for ci in self.standby.classes() {
+            let ungated = self.standby.slots_in(ci).iter().any(|s| {
+                self.standby
+                    .station(s, ci)
                     .first()
                     .is_some_and(|f| !f.di.needs_highest_priority() || self.prio.highest() == s)
             });
@@ -176,98 +169,89 @@ impl Machine {
         }
     }
 
-    /// The earliest cycle (searching from `next`) at which bound slot
-    /// `s` could do anything other than re-record the same stall, with the
-    /// stall descriptor every skipped cycle records — see [`Horizon`].
-    /// `u64::MAX` marks states only an event (bounded elsewhere or
+    /// What bound slot `s` does at cycle `next`: its live block, if
+    /// that wakes after `next`, else its [`Machine::verdict`].
+    /// `u64::MAX` wakes mark states only an event (bounded elsewhere or
     /// absorbed by the span walk) can change.
     fn slot_stall_horizon(&self, s: usize, next: u64) -> Horizon {
-        let slot = &self.slots[s];
-        if let Some(b) = slot.block {
+        match self.slots[s].block {
             // A live block is its own horizon: the issue phase proved
             // the descriptor re-records identically until `wake`, and
             // every clearing event is either bounded below by the jump
             // conditions or absorbed by the span walk.
-            if b.wake > next {
-                return Horizon::Stall {
-                    wake: b.wake,
-                    reason: b.reason,
-                    pc: b.pc,
-                    fill: false,
-                    probed: false,
-                };
-            }
-            // Expired at the probe cycle: fall through and re-derive
-            // from live state, exactly as the next real step would
-            // after unblocking.
+            Some(b) if b.wake > next => Horizon::Stall { stall: b, fill: false },
+            _ => self.verdict(s, next),
         }
-        if slot.earliest_issue > next {
-            // Branch shadow / rebind penalty: pure cycle countdown.
-            return Horizon::Stall {
-                wake: slot.earliest_issue,
-                reason: StallReason::BranchShadow,
-                pc: Some(self.next_window_pc(s)),
-                fill: false,
-                probed: false,
-            };
+    }
+
+    /// What bound slot `s` provably does at cycle `t`, derived from
+    /// live state alone (never from its block) and free of side
+    /// effects. In order: the branch shadow and fetch starvation
+    /// ([`Machine::pipeline_stall`]), then — at single-issue decode
+    /// only — a probe of the head the issue path would evaluate,
+    /// including a head still in the fetch buffer (`fill`). The probe
+    /// holds under the head block's own preconditions: the window is at
+    /// most this head, so nothing issues around it; a fresh, non-gated
+    /// instruction, which no rotation can ungate mid-span; and a wake
+    /// hint from `check_issue`. This is what lets an *issuing* cycle
+    /// start a jump without a discovery step in between.
+    fn verdict(&self, s: usize, t: u64) -> Horizon {
+        if let Some(stall) = self.pipeline_stall(s, t) {
+            return Horizon::Stall { stall, fill: false };
         }
-        if slot.window.is_empty() && self.fetch.credits(s) == 0 {
-            // Starved for instructions: only a fetch delivery — which
-            // the span walk watches for — changes this.
-            return Horizon::Stall {
-                wake: u64::MAX,
-                reason: StallReason::Fetch,
-                pc: Some(slot.fetch_pc),
-                fill: false,
-                probed: false,
-            };
-        }
-        // No block yet: probe the head the next step would evaluate.
-        // Sound under exactly the head block's own preconditions — single-
-        // issue decode (the window is at most this head, so the
-        // evaluation is pure and nothing issues around it), a fresh
-        // non-gated instruction, and a wake hint from `check_issue`.
-        // This is what lets an *issuing* cycle start a jump without a
-        // discovery step in between.
-        if self.config.issue_width != 1 {
+        let slot = &self.slots[s];
+        if self.config.issue_width != 1 || (!self.config.standby_stations && self.standby.has(s)) {
+            // Wider windows, and a decode unit blocked by its own
+            // standby entry (an ablation), have no knowable wake.
             return Horizon::Unknown;
-        }
-        if !self.config.standby_stations && self.slot_has_standby(s) {
-            return Horizon::Unknown; // blocked decode (ablation): wake unknowable
         }
         let (pc, fill) = match slot.window.front() {
             Some(&WinEntry::Fresh(pc)) if slot.window.len() == 1 => (pc, false),
-            None if self.fetch.credits(s) > 0 => {
-                let pc = slot.fetch_pc;
-                if (pc as usize) >= self.program.len() {
-                    return Horizon::Unknown; // fetched past the end: real step faults
-                }
-                (pc, true)
-            }
+            // A fetch past the end faults in the real step.
+            None if (slot.fetch_pc as usize) < self.program.len() => (slot.fetch_pc, true),
             _ => return Horizon::Unknown,
         };
         let di = self.program.insts()[pc as usize];
         if di.needs_highest_priority() {
-            return Horizon::Unknown; // a rotation could ungate it mid-span
+            return Horizon::Unknown;
         }
-        let ctx_i = slot.ctx.expect("horizons are taken for bound slots");
-        match self.check_issue(
-            s,
-            ctx_i,
-            &di,
-            false,
-            next,
-            0,
-            0,
-            (false, false),
-            &[false; FU_CLASS_COUNT],
-            true,
-        ) {
-            Err(IssueBlock::Stall(reason, Some(wake))) if wake > next => {
-                Horizon::Stall { wake, reason, pc: Some(pc), fill, probed: true }
+        let ctx_i = slot.ctx.expect("verdicts are taken for bound slots");
+        match self.head_check(s, ctx_i, &di, false, t) {
+            Err(IssueBlock::Stall(reason, Some(wake))) if wake > t => {
+                Horizon::Stall { stall: SlotBlock { reason, pc: Some(pc), wake }, fill }
             }
             Ok(()) => Horizon::Issues { pc },
             _ => Horizon::Unknown, // faults, or an unbounded stall
+        }
+    }
+
+    /// Debug-build oracle of the block invariant, for every block the
+    /// issue phase replays and both ends of every span: re-derived
+    /// from live state, slot `s` records `reason` at `pc` at cycle `t`
+    /// and stays stalled past `t`. For a replayed block (`block_wake`)
+    /// the verdict also wakes when the block does, and comes from the
+    /// window's head, not from a probe of the fetch buffer.
+    #[cfg(debug_assertions)]
+    pub(super) fn assert_verdict(
+        &self,
+        s: usize,
+        t: u64,
+        reason: StallReason,
+        pc: Option<u32>,
+        block_wake: Option<u64>,
+    ) {
+        let Horizon::Stall { stall: v, fill } = self.verdict(s, t) else {
+            panic!("slot {s} must be provably stalled at cycle {t}");
+        };
+        let wake = v.wake;
+        assert_eq!((v.reason, v.pc), (reason, pc), "slot {s}'s stall drifted at cycle {t}");
+        assert!(wake > t, "slot {s} woke at {wake}, at or before stalled cycle {t}");
+        if let Some(block_wake) = block_wake {
+            assert!(
+                wake == block_wake && !fill,
+                "slot {s}'s block (wake {block_wake}) diverged from its verdict (wake {wake}, \
+                 fill {fill}) at cycle {t}"
+            );
         }
     }
 
@@ -284,7 +268,7 @@ impl Machine {
     fn walk_span(&mut self, from: u64, mut target: u64, mut stall: Option<SpanStall>) {
         #[cfg(debug_assertions)]
         if let Some(st) = stall {
-            self.assert_slot_inert(st.slot, from, st.reason, st.pc);
+            self.assert_verdict(st.slot, from, st.reason, st.pc, None);
         }
         let depth = self.config.pipeline.decode_depth();
         // Binds are excluded across the span (see the jump conditions)
@@ -344,7 +328,7 @@ impl Machine {
         let end = woke.unwrap_or(target);
         #[cfg(debug_assertions)]
         if let (Some(st), None) = (stall, woke) {
-            self.assert_slot_inert(st.slot, end - 1, st.reason, st.pc);
+            self.assert_verdict(st.slot, end - 1, st.reason, st.pc, None);
         }
         // Rotations: when the span stopped at a woken slot, the
         // stopping cycle's tick belongs to the wheel too (the real
@@ -397,31 +381,13 @@ impl Machine {
         );
         let s = &mut self.slots[st.slot];
         s.earliest_issue = s.earliest_issue.max(t + depth);
-        let wake = s.earliest_issue;
-        let pc = self.next_window_pc(st.slot);
-        st.reason = StallReason::BranchShadow;
-        st.pc = Some(pc);
         // The step path would unblock on the delivery, re-evaluate,
         // and re-block on the extended shadow; the span fuses that
         // into one block rewrite with identical stalls.
-        self.block_slot(st.slot, StallReason::BranchShadow, Some(pc), wake);
-        wake
-    }
-
-    /// Debug-build proof that a span is inert for slot `s` at cycle
-    /// `t`: re-derived from live state — not from its block — the slot
-    /// records exactly the span's stall descriptor and stays stalled
-    /// past `t`.
-    #[cfg(debug_assertions)]
-    fn assert_slot_inert(&mut self, s: usize, t: u64, reason: StallReason, pc: Option<u32>) {
-        let block = self.slots[s].block.take();
-        let horizon = self.slot_stall_horizon(s, t);
-        self.slots[s].block = block;
-        let Horizon::Stall { wake, reason: r, pc: p, .. } = horizon else {
-            panic!("slot {s} must stay provably stalled across the span (cycle {t})");
-        };
-        assert_eq!((r, p), (reason, pc), "slot {s} stall descriptor drifted at cycle {t}");
-        assert!(wake > t, "slot {s} woke at {wake}, at or before skipped cycle {t}");
+        let b = self.pipeline_stall(st.slot, t).expect("a redirect delivery opens a shadow");
+        (st.reason, st.pc) = (b.reason, b.pc);
+        self.slots[st.slot].block = Some(b);
+        b.wake
     }
 }
 /// Property tests for the wake-time arithmetic (found regressions live
@@ -588,5 +554,28 @@ consume:
         while !plain.step().unwrap() {}
         assert_eq!(wheel.stats(), plain.stats());
         assert_eq!(wheel.cycles(), plain.cycles());
+    }
+
+    /// Four slots share the fetch unit, so slot 0's straight-line run
+    /// starves while the other three fetch; when they halt, slot 0 is
+    /// the one live slot and holds a `Fetch` block. The wheel's jump
+    /// must lift that block where the refill lands, or the landing
+    /// step would replay it.
+    #[test]
+    fn a_refill_landing_lifts_the_fetch_block() {
+        for others in 1..=3 {
+            let mut src = String::from("fastfork\nlpid r1\nbne r1, #0, other\n");
+            for i in 0..80 {
+                src.push_str(&format!("add r{}, r0, #1\n", 2 + i % 8));
+            }
+            src.push_str("halt\nother:\n");
+            src.push_str(&"fadd f10, f1, f1\n".repeat(others));
+            src.push_str("halt\n");
+            let program = hirata_asm::assemble(&src).expect("valid program");
+            let (mut wheel, mut plain) = machines(&program, 4);
+            wheel.run().unwrap();
+            while !plain.step().unwrap() {}
+            assert_eq!(wheel.stats(), plain.stats(), "{others} fadds before the halt");
+        }
     }
 }

@@ -3,9 +3,11 @@
 //! and machine checks.
 
 use hirata_asm::assemble;
-use hirata_isa::{GReg, Program};
+use hirata_isa::{GReg, Program, RotationMode};
 use hirata_mem::DsmMemory;
-use hirata_sim::{Config, Emulator, Machine, MachineError, StallReason, StuckSlot};
+use hirata_sim::{
+    Config, Emulator, Machine, MachineError, RingSink, StallReason, StuckSlot, TraceEvent,
+};
 
 fn run(config: Config, src: &str) -> Machine {
     let prog = assemble(src).expect("test program assembles");
@@ -138,6 +140,111 @@ fn queue_fifo_order_is_preserved() {
     assert_eq!(m.memory().read_i64(420).unwrap(), 1);
     assert_eq!(m.memory().read_i64(421).unwrap(), 2);
     assert_eq!(m.memory().read_i64(422).unwrap(), 3);
+}
+
+/// A writer blocked on a full link, with nothing of its own in flight,
+/// is freed by the consumer's pop alone: no writeback, standby pop or
+/// queue push reaches the writer's slot meanwhile. The consumer
+/// delays its first pop behind a divide chain, so the writer holds its
+/// `QueueFull` block for dozens of cycles.
+#[test]
+fn only_the_consumers_pop_frees_a_writer_blocked_on_a_full_link() {
+    let src = "
+        qmap r10, r11
+        lif  f1, #5.0
+        fastfork
+        lpid r1
+        bne  r1, #0, consumer
+        li   r5, #1
+        add  r11, r5, #4     ; fills the one-entry link
+        add  r11, r5, #9     ; QueueFull until the consumer pops
+        halt
+    consumer:
+        fdiv f1, f1, f1
+        fdiv f1, f1, f1
+        cvtfi r3, f1         ; 1, after two dependent divides
+        add  r22, r10, r3    ; the first pop: 5 + 1
+        add  r23, r10, r22   ; 10 + 6
+        sw   r23, 320(r0)
+        halt
+    ";
+    let mut config = Config::multithreaded(2);
+    config.queue_capacity = 1;
+    config.max_cycles = 10_000;
+    let m = run(config, src);
+    assert_eq!(m.memory().read_i64(320).unwrap(), 16);
+    let full = m.stats().stalls.count(StallReason::QueueFull);
+    assert!(full >= 30, "the writer waited only {full} cycles on the full link");
+}
+
+/// A trapped slot's non-memory standby entry writes back after its
+/// context has resumed on another slot, and that writeback is what
+/// frees the new slot's `Data` block on the entry's destination. LP 0
+/// keeps the one FP multiplier busy every cycle at the highest
+/// priority, so LP 1's `fmul` waits in standby while LP 1's remote
+/// load traps; LP 2 halted at once, so the woken context binds to slot
+/// 2, and its `fadd` blocks on `f7` until LP 0 halts and the `fmul`
+/// finally wins the multiplier.
+#[test]
+fn a_trapped_slots_standby_result_frees_its_context_on_another_slot() {
+    let mut hog = String::new();
+    for i in 0..60 {
+        hog.push_str(&format!("        fmul f{}, f1, f1\n", 10 + i % 10));
+    }
+    let src = format!(
+        "
+        lif  f1, #3.0
+        fastfork
+        lpid r1
+        beq  r1, #0, hog
+        beq  r1, #2, idle
+        fmul f7, f1, f1      ; @5: waits in standby behind LP 0
+        lw   r8, 5000(r0)    ; remote: traps, switching the context out
+        fadd f9, f7, f1      ; resumes on slot 2, blocked on f7
+        sf   f9, 900(r0)
+        halt
+    idle:
+        halt
+    hog:
+{hog}        halt
+    "
+    );
+    let prog = assemble(&src).unwrap();
+    let mut config = Config::multithreaded(3);
+    config.rotation = RotationMode::Implicit { interval: 256 };
+    config.private_fetch = true;
+    config.mem_words = 1 << 16;
+    config.max_cycles = 10_000;
+    let mut m =
+        Machine::with_mem_model(config, &prog, Box::new(DsmMemory::new(4096, 2, 4))).unwrap();
+    let ring = RingSink::new(1 << 16);
+    m.attach_trace_sink(Box::new(ring.clone()));
+    m.run().expect("program runs");
+    assert_eq!(m.stats().context_switches, 1);
+    assert_eq!(f64::from_bits(m.memory().read(900).unwrap()), 12.0);
+    // LP 1's context resumed on slot 2 and stalled there on `f7`
+    // before the `fmul` left slot 1's station.
+    let events = ring.events();
+    let resumed = events
+        .iter()
+        .find_map(|e| match *e {
+            TraceEvent::ThreadBind { cycle, slot: 2, ctx: 1, .. } => Some(cycle),
+            _ => None,
+        })
+        .expect("LP 1's context resumes on slot 2");
+    let fmul_done = events
+        .iter()
+        .find_map(|e| match *e {
+            TraceEvent::Writeback { cycle, slot: 1, ctx: 1, pc: 5, .. } => Some(cycle),
+            _ => None,
+        })
+        .expect("the fmul writes back from slot 1");
+    assert!(resumed < fmul_done, "bound at {resumed}, fmul wrote back at {fmul_done}");
+    let stalled_on_f7 = events.iter().any(|e| {
+        matches!(*e, TraceEvent::Stall { cycle, slot: 2, reason: StallReason::Data, .. }
+            if cycle > resumed && cycle < fmul_done)
+    });
+    assert!(stalled_on_f7, "slot 2 must wait on the fmul's result");
 }
 
 /// An instruction that names the read-mapped queue register in both

@@ -1,8 +1,9 @@
-//! The flattened standby stations (fixed-capacity ring per
-//! `(slot, unit class)` with occupancy counters and per-class slot
-//! masks) must behave exactly like the simple latches of §2.2: park on
-//! lost arbitration, drain in order as units free up, and flush into
-//! the access requirement buffer on a data-absence trap. Running these
+//! The flattened standby stations (one depth-sized FIFO per
+//! `(slot, unit class)` in a buffer sized at construction, with
+//! occupancy counters and per-class slot masks) must behave exactly
+//! like the simple latches of §2.2: park on lost arbitration, drain in
+//! order as units free up, and flush into the access requirement
+//! buffer on a data-absence trap. Running these
 //! scenarios in a debug build also exercises the internal
 //! `debug_assert` rescans that compare the occupancy counters and
 //! `SlotSet` masks against a from-scratch recount every cycle.

@@ -35,7 +35,8 @@
 # repetition and pairing live here, not in the probe.
 #
 # Exit status: 1 when the geomean is below FLOOR (0.95), that is when
-# B reads more than 5% slower than A. CI's time gate
+# B reads more than 5% slower than A; 2 on a usage error, including a
+# point that either probe prints no result for. CI's time gate
 # (scripts/perf_gate.sh) is this verdict over the default points;
 # EXPERIMENTS.md ("One paired perf gate") has its calibration.
 
@@ -74,7 +75,16 @@ for ((r = 1; r <= ROUNDS; r++)); do
     for point in ${POINTS//,/ }; do
         for side in $order; do
             if [ "$side" = A ]; then bin="$BIN_A"; else bin="$BIN_B"; fi
-            "$bin" --probe --points "$point" >>"$TMP/${side}_$r.tsv"
+            line="$("$bin" --probe --points "$point")"
+            # A probe built before unknown keys were errors prints
+            # nothing for one, so check the key here too: a missing
+            # point is a usage error, not a regression.
+            if [ "${line%%$'\t'*}" != "$point" ]; then
+                echo "error: $bin printed no result for point '$point'" >&2
+                echo "usage: $0 <binary-A> <binary-B> [rounds] [points]" >&2
+                exit 2
+            fi
+            echo "$line" >>"$TMP/${side}_$r.tsv"
         done
     done
     echo "round $r/$ROUNDS done" >&2
@@ -103,7 +113,7 @@ while IFS=$'\t' read -r key _; do
         b=$(awk -F'\t' -v k="$key" '$1 == k { print $2 }' "$TMP/B_$r.tsv")
         if [ -z "$a" ] || [ -z "$b" ]; then
             echo "error: point $key missing from round $r output" >&2
-            exit 1
+            exit 2
         fi
         echo "$a" >>"$TMP/a_$safe.txt"
         echo "$b" >>"$TMP/b_$safe.txt"
