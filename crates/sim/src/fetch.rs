@@ -80,6 +80,11 @@ pub(crate) struct FetchSystem {
     /// or delivery, so every per-cycle walk over private units visits
     /// the active slots only.
     active: SlotSet,
+    /// The active slots due a refill: room in the buffer, no redirect
+    /// pending. A slot joins on activation and `consume` and leaves on
+    /// a delivery, a redirect request or deactivation. A unit picks
+    /// only after its last delivery landed, so none is in flight.
+    hungry: SlotSet,
     /// Round-robin pointer (shared unit only).
     rr: usize,
 }
@@ -94,6 +99,7 @@ impl FetchSystem {
             slots: vec![SlotFetch::default(); slots],
             redirects: VecDeque::new(),
             active: SlotSet::EMPTY,
+            hungry: SlotSet::EMPTY,
             rr: 0,
         }
     }
@@ -105,8 +111,9 @@ impl FetchSystem {
 
     /// Consumes one credit (an instruction entered decode).
     pub(crate) fn consume(&mut self, slot: usize) {
-        debug_assert!(self.slots[slot].credits > 0);
+        debug_assert!(self.slots[slot].credits > 0 && !self.slots[slot].awaiting_redirect);
         self.slots[slot].credits -= 1;
+        self.hungry.insert(slot);
     }
 
     /// Marks a slot as having (or not having) a running thread; only
@@ -114,8 +121,10 @@ impl FetchSystem {
     pub(crate) fn set_active(&mut self, slot: usize, active: bool) {
         if active {
             self.active.insert(slot);
+            self.hungry.insert(slot);
         } else {
             self.active.remove(slot);
+            self.hungry.remove(slot);
             self.cancel(slot);
             self.slots[slot].awaiting_redirect = false;
         }
@@ -147,6 +156,7 @@ impl FetchSystem {
         }
         self.redirects.push_back((now, slot));
         self.slots[slot].awaiting_redirect = true;
+        self.hungry.remove(slot);
     }
 
     /// Start-of-cycle: applies deliveries landing at `now`, appending
@@ -172,6 +182,7 @@ impl FetchSystem {
     fn deliver(&mut self, d: Delivery, out: &mut Vec<Delivery>) {
         let slot = &mut self.slots[d.slot];
         slot.credits = self.capacity;
+        self.hungry.remove(d.slot);
         if d.redirect {
             slot.awaiting_redirect = false;
         }
@@ -205,22 +216,12 @@ impl FetchSystem {
         }
     }
 
-    /// True if active `slot` is due a round-robin refill: no redirect
-    /// pending, room in its buffer, and no delivery already in flight.
-    fn needs_refill(&self, slot: usize) -> bool {
-        let s = &self.slots[slot];
-        let unit = if self.private { &s.unit } else { &self.shared };
-        !s.awaiting_redirect
-            && s.credits < self.capacity
-            && unit.pending.is_none_or(|d| d.slot != slot)
-    }
-
     fn pick_for_private_unit(&mut self, slot: usize, now: u64) -> Option<Delivery> {
         if let Some(pos) = self.redirects.iter().position(|&(t, s)| s == slot && t < now) {
             self.redirects.remove(pos);
             return Some(Delivery { slot, redirect: true });
         }
-        self.needs_refill(slot).then_some(Delivery { slot, redirect: false })
+        self.hungry.contains(slot).then_some(Delivery { slot, redirect: false })
     }
 
     fn pick_for_shared_unit(&mut self, now: u64) -> Option<Delivery> {
@@ -231,9 +232,9 @@ impl FetchSystem {
                 return Some(Delivery { slot, redirect: true });
             }
         }
-        // Round-robin refill over active, needy slots.
+        // Round-robin refill over the hungry slots.
         let n = self.slots.len();
-        let slot = self.active.iter_from(self.rr, n).find(|&slot| self.needs_refill(slot))?;
+        let slot = self.hungry.iter_from(self.rr, n).next()?;
         self.rr = if slot + 1 == n { 0 } else { slot + 1 };
         Some(Delivery { slot, redirect: false })
     }
@@ -257,7 +258,7 @@ impl FetchSystem {
         // is its earliest; a refill can start as soon as it is free.
         if !self.private {
             let free = self.shared.free_at.max(from);
-            if self.active.iter().any(|slot| self.needs_refill(slot)) {
+            if !self.hungry.is_empty() {
                 return free;
             }
             return self.redirects.front().map_or(u64::MAX, |&(t, _)| free.max(t + 1));
@@ -266,10 +267,10 @@ impl FetchSystem {
         for &(t, slot) in &self.redirects {
             next = next.min(self.slots[slot].unit.free_at.max(from).max(t + 1));
         }
-        for slot in self.active.iter() {
-            if self.needs_refill(slot) {
-                next = next.min(self.slots[slot].unit.free_at.max(from));
-            }
+        // A unit still carrying its slot's delivery frees when that
+        // lands, no earlier than the next delivery.
+        for slot in self.hungry.iter() {
+            next = next.min(self.slots[slot].unit.free_at.max(from));
         }
         next
     }

@@ -24,7 +24,7 @@ use crate::predecode::{
 use crate::priority::Priorities;
 use crate::queue::QueueRing;
 use crate::regfile::RegBank;
-use crate::stats::{RunStats, StallReason};
+use crate::stats::{RunStats, StallReason, StallTally};
 use crate::trace::{RotationKind, SlotSet, TraceEvent, TraceSink};
 
 /// An issued instruction travelling to (or waiting in a standby
@@ -104,7 +104,7 @@ enum WinEntry {
 /// they pack into the leading bytes; the window's `VecDeque` header
 /// (three pointers-worth, touched only when the slot actually decodes)
 /// trails.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 #[repr(C)]
 struct Slot {
     /// The bound context frame (mirrored by the machine's `bound`
@@ -118,12 +118,6 @@ struct Slot {
     earliest_issue: u64,
     fetch_pc: u32,
     window: VecDeque<WinEntry>,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot { ctx: None, block: None, earliest_issue: 0, fetch_pc: 0, window: VecDeque::new() }
-    }
 }
 
 /// Lifecycle of a context frame.
@@ -244,6 +238,9 @@ pub struct Machine {
     fetch: FetchSystem,
     prio: Priorities,
     stats: RunStats,
+    /// The stalls of the issue phase in progress (see
+    /// [`Machine::issue_phase`]).
+    stall_tally: StallTally,
     cycle: u64,
     /// The bound-slot mask: slot `s` is set iff `slots[s].ctx` is
     /// `Some`. [`Machine::bind`] and [`Machine::unbind`] are the only
@@ -401,7 +398,7 @@ impl Machine {
             ),
             prio: Priorities::new(s, config.rotation),
             queues: QueueRing::new(s, config.queue_capacity),
-            slots: (0..s).map(|_| Slot::new()).collect(),
+            slots: (0..s).map(|_| Slot::default()).collect(),
             standby: Standby::new(s, config.standby_depth),
             live_contexts: 0,
             idle_contexts: 0,
@@ -412,6 +409,7 @@ impl Machine {
             program,
             config,
             stats,
+            stall_tally: StallTally::default(),
             cycle: 0,
             bound: SlotSet::EMPTY,
             head_pass: None,
@@ -492,23 +490,6 @@ impl Machine {
             self.live_contexts + usize::from(state.is_live()) - usize::from(old.is_live());
         self.idle_contexts =
             self.idle_contexts + usize::from(state.is_idle()) - usize::from(old.is_idle());
-    }
-
-    /// Disjoint `(&contexts[a], &mut contexts[b])` borrows for
-    /// parent-to-child copies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b`.
-    fn pair_mut(contexts: &mut [Context], a: usize, b: usize) -> (&Context, &mut Context) {
-        assert_ne!(a, b);
-        if a < b {
-            let (lo, hi) = contexts.split_at_mut(b);
-            (&lo[a], &mut hi[0])
-        } else {
-            let (lo, hi) = contexts.split_at_mut(a);
-            (&hi[0], &mut lo[b])
-        }
     }
 
     /// Registers an additional thread starting at `pc`, occupying a
@@ -814,9 +795,10 @@ impl Machine {
         self.sink.take()
     }
 
-    /// Records one stalled slot-cycle in the stats (aggregate and
-    /// per-window) and emits the matching trace event. `pc` is the
-    /// blocking instruction's address, when one exists.
+    /// Records one stalled slot-cycle in the cycle's stall tally and
+    /// emits the matching trace event. `pc` is the blocking
+    /// instruction's address, when one exists.
+    #[inline(always)]
     fn record_stall<const TRACED: bool>(
         &mut self,
         now: u64,
@@ -824,7 +806,7 @@ impl Machine {
         reason: StallReason,
         pc: Option<u32>,
     ) {
-        self.stats.record_stall(reason, now);
+        self.stall_tally.add(reason, 1);
         self.emit::<TRACED>(|_| TraceEvent::Stall { cycle: now, slot, reason, pc });
     }
 
@@ -860,8 +842,8 @@ impl Machine {
         if self.bound.contains(h) || self.standby.has(h) || self.bound.is_empty() {
             return;
         }
-        let live = self.bound.union(self.standby.slots());
-        let rank = live.next_in_rotation(h, self.slots.len(), 0).expect("a bound slot exists");
+        let rank =
+            self.bound.union(self.standby.slots()).rotated(h, self.slots.len()).trailing_zeros();
         for _ in 0..rank {
             self.prio.force_rotate(now);
             self.emit::<TRACED>(|m| TraceEvent::Rotation {
@@ -916,7 +898,8 @@ impl Machine {
     /// instructions; decode-unit instructions execute immediately,
     /// functional-unit instructions become schedule-unit candidates
     /// (appended to `cands`). Unbound slots record their NoThread
-    /// stalls in bulk.
+    /// stalls in bulk. The phase's stalls reach the stats once per
+    /// reason when it ends, whether in `Ok` or in a slot's fault.
     fn issue_phase<const TRACED: bool>(
         &mut self,
         now: u64,
@@ -936,13 +919,17 @@ impl Machine {
         }
         let slots = self.slots.len();
         let highest = self.prio.highest();
-        // `rank` walks the priority order; the mask is re-read after
-        // every visit, because a `fastfork` binds slots further down
-        // the order (visited this cycle) and a `killothers` or `halt`
-        // unbinds them (idle from then on) — exactly the slots a full
-        // scan would have found bound or unbound on reaching them.
+        // Bit `r` of `ranks` is the bound slot at priority rank `r`,
+        // until visited. A visit that binds or unbinds slots (a
+        // `fastfork` binds slots further down the order, visited this
+        // cycle; a `killothers` or `halt` unbinds them, idle from then
+        // on) re-rotates the mask from the next rank, so the walk finds
+        // what a full scan would.
+        let mut ranks = self.bound.rotated(highest, slots);
         let mut rank = 0;
-        while let Some(next) = self.bound.next_in_rotation(highest, slots, rank) {
+        while ranks != 0 {
+            let next = ranks.trailing_zeros() as usize;
+            ranks &= ranks - 1;
             self.record_idle_slots::<TRACED>(now, highest, rank, next);
             rank = next + 1;
             let s = if highest + next >= slots { highest + next - slots } else { highest + next };
@@ -958,15 +945,24 @@ impl Machine {
                 self.record_stall::<TRACED>(now, s, b.reason, b.pc);
                 continue;
             }
-            self.issue_slot::<TRACED>(s, now, cands)?;
+            let bound = self.bound;
+            if let Err(e) = self.issue_slot::<TRACED>(s, now, cands) {
+                self.stall_tally.flush(&mut self.stats, now);
+                return Err(e);
+            }
+            if self.bound != bound {
+                ranks = self.bound.rotated(highest, slots) & (u64::MAX << next << 1);
+            }
         }
         self.record_idle_slots::<TRACED>(now, highest, rank, slots);
+        self.stall_tally.flush(&mut self.stats, now);
         Ok(())
     }
 
     /// Records the NoThread stalls of the unbound slots at priority
-    /// ranks `from..to` of cycle `now`: one bulk add to the stats, and
-    /// with a sink one `Stall` event per slot in priority order.
+    /// ranks `from..to` of cycle `now`: one add to the stall tally,
+    /// and with a sink one `Stall` event per slot in priority order.
+    #[inline(always)]
     fn record_idle_slots<const TRACED: bool>(
         &mut self,
         now: u64,
@@ -974,10 +970,7 @@ impl Machine {
         from: usize,
         to: usize,
     ) {
-        if from == to {
-            return;
-        }
-        self.stats.record_stalls(StallReason::NoThread, now, (to - from) as u64);
+        self.stall_tally.add(StallReason::NoThread, (to - from) as u64);
         let slots = self.slots.len();
         for rank in from..to {
             self.emit::<TRACED>(|_| TraceEvent::Stall {
@@ -1605,17 +1598,17 @@ impl Machine {
                 .iter()
                 .position(|c| c.state == CtxState::Free)
                 .ok_or(MachineError::NoFreeContext { pc })?;
-            let (qread, qwrite) = (self.contexts[ctx_i].qread, self.contexts[ctx_i].qwrite);
             // `fastfork` issues only against a quiescent parent bank
             // (see `check_issue`), so copying the architectural values
             // and resetting the child's scoreboard is equivalent to a
             // full clone — without the heap traffic of one.
-            let (parent, child) = Self::pair_mut(&mut self.contexts, ctx_i, free);
+            let [parent, child] =
+                self.contexts.get_disjoint_mut([ctx_i, free]).expect("the parent's frame is taken");
             child.regs.copy_arch_from(&parent.regs);
             child.lpid = j as i64;
             child.resume_pc = pc + 1;
-            child.qread = qread;
-            child.qwrite = qwrite;
+            child.qread = parent.qread;
+            child.qwrite = parent.qwrite;
             child.started = true;
             self.set_ctx_state(free, CtxState::Running);
             self.bind(j, free, pc + 1, 0, now);
@@ -1680,18 +1673,21 @@ impl Machine {
             let class = FuClass::ALL[ci];
             let competing = self.standby.slots_in(ci);
             let mut winner_slots = SlotSet::EMPTY;
-            for s in competing.iter_from(highest, slots) {
-                while let Some(&front) = self.standby.station(s, ci).first() {
+            'walk: for s in competing.iter_from(highest, slots) {
+                while let Some(front) = self.standby.station(s, ci).first() {
                     // A priority-gated store is performed only by the
                     // highest-priority logical processor (§2.3.3); if
                     // the priority rotated away while it sat in
                     // standby, it keeps waiting there (and younger
                     // same-class work behind it stays ordered).
-                    if front.di.needs_highest_priority() && self.prio.highest() != s {
+                    if front.di.needs_highest_priority() && highest != s {
                         break;
                     }
+                    // No instance frees later in the cycle (a grant
+                    // occupies only the instance granted), so the
+                    // class's later slots all lose.
                     let Some(instance) = self.fu_pool.first_free(ci, now) else {
-                        break;
+                        break 'walk;
                     };
                     let f = self.standby.pop(s, ci);
                     self.unblock(s); // a station drained: FuConflict may lift

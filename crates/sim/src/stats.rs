@@ -95,16 +95,6 @@ pub struct StallBreakdown {
 }
 
 impl StallBreakdown {
-    /// Records one stalled slot-cycle.
-    pub(crate) fn record(&mut self, reason: StallReason) {
-        self.counts[reason.index()] += 1;
-    }
-
-    /// Records `n` stalled slot-cycles at once (event-wheel jumps).
-    pub(crate) fn record_n(&mut self, reason: StallReason, n: u64) {
-        self.counts[reason.index()] += n;
-    }
-
     /// Stalled slot-cycles attributed to `reason`.
     pub fn count(&self, reason: StallReason) -> u64 {
         self.counts[reason.index()]
@@ -198,28 +188,27 @@ impl RunStats {
         }
     }
 
-    /// Records one stalled slot-cycle at machine time `now`, updating
-    /// both the aggregate breakdown and the per-window attribution.
+    /// Records `n` stalled slot-cycles at machine time `now` in the
+    /// aggregate breakdown and the per-window attribution (none at all
+    /// when `n` is zero): once per reason a cycle touched
+    /// ([`StallTally::flush`]), once per window a wheel span touched.
     #[inline(always)]
-    pub(crate) fn record_stall(&mut self, reason: StallReason, now: u64) {
-        self.stalls.record(reason);
-        let window = (now / STALL_WINDOW_CYCLES) as usize;
-        self.ensure_windows(window);
-        self.stall_windows[window][reason.index()] += 1;
-    }
-
-    /// Records `n` stalled slot-cycles at machine time `now` — the
-    /// bulk form of [`RunStats::record_stall`] the machine uses for
-    /// its unbound slots' NoThread stalls. Equivalent to `n` calls of
-    /// `record_stall(reason, now)` (none at all when `n` is zero).
     pub(crate) fn record_stalls(&mut self, reason: StallReason, now: u64, n: u64) {
         if n == 0 {
             return;
         }
-        self.stalls.record_n(reason, n);
+        self.stalls.counts[reason.index()] += n;
         let window = (now / STALL_WINDOW_CYCLES) as usize;
         self.ensure_windows(window);
         self.stall_windows[window][reason.index()] += n;
+    }
+
+    /// Makes sure the per-window table reaches window `last`.
+    #[inline(always)]
+    fn ensure_windows(&mut self, last: usize) {
+        if self.stall_windows.len() <= last {
+            self.grow_windows(last);
+        }
     }
 
     /// Grows the per-window table through `last`, reserving in
@@ -227,20 +216,17 @@ impl RunStats {
     /// sparse: a fast-forward jump covering thousands of cycles stays
     /// allocation-free in steady state instead of hitting the vector's
     /// own amortized doubling mid-measurement.
-    fn ensure_windows(&mut self, last: usize) {
-        if self.stall_windows.len() <= last {
-            let cap = (last + 1).max(64).next_power_of_two();
-            self.stall_windows.reserve_exact(cap - self.stall_windows.len());
-            self.stall_windows.resize(last + 1, [0; STALL_REASON_COUNT]);
-        }
+    #[cold]
+    fn grow_windows(&mut self, last: usize) {
+        let cap = (last + 1).max(64).next_power_of_two();
+        self.stall_windows.reserve_exact(cap - self.stall_windows.len());
+        self.stall_windows.resize(last + 1, [0; STALL_REASON_COUNT]);
     }
 
     /// Records `slots` stalled slot-cycles for every machine cycle in
-    /// the half-open span `[from, to)` — the batched form of
-    /// [`RunStats::record_stall`] used when the event wheel skips a
-    /// run of provably stalled cycles. Equivalent to calling
-    /// `record_stalls(reason, t, slots)` for each `t` in the span,
-    /// including the per-window attribution.
+    /// the half-open span `[from, to)`, as the event wheel skips a run
+    /// of provably stalled cycles: one [`RunStats::record_stalls`] per
+    /// window the span touches (a span seldom leaves its first).
     pub(crate) fn record_stall_span(
         &mut self,
         reason: StallReason,
@@ -248,20 +234,11 @@ impl RunStats {
         to: u64,
         slots: u64,
     ) {
-        if from >= to || slots == 0 {
-            return;
-        }
-        self.stalls.record_n(reason, (to - from) * slots);
-        // One division finds the first window; a span seldom leaves it.
-        let (mut t, mut w) = (from, (from / STALL_WINDOW_CYCLES) as usize);
-        loop {
-            let end = ((w as u64 + 1) * STALL_WINDOW_CYCLES).min(to);
-            self.ensure_windows(w);
-            self.stall_windows[w][reason.index()] += (end - t) * slots;
-            if end == to {
-                return;
-            }
-            (t, w) = (end, w + 1);
+        let mut t = from;
+        while t < to {
+            let end = ((t / STALL_WINDOW_CYCLES + 1) * STALL_WINDOW_CYCLES).min(to);
+            self.record_stalls(reason, t, (end - t) * slots);
+            t = end;
         }
     }
 
@@ -328,6 +305,34 @@ impl RunStats {
     }
 }
 
+/// The stalled slot-cycles of the cycle in progress, one byte per
+/// reason: a cycle records at most one stall per slot, of at most
+/// [`MAX_THREAD_SLOTS`](crate::MAX_THREAD_SLOTS) = 64.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct StallTally(u64);
+
+impl StallTally {
+    /// Adds `n` stalled slot-cycles of `reason`.
+    #[inline(always)]
+    pub(crate) fn add(&mut self, reason: StallReason, n: u64) {
+        let shift = 8 * reason.index();
+        debug_assert!((self.0 >> shift & 0xff) + n <= 0xff, "stall tally byte overflows");
+        self.0 += n << shift;
+    }
+
+    /// Records the tally in `stats` as stalls at cycle `now`, one
+    /// [`RunStats::record_stalls`] per touched reason, and empties it.
+    #[inline(always)]
+    pub(crate) fn flush(&mut self, stats: &mut RunStats, now: u64) {
+        let mut bytes = std::mem::take(&mut self.0);
+        while bytes != 0 {
+            let shift = bytes.trailing_zeros() & !7;
+            stats.record_stalls(StallReason::ALL[shift as usize / 8], now, bytes >> shift & 0xff);
+            bytes &= !(0xff << shift);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,10 +371,10 @@ mod tests {
 
     #[test]
     fn stall_breakdown_counts() {
-        let mut b = StallBreakdown::default();
-        b.record(StallReason::Data);
-        b.record(StallReason::Data);
-        b.record(StallReason::Fetch);
+        let mut counts = [0; STALL_REASON_COUNT];
+        counts[StallReason::Data.index()] = 2;
+        counts[StallReason::Fetch.index()] = 1;
+        let b = StallBreakdown::from_counts(counts);
         assert_eq!(b.count(StallReason::Data), 2);
         assert_eq!(b.count(StallReason::Fetch), 1);
         assert_eq!(b.count(StallReason::Priority), 0);
@@ -379,10 +384,10 @@ mod tests {
     #[test]
     fn record_stall_buckets_by_window() {
         let mut stats = RunStats::default();
-        stats.record_stall(StallReason::Data, 0);
-        stats.record_stall(StallReason::Data, STALL_WINDOW_CYCLES - 1);
-        stats.record_stall(StallReason::Fetch, STALL_WINDOW_CYCLES);
-        stats.record_stall(StallReason::QueueFull, 5 * STALL_WINDOW_CYCLES + 3);
+        stats.record_stalls(StallReason::Data, 0, 1);
+        stats.record_stalls(StallReason::Data, STALL_WINDOW_CYCLES - 1, 1);
+        stats.record_stalls(StallReason::Fetch, STALL_WINDOW_CYCLES, 1);
+        stats.record_stalls(StallReason::QueueFull, 5 * STALL_WINDOW_CYCLES + 3, 1);
         assert_eq!(stats.stall_windows.len(), 6);
         assert_eq!(stats.stall_windows[0][StallReason::Data.index()], 2);
         assert_eq!(stats.stall_windows[1][StallReason::Fetch.index()], 1);
@@ -413,7 +418,7 @@ mod tests {
                 for t in from..to {
                     bulk.record_stalls(StallReason::QueueEmpty, t, slots);
                     for _ in 0..slots {
-                        looped.record_stall(StallReason::QueueEmpty, t);
+                        looped.record_stalls(StallReason::QueueEmpty, t, 1);
                     }
                 }
                 assert_eq!(spanned, looped, "span [{from}, {to}) x {slots}");
@@ -423,11 +428,33 @@ mod tests {
     }
 
     #[test]
+    fn a_flushed_tally_equals_one_record_per_stall() {
+        // Every reason, a full 64-slot byte, and cycles in two windows.
+        for now in [0, 3 * STALL_WINDOW_CYCLES - 1] {
+            let mut tally = StallTally::default();
+            let mut flushed = RunStats::default();
+            let mut looped = RunStats::default();
+            for (i, reason) in StallReason::ALL.into_iter().enumerate() {
+                let n = [64, 1, 0, 7, 2, 0, 255 - 64, 3][i];
+                tally.add(reason, n);
+                for _ in 0..n {
+                    looped.record_stalls(reason, now, 1);
+                }
+            }
+            tally.flush(&mut flushed, now);
+            assert_eq!(flushed, looped, "cycle {now}");
+            // A flush empties the tally.
+            tally.flush(&mut flushed, now + 1);
+            assert_eq!(flushed, looped, "cycle {now}, second flush");
+        }
+    }
+
+    #[test]
     fn report_appends_window_table_only_when_stalled() {
         let mut stats = RunStats { cycles: 10, ..RunStats::default() };
         stats.fu_instances[FuClass::IntAlu.index()] = 1;
         assert!(!stats.utilization_report().contains("stall attribution"));
-        stats.record_stall(StallReason::BranchShadow, 4);
+        stats.record_stalls(StallReason::BranchShadow, 4, 1);
         let report = stats.utilization_report();
         assert!(report.contains("stall attribution per 1000-cycle window"));
         assert!(report.contains("branch-shadow"));
@@ -437,7 +464,7 @@ mod tests {
     fn report_collapses_window_tail() {
         let mut stats = RunStats { cycles: 10, ..RunStats::default() };
         for w in 0..20 {
-            stats.record_stall(StallReason::Data, w * STALL_WINDOW_CYCLES);
+            stats.record_stalls(StallReason::Data, w * STALL_WINDOW_CYCLES, 1);
         }
         let report = stats.utilization_report();
         assert!(report.contains("rest(+8)"));

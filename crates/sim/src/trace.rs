@@ -109,8 +109,9 @@ impl SlotSet {
 
     /// The members rotated so that bit `r` stands for slot
     /// `(start + r) % slots`: bit order is the rotating-priority visit
-    /// order from `start`.
-    fn rotated(self, start: usize, slots: usize) -> u64 {
+    /// order from `start`, so bit `r` is the member at priority rank
+    /// `r`.
+    pub(crate) fn rotated(self, start: usize, slots: usize) -> u64 {
         debug_assert!(slots <= 64 && (start < slots || self.0 == 0), "start within the slot range");
         let mask = SlotSet::first(slots).0;
         debug_assert_eq!(self.0 & !mask, 0, "members within the slot range");
@@ -122,24 +123,20 @@ impl SlotSet {
         }
     }
 
-    /// The rank (position in the visit order of
-    /// [`SlotSet::iter_from`]`(start, slots)`) of the first member at
-    /// rank `from` or later, if any; its slot is `(start + rank) %
-    /// slots`.
-    pub(crate) fn next_in_rotation(self, start: usize, slots: usize, from: usize) -> Option<usize> {
-        let rest = self.rotated(start, slots).checked_shr(from as u32).unwrap_or(0);
-        (rest != 0).then(|| from + rest.trailing_zeros() as usize)
-    }
-
     /// Iterator over the member slots starting at `start` and wrapping
     /// modulo `slots` — the rotating-priority visit order, since the
     /// priority vector is always a left-rotation of `0..slots` (the
     /// `any_rotation_interleaving_is_a_left_rotation` property). Every
     /// member must lie below `slots`; cost is one rotate plus a
     /// find-first-set per member, so sparse sets visit only their
-    /// members rather than scanning every slot.
+    /// members rather than scanning every slot. A set of at most one
+    /// member, whose order no start changes, skips the rotate.
     pub fn iter_from(self, start: usize, slots: usize) -> impl Iterator<Item = usize> {
-        let mut rot = self.rotated(start, slots);
+        let (mut rot, start) = if self.0 & self.0.wrapping_sub(1) == 0 {
+            (self.0, 0)
+        } else {
+            (self.rotated(start, slots), start)
+        };
         std::iter::from_fn(move || {
             if rot == 0 {
                 return None;

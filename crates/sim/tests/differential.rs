@@ -28,7 +28,10 @@
 
 use hirata_isa::{Inst, Program};
 use hirata_mem::DsmMemory;
-use hirata_sim::{format_event, Config, Emulator, Machine, MachineError, RingSink, TextSink};
+use hirata_sim::{
+    format_event, Config, Emulator, Machine, MachineError, RingSink, StallReason, TextSink,
+    TraceEvent,
+};
 
 /// Trace ring capacity: deep enough to hold the full tail of any slot.
 const RING: usize = 1 << 16;
@@ -139,6 +142,48 @@ fn examples_three_way_parity() {
                 .unwrap_or_else(|e| panic!("{name} at {slots} slots diverges: {e}"));
         }
     }
+}
+
+/// A directed case the fuzzer does not reach: four slots share one
+/// fetch unit, so slot 0's straight-line run starves while the other
+/// three fetch; once they halt, slot 0 is the one live slot and holds a
+/// `Fetch` block until its refill lands. Untraced, the event wheel
+/// jumps over that wait and must lift the block where the refill
+/// lands. The traced run shows the wait: slot 0 alone, fetch starved,
+/// then a plain refill.
+#[test]
+fn a_fetch_block_held_across_a_refill_landing_runs_three_way() {
+    let mut src = String::from("fastfork\nlpid r1\nbne r1, #0, other\n");
+    for i in 0..80 {
+        src.push_str(&format!("add r{}, r0, #1\n", 2 + i % 8));
+    }
+    src.push_str("halt\nother:\nfadd f10, f1, f1\nhalt\n");
+    let case = FuzzCase { src: src.clone(), slots: 4, remote_base: None };
+    assert_eq!(three_way(&case, &src), Ok(false));
+
+    let program = hirata_asm::assemble(&src).expect("directed case assembles");
+    let mut machine = Machine::new(Config::multithreaded(4), &program).expect("machine builds");
+    let sink = RingSink::new(RING);
+    machine.attach_trace_sink(Box::new(sink.clone()));
+    machine.run().expect("directed case runs");
+    let events = sink.events();
+    let alone_and_starved = |t: u64| {
+        let cycle: Vec<_> = events.iter().filter(|e| e.cycle() == t).collect();
+        let stalled = |slot, want: StallReason| {
+            cycle.iter().any(|e| {
+                matches!(**e, TraceEvent::Stall { slot: s, reason, .. }
+                if s == slot && reason == want)
+            })
+        };
+        stalled(0, StallReason::Fetch) && (1..4).all(|s| stalled(s, StallReason::NoThread))
+    };
+    let landed = events.iter().any(|e| match *e {
+        TraceEvent::Fetch { cycle, slot: 0, redirect: false } => {
+            cycle >= 2 && alone_and_starved(cycle - 1) && alone_and_starved(cycle - 2)
+        }
+        _ => false,
+    });
+    assert!(landed, "slot 0 never waited alone on a refill");
 }
 
 // ------------------------------------------------- generated straight-line

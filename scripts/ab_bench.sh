@@ -28,7 +28,10 @@
 # reported statistic per grid point is the MEDIAN of the per-round
 # paired ratios — robust to a minority of disturbed rounds in a way a
 # mean of ratios is not — plus the geometric mean of those medians
-# across points as the headline.
+# across points as the headline. Beside each median the table prints
+# the first and third quartiles of the same ratios (linear
+# interpolation between the sorted rounds), so a point's spread shows
+# whether its move is more than noise.
 #
 # Each probe (`throughput_check --probe --points <key>`) prints
 # `key<TAB>cycles/sec` from a short minimum-of-runs estimate;
@@ -99,7 +102,17 @@ median() {
         }'
 }
 
-printf '%-18s %12s %12s %14s\n' "point" "median A" "median B" "median B/A"
+# q1, median and q3 of the numbers on stdin.
+quartiles() {
+    sort -g | awk '{ v[NR] = $1 }
+        function q(p,   pos, lo) {
+            pos = 1 + (NR - 1) * p; lo = int(pos)
+            return lo == NR ? v[lo] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+        }
+        END { printf "%.6f %.6f %.6f\n", q(0.25), q(0.5), q(0.75) }'
+}
+
+printf '%-18s %12s %12s %10s %14s %10s\n' "point" "median A" "median B" "q1 B/A" "median B/A" "q3 B/A"
 
 log_sum=0
 n_points=0
@@ -120,9 +133,11 @@ while IFS=$'\t' read -r key _; do
         awk -v a="$a" -v b="$b" 'BEGIN { printf "%.6f\n", b / a }' >>"$TMP/ratios_$safe.txt"
     done
     med_ratio=$(median <"$TMP/ratios_$safe.txt")
+    read -r q1_ratio _ q3_ratio < <(quartiles <"$TMP/ratios_$safe.txt")
     med_a=$(median <"$TMP/a_$safe.txt")
     med_b=$(median <"$TMP/b_$safe.txt")
-    printf '%-18s %12.0f %12.0f %13.3fx\n' "$key" "$med_a" "$med_b" "$med_ratio"
+    printf '%-18s %12.0f %12.0f %9.3fx %13.3fx %9.3fx\n' "$key" "$med_a" "$med_b" \
+        "$q1_ratio" "$med_ratio" "$q3_ratio"
     log_sum=$(awk -v s="$log_sum" -v r="$med_ratio" 'BEGIN { printf "%.9f", s + log(r) }')
     n_points=$((n_points + 1))
 done <"$TMP/A_1.tsv"

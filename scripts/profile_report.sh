@@ -18,11 +18,19 @@
 # else (the dynamic loader, the vDSO, other libraries) is counted as
 # `other`.
 #
-# Output, on stdout: the sample counts by region, then four tables of
-# samples and shares of all samples: executable samples by outermost
-# function (the function the sampled code was inlined into), by
-# innermost function (the inlined function itself), and by source
-# line, and libc samples by symbol.
+# Output, on stdout: the sample counts by region, then five tables of
+# samples and shares of all samples: executable samples by machine
+# phase, by outermost function (the function the sampled code was
+# inlined into), by innermost function (the inlined function itself),
+# and by source line, and libc samples by symbol.
+#
+# A sample's machine phase is the frame inlined directly into the
+# cycle kernel, `Machine::step_impl` or `Machine::step_and_jump`
+# (`issue_phase`, `arbitrate`, `FetchSystem::begin_cycle`, `try_jump`,
+# ...), found in its inlining chain; a sample in the kernel's own code
+# is `(kernel itself)`, and one in a function the kernel calls out of
+# line is named by that function, marked `(out of line)`, since the
+# chain does not show its caller.
 
 set -euo pipefail
 
@@ -71,20 +79,40 @@ cut -d' ' -f1 "$TMP/exe" | sed 's/^/0x/' |
     addr2line -a -f -i -C -e "$EXE" >"$TMP/lines"
 awk -v counts="$TMP/exe" '
     BEGIN { while ((getline line < counts) > 0) { split(line, f, " "); n["0x" f[1]] = f[2] } }
+    function kernel(f) { return f ~ /::Machine::(step_impl|step_and_jump)$/ }
+    # The frame inlined directly into the innermost kernel frame.
+    function phase(   i) {
+        for (i = 0; i < frames; i++) {
+            if (!kernel(chain[i])) continue
+            # Standard-library frames (`?`, `mem::take`) count as the
+            # kernel itself.
+            if (i == 0 || chain[i - 1] ~ /^<?(core|alloc|std)::/) return "(kernel itself)"
+            return chain[i - 1]
+        }
+        return outer " (out of line)"
+    }
     function flush() {
         if (addr == "") return
         c = n[addr]
         if (inner == "??") { other += c }
-        else { outer_n[outer] += c; inner_n[inner] += c; line_n[loc] += c; named += c }
+        else {
+            outer_n[outer] += c; inner_n[inner] += c; line_n[loc] += c; named += c
+            phase_n[phase()] += c
+        }
     }
-    /^0x[0-9a-f]+$/ { flush(); addr = $0; sub(/^0x0*/, "0x", addr); depth = 0; next }
+    /^0x[0-9a-f]+$/ { flush(); addr = $0; sub(/^0x0*/, "0x", addr); depth = 0; frames = 0; next }
     {
-        if (depth % 2 == 0) { fn = $0; if (depth == 0) inner = fn; outer = fn }
+        if (depth % 2 == 0) {
+            fn = $0; chain[frames++] = fn
+            if (depth == 0) inner = fn
+            outer = fn
+        }
         else if (depth == 1) { loc = $0; sub(/ \(discriminator [0-9]+\)$/, "", loc) }
         depth++
     }
     END {
         flush()
+        for (k in phase_n) print "phase\t" phase_n[k] "\t" k
         for (k in outer_n) print "outer\t" outer_n[k] "\t" k
         for (k in inner_n) print "inner\t" inner_n[k] "\t" k
         for (k in line_n) print "line\t" line_n[k] "\t" k
@@ -127,6 +155,7 @@ table() {
         "$TMP/exe_tables" "$TMP/libc_tables" | sort -k1,1nr | awk -v top="$TOP" 'NR <= top'
 }
 
+table phase "by machine phase (executable)"
 table outer "by outermost function (executable)"
 table inner "by innermost function (executable)"
 table line "by line (executable)"
