@@ -122,7 +122,15 @@ pub fn debug_session(config: Config, program: &Program, input: &str) -> Result<S
                 }
             },
             "r" | "f" => {
-                let ctx: usize = parts.next().and_then(|t| t.parse().ok()).unwrap_or(0);
+                let frames = machine.context_frames();
+                let ctx = match parts.next().map(str::parse::<usize>) {
+                    None => 0,
+                    Some(Ok(ctx)) if ctx < frames => ctx,
+                    Some(_) => {
+                        let _ = writeln!(out, "usage: {cmd} <ctx> (0..{frames})");
+                        continue;
+                    }
+                };
                 if cmd == "r" {
                     for n in (0..32).step_by(4) {
                         let _ = writeln!(
@@ -252,9 +260,13 @@ mod tests {
 
     #[test]
     fn junk_commands_are_reported_not_fatal() {
-        let out = debug_session(Config::multithreaded(2), &prog(), "zap\nb\nm 5\nq").unwrap();
+        let input = "zap\nb\nm 5\nr 99\nf 2\nr x\nq";
+        let out = debug_session(Config::multithreaded(2), &prog(), input).unwrap();
         assert!(out.contains("unknown command `zap`"));
         assert!(out.contains("usage: b <pc>"));
         assert!(out.contains("usage: m <a> <b>"));
+        // Two slots have two context frames, 0 and 1.
+        assert_eq!(out.matches("usage: r <ctx> (0..2)").count(), 2, "{out}");
+        assert!(out.contains("usage: f <ctx> (0..2)"), "{out}");
     }
 }

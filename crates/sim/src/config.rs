@@ -116,6 +116,13 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+impl ConfigError {
+    /// A machine, or an emulator, of no thread slots.
+    pub(crate) fn no_slots() -> Self {
+        ConfigError("thread_slots must be at least 1".into())
+    }
+}
+
 impl Config {
     /// The paper's multithreaded processor with `slots` thread slots,
     /// seven functional units, standby stations, and the Table 2
@@ -210,7 +217,7 @@ impl Config {
     /// Returns a [`ConfigError`] naming the violated invariant.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.thread_slots == 0 {
-            return Err(ConfigError("thread_slots must be at least 1".into()));
+            return Err(ConfigError::no_slots());
         }
         if self.thread_slots > MAX_THREAD_SLOTS {
             return Err(ConfigError(format!(

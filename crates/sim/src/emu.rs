@@ -17,6 +17,7 @@ use std::sync::Arc;
 use hirata_isa::{Inst, Program, Reg};
 use hirata_mem::Memory;
 
+use crate::config::ConfigError;
 use crate::error::MachineError;
 use crate::exec::{branch_taken, fu_action, resolve_operands, FuAction};
 use crate::predecode::{operand, PredecodedProgram};
@@ -74,8 +75,8 @@ impl Emulator {
     ///
     /// # Errors
     ///
-    /// Returns [`MachineError`] if the program is invalid or its data
-    /// does not fit.
+    /// Returns [`MachineError`] if `slots` is zero, the program is
+    /// invalid or its data does not fit.
     pub fn new(program: &Program, slots: usize, mem_words: usize) -> Result<Self, MachineError> {
         Self::from_predecoded(PredecodedProgram::shared(program)?, slots, mem_words)
     }
@@ -86,13 +87,17 @@ impl Emulator {
     ///
     /// # Errors
     ///
-    /// Returns [`MachineError`] if the program's data does not fit in
-    /// memory.
+    /// Returns [`MachineError::Config`] if `slots` is zero, as
+    /// [`crate::Machine::new`] does, and [`MachineError::Mem`] if the
+    /// program's data does not fit in memory.
     pub fn from_predecoded(
         program: Arc<PredecodedProgram>,
         slots: usize,
         mem_words: usize,
     ) -> Result<Self, MachineError> {
+        if slots == 0 {
+            return Err(MachineError::Config(ConfigError::no_slots()));
+        }
         let mut memory = Memory::new(mem_words);
         for seg in program.data() {
             memory.load_block(seg.base, &seg.words).map_err(|source| MachineError::Mem {
@@ -407,6 +412,15 @@ mod tests {
         let prog = assemble("qmap r10, r11\nadd r1, r10, #0\nhalt").unwrap();
         let err = Emulator::execute(&prog, 1, 1 << 12, 10_000).unwrap_err();
         assert!(matches!(err, MachineError::Watchdog { .. }));
+    }
+
+    #[test]
+    fn no_slots_is_the_machines_config_error() {
+        let prog = assemble("halt").unwrap();
+        let err = Emulator::new(&prog, 0, 1 << 12).unwrap_err();
+        let machine_err = crate::Machine::new(crate::Config::multithreaded(0), &prog).unwrap_err();
+        assert!(matches!(err, MachineError::Config(_)), "{err:?}");
+        assert_eq!(err, machine_err);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! Buffers are modelled as word-count *credits*: the machine consumes
 //! one credit per issued instruction; the instruction bytes themselves
 //! come straight from the program image. Deliveries land at the start
-//! of a cycle; after a redirect the pipeline must also re-cover the
-//! decode stages, which the machine accounts for via
-//! [`Delivery::redirect`].
+//! of a cycle, at most one per slot ([`FetchSystem::begin_cycle`]);
+//! after a redirect the pipeline must also re-cover the decode stages,
+//! which the machine accounts for with the redirected slots.
 
 use std::collections::VecDeque;
 
@@ -22,13 +22,14 @@ use crate::trace::SlotSet;
 #[cfg(test)]
 mod reference;
 
-/// A refill or redirect completion, surfaced at the start of a cycle.
+/// A unit's service in flight: the slot it fills, landing at the
+/// start of the cycle the unit frees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Delivery {
-    pub slot: usize,
+struct Delivery {
+    slot: usize,
     /// True if this delivery answers a redirect (branch, fork, or
     /// thread start), meaning the decode pipeline was drained.
-    pub redirect: bool,
+    redirect: bool,
 }
 
 /// One fetch unit. A unit begins a new service only once its last one
@@ -159,34 +160,38 @@ impl FetchSystem {
         self.hungry.remove(slot);
     }
 
-    /// Start-of-cycle: applies deliveries landing at `now`, appending
-    /// them to `out` (a reused scratch buffer — see the machine's
-    /// cycle loop) in slot order.
+    /// Start-of-cycle: applies the deliveries landing at `now` and
+    /// returns the slots they landed in and, among those, the slots
+    /// whose delivery answers a redirect. A slot gets at most one: one
+    /// unit serves it, and a unit has at most one delivery in flight.
     #[inline]
-    pub(crate) fn begin_cycle(&mut self, now: u64, out: &mut Vec<Delivery>) {
+    pub(crate) fn begin_cycle(&mut self, now: u64) -> (SlotSet, SlotSet) {
+        let mut landed = (SlotSet::EMPTY, SlotSet::EMPTY);
         if self.private {
-            self.begin_private_cycle(now, out);
+            self.begin_private_cycle(now, &mut landed);
         } else if let Some(d) = self.shared.take_due(now) {
-            self.deliver(d, out);
+            self.deliver(d, &mut landed);
         }
+        landed
     }
 
-    fn begin_private_cycle(&mut self, now: u64, out: &mut Vec<Delivery>) {
+    fn begin_private_cycle(&mut self, now: u64, landed: &mut (SlotSet, SlotSet)) {
         for slot in self.active.iter() {
             if let Some(d) = self.slots[slot].unit.take_due(now) {
-                self.deliver(d, out);
+                self.deliver(d, landed);
             }
         }
     }
 
-    fn deliver(&mut self, d: Delivery, out: &mut Vec<Delivery>) {
+    fn deliver(&mut self, d: Delivery, (delivered, redirected): &mut (SlotSet, SlotSet)) {
         let slot = &mut self.slots[d.slot];
         slot.credits = self.capacity;
         self.hungry.remove(d.slot);
+        delivered.insert(d.slot);
         if d.redirect {
             slot.awaiting_redirect = false;
+            redirected.insert(d.slot);
         }
-        out.push(d);
     }
 
     /// End-of-cycle: lets idle units begin their next service. A
@@ -294,19 +299,19 @@ impl FetchSystem {
     /// refill deliveries unless `stop_on_refill`) is applied directly,
     /// visiting only event cycles; the call returns at the first cycle
     /// with a delivery the caller must inspect — any redirect, or any
-    /// refill when `stop_on_refill` — with that cycle's deliveries in
-    /// `out` (`begin_cycle` applied, `end_cycle` not, exactly the state
-    /// a per-cycle replay stopping there would leave). Returns `None`
-    /// when the span completes without such a cycle; either way the
-    /// final state is byte-identical to calling
-    /// `begin_cycle`/`end_cycle` for every cycle up to the stop point.
+    /// refill when `stop_on_refill` — with that cycle and the slot
+    /// sets its `begin_cycle` returned (`begin_cycle` applied,
+    /// `end_cycle` not, exactly the state a per-cycle replay stopping
+    /// there would leave). Returns `None` when the span completes
+    /// without such a cycle; either way the final state is
+    /// byte-identical to calling `begin_cycle`/`end_cycle` for every
+    /// cycle up to the stop point.
     pub(crate) fn advance_span(
         &mut self,
         mut t: u64,
         target: u64,
         stop_on_refill: bool,
-        out: &mut Vec<Delivery>,
-    ) -> Option<u64> {
+    ) -> Option<(u64, SlotSet, SlotSet)> {
         loop {
             let next_del = self.next_delivery();
             debug_assert!(
@@ -323,10 +328,9 @@ impl FetchSystem {
             if next_del < target && next_del <= next_start {
                 // A delivery lands first (ties go to the delivery:
                 // `begin_cycle` runs before `end_cycle` in a cycle).
-                out.clear();
-                self.begin_cycle(next_del, out);
-                if stop_on_refill || out.iter().any(|d| d.redirect) {
-                    return Some(next_del);
+                let (delivered, redirected) = self.begin_cycle(next_del);
+                if stop_on_refill || !redirected.is_empty() {
+                    return Some((next_del, delivered, redirected));
                 }
                 self.end_cycle(next_del);
                 t = next_del + 1;
@@ -340,14 +344,20 @@ impl FetchSystem {
     }
 }
 
+/// The deliveries of one cycle, as [`FetchSystem::begin_cycle`]
+/// returns them, listed in slot order.
+#[cfg(test)]
+fn listed((delivered, redirected): (SlotSet, SlotSet)) -> Vec<Delivery> {
+    delivered.iter().map(|slot| Delivery { slot, redirect: redirected.contains(slot) }).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Runs the system forward one cycle, returning deliveries.
     fn cycle(fs: &mut FetchSystem, now: u64) -> Vec<Delivery> {
-        let mut d = Vec::new();
-        fs.begin_cycle(now, &mut d);
+        let d = listed(fs.begin_cycle(now));
         fs.end_cycle(now);
         d
     }
@@ -374,7 +384,7 @@ mod tests {
         fs.request_redirect(0, 0);
         let mut starved = 0;
         for now in 0..100u64 {
-            fs.begin_cycle(now, &mut Vec::new());
+            fs.begin_cycle(now);
             if now >= 3 {
                 if fs.credits(0) == 0 {
                     starved += 1;
@@ -470,9 +480,7 @@ mod tests {
     fn observed_next_activity(fs: &FetchSystem, from: u64, horizon: u64) -> u64 {
         let mut sim = fs.clone();
         for now in from..horizon {
-            let mut d = Vec::new();
-            sim.begin_cycle(now, &mut d);
-            if !d.is_empty() {
+            if !sim.begin_cycle(now).0.is_empty() {
                 return now;
             }
             let before = sim.clone();

@@ -15,7 +15,7 @@ mod wheel;
 use crate::config::Config;
 use crate::error::{MachineError, StuckSlot};
 use crate::exec::{branch_taken, debug_assert_fresh_decode, fu_action, resolve_operands, FuAction};
-use crate::fetch::{Delivery, FetchSystem};
+use crate::fetch::FetchSystem;
 use crate::machine::fupool::FuPool;
 use crate::machine::standby::Standby;
 use crate::predecode::{
@@ -24,7 +24,7 @@ use crate::predecode::{
 use crate::priority::Priorities;
 use crate::queue::QueueRing;
 use crate::regfile::RegBank;
-use crate::stats::{RunStats, StallReason, StallTally};
+use crate::stats::{RunStats, StallReason};
 use crate::trace::{RotationKind, SlotSet, TraceEvent, TraceSink};
 
 /// An issued instruction travelling to (or waiting in a standby
@@ -43,19 +43,6 @@ struct InFlight {
     /// Cycle the instruction issued (distinguishes fresh standby
     /// arrivals from holdovers in the trace).
     issued_at: u64,
-}
-
-/// Per-machine scratch buffers reused across cycles so the steady
-/// state of [`Machine::step`] performs no heap allocation. Taken out
-/// with `mem::take` for the duration of a phase (to sidestep borrow
-/// conflicts with `&mut self` calls) and restored afterwards with
-/// their capacity intact.
-#[derive(Debug, Default)]
-struct Scratch {
-    /// Schedule-unit candidates issued this cycle.
-    cands: Vec<InFlight>,
-    /// Fetch deliveries surfacing this cycle.
-    deliveries: Vec<Delivery>,
 }
 
 /// A proven slot block (the ready-frontier entry for one bound slot):
@@ -238,9 +225,6 @@ pub struct Machine {
     fetch: FetchSystem,
     prio: Priorities,
     stats: RunStats,
-    /// The stalls of the issue phase in progress (see
-    /// [`Machine::issue_phase`]).
-    stall_tally: StallTally,
     cycle: u64,
     /// The bound-slot mask: slot `s` is set iff `slots[s].ctx` is
     /// `Some`. [`Machine::bind`] and [`Machine::unbind`] are the only
@@ -262,7 +246,6 @@ pub struct Machine {
     /// optimization — the issue path skips its own head check instead
     /// of repeating it.
     head_pass: Option<(u64, usize, u32)>,
-    scratch: Scratch,
     trace: Option<Vec<IssueEvent>>,
     sink: Option<Box<dyn TraceSink>>,
 }
@@ -409,14 +392,9 @@ impl Machine {
             program,
             config,
             stats,
-            stall_tally: StallTally::default(),
             cycle: 0,
             bound: SlotSet::EMPTY,
             head_pass: None,
-            scratch: Scratch {
-                cands: Vec::with_capacity(s * 2),
-                deliveries: Vec::with_capacity(s),
-            },
             trace: None,
             sink: None,
         };
@@ -609,12 +587,11 @@ impl Machine {
         }
         self.skip_empty_priority_slots::<TRACED>(now);
         let depth = self.config.pipeline.decode_depth();
-        let mut deliveries = std::mem::take(&mut self.scratch.deliveries);
-        deliveries.clear();
-        self.fetch.begin_cycle(now, &mut deliveries);
-        for d in &deliveries {
-            let slot = &mut self.slots[d.slot];
-            if d.redirect {
+        let (delivered, redirected) = self.fetch.begin_cycle(now);
+        for s in delivered.iter() {
+            let slot = &mut self.slots[s];
+            let redirect = redirected.contains(s);
+            if redirect {
                 slot.earliest_issue = slot.earliest_issue.max(now + depth);
                 slot.block = None;
             } else if matches!(slot.block, Some(b) if b.reason == StallReason::Fetch) {
@@ -623,26 +600,15 @@ impl Machine {
                 // don't read the credit count).
                 slot.block = None;
             }
-            self.emit::<TRACED>(|_| TraceEvent::Fetch {
-                cycle: now,
-                slot: d.slot,
-                redirect: d.redirect,
-            });
+            self.emit::<TRACED>(|_| TraceEvent::Fetch { cycle: now, slot: s, redirect });
         }
-        self.scratch.deliveries = deliveries;
         self.wake_and_bind::<TRACED>(now);
         // The issue phase and arbitration both walk the slots in
         // priority order from the highest level, which nothing moves
         // in between (chgpri is deferred to cycle end, implicit/forced
         // rotations happened above).
-        let mut cands = std::mem::take(&mut self.scratch.cands);
-        cands.clear();
-        let res = match self.issue_phase::<TRACED>(now, &mut cands) {
-            Ok(()) => self.arbitrate::<TRACED>(&mut cands, now),
-            Err(e) => Err(e),
-        };
-        self.scratch.cands = cands;
-        res?;
+        self.issue_phase::<TRACED>(now)?;
+        self.arbitrate::<TRACED>(now)?;
         if self.prio.apply_pending(now) {
             self.stats.rotations += 1;
             self.emit::<TRACED>(|m| TraceEvent::Rotation {
@@ -795,9 +761,9 @@ impl Machine {
         self.sink.take()
     }
 
-    /// Records one stalled slot-cycle in the cycle's stall tally and
-    /// emits the matching trace event. `pc` is the blocking
-    /// instruction's address, when one exists.
+    /// Records one stalled slot-cycle and emits the matching trace
+    /// event. `pc` is the blocking instruction's address, when one
+    /// exists.
     #[inline(always)]
     fn record_stall<const TRACED: bool>(
         &mut self,
@@ -806,7 +772,7 @@ impl Machine {
         reason: StallReason,
         pc: Option<u32>,
     ) {
-        self.stall_tally.add(reason, 1);
+        self.stats.record_stalls(reason, now, 1);
         self.emit::<TRACED>(|_| TraceEvent::Stall { cycle: now, slot, reason, pc });
     }
 
@@ -896,15 +862,12 @@ impl Machine {
 
     /// Lets every bound slot (in priority order) issue up to `D`
     /// instructions; decode-unit instructions execute immediately,
-    /// functional-unit instructions become schedule-unit candidates
-    /// (appended to `cands`). Unbound slots record their NoThread
-    /// stalls in bulk. The phase's stalls reach the stats once per
-    /// reason when it ends, whether in `Ok` or in a slot's fault.
-    fn issue_phase<const TRACED: bool>(
-        &mut self,
-        now: u64,
-        cands: &mut Vec<InFlight>,
-    ) -> Result<(), MachineError> {
+    /// functional-unit instructions join the back of their standby
+    /// station, where arbitration finds them. Each stall is recorded
+    /// where it happens, the unbound slots' NoThread stalls in bulk, so
+    /// a slot's fault leaves the earlier ranks' stalls of its cycle
+    /// recorded.
+    fn issue_phase<const TRACED: bool>(&mut self, now: u64) -> Result<(), MachineError> {
         #[cfg(debug_assertions)]
         for s in 0..self.slots.len() {
             assert_eq!(
@@ -946,22 +909,18 @@ impl Machine {
                 continue;
             }
             let bound = self.bound;
-            if let Err(e) = self.issue_slot::<TRACED>(s, now, cands) {
-                self.stall_tally.flush(&mut self.stats, now);
-                return Err(e);
-            }
+            self.issue_slot::<TRACED>(s, now)?;
             if self.bound != bound {
                 ranks = self.bound.rotated(highest, slots) & (u64::MAX << next << 1);
             }
         }
         self.record_idle_slots::<TRACED>(now, highest, rank, slots);
-        self.stall_tally.flush(&mut self.stats, now);
         Ok(())
     }
 
     /// Records the NoThread stalls of the unbound slots at priority
-    /// ranks `from..to` of cycle `now`: one add to the stall tally,
-    /// and with a sink one `Stall` event per slot in priority order.
+    /// ranks `from..to` of cycle `now`: one record for them all, and
+    /// with a sink one `Stall` event per slot in priority order.
     #[inline(always)]
     fn record_idle_slots<const TRACED: bool>(
         &mut self,
@@ -970,7 +929,7 @@ impl Machine {
         from: usize,
         to: usize,
     ) {
-        self.stall_tally.add(StallReason::NoThread, (to - from) as u64);
+        self.stats.record_stalls(StallReason::NoThread, now, (to - from) as u64);
         let slots = self.slots.len();
         for rank in from..to {
             self.emit::<TRACED>(|_| TraceEvent::Stall {
@@ -982,12 +941,7 @@ impl Machine {
         }
     }
 
-    fn issue_slot<const TRACED: bool>(
-        &mut self,
-        s: usize,
-        now: u64,
-        cands: &mut Vec<InFlight>,
-    ) -> Result<(), MachineError> {
+    fn issue_slot<const TRACED: bool>(&mut self, s: usize, now: u64) -> Result<(), MachineError> {
         let ctx_i = self.slots[s].ctx.expect("the issue phase visits bound slots");
         if now < self.slots[s].earliest_issue {
             // Stable until the shadow expires (see `pipeline_stall`);
@@ -1041,7 +995,8 @@ impl Machine {
         let mut unissued_writes: u64 = 0;
         let mut unissued_mem = false;
         let mut unissued_store = false;
-        let mut class_taken = [false; FU_CLASS_COUNT];
+        // Bit `ci` set: this cycle issued class `ci` into its station.
+        let mut class_taken = 0u8;
         let mut issued = 0usize;
         let mut head_reason = None;
         let mut head_pc = None;
@@ -1083,7 +1038,7 @@ impl Machine {
                     unissued_reads,
                     unissued_writes,
                     (unissued_mem, unissued_store),
-                    &class_taken,
+                    class_taken,
                     i == 0,
                 )
             };
@@ -1139,9 +1094,9 @@ impl Machine {
                         pc,
                     });
                     if let Some(class) = di.fu {
-                        class_taken[class.index()] = true;
+                        class_taken |= 1 << class.index();
                         let fi = self.capture::<TRACED>(s, ctx_i, pc, &di, preset, now);
-                        cands.push(fi);
+                        self.standby.push(s, class.index(), fi);
                     } else {
                         let redirected = self.exec_decode::<TRACED>(s, ctx_i, pc, &di, now)?;
                         if redirected || self.slots[s].ctx.is_none() {
@@ -1266,13 +1221,14 @@ impl Machine {
         is_replay: bool,
         now: u64,
     ) -> Result<(), IssueBlock> {
-        let idle = &[false; FU_CLASS_COUNT];
-        self.check_issue(s, ctx_i, di, is_replay, now, 0, 0, (false, false), idle, true)
+        self.check_issue(s, ctx_i, di, is_replay, now, 0, 0, (false, false), 0, true)
     }
 
-    /// All the §2.1.1/§2.2 issue conditions for one instruction.
-    /// Inlined into the issue loop, where an out-of-line call cost more
-    /// than most of its checks.
+    /// All the §2.1.1/§2.2 issue conditions for one instruction, after
+    /// the window entries before it issued `class_taken` (one bit per
+    /// class) into their stations this cycle. Inlined into the issue
+    /// loop, where an out-of-line call cost more than most of its
+    /// checks.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn check_issue(
@@ -1285,7 +1241,7 @@ impl Machine {
         unissued_reads: u64,
         unissued_writes: u64,
         (unissued_mem, unissued_store): (bool, bool),
-        class_taken: &[bool; FU_CLASS_COUNT],
+        class_taken: u8,
         is_head: bool,
     ) -> Result<(), IssueBlock> {
         use IssueBlock::{Fault, Stall};
@@ -1310,10 +1266,13 @@ impl Machine {
             return Err(Stall(StallReason::Priority, None));
         }
         // `drain` is the §2.3.3 consistency fence: it issues only once
-        // every previously issued instruction has been performed (the
-        // slot's standby stations are empty; in this model selection
-        // is completion, so empty stations mean all effects applied).
-        if matches!(di.inst, Inst::Drain) && self.standby.has(s) {
+        // every instruction issued before this cycle has been performed
+        // (the slot's stations hold nothing but this cycle's issues; in
+        // this model selection is completion, so a drained entry's
+        // effects are applied).
+        if matches!(di.inst, Inst::Drain)
+            && self.standby.occupancy(s) > class_taken.count_ones() as usize
+        {
             return Err(Stall(StallReason::Data, None));
         }
         // `fastfork` copies the parent's register set into the
@@ -1326,10 +1285,12 @@ impl Machine {
         }
         // Rotating the priority away while this slot still has an
         // unperformed gated store would strand that store (it is only
-        // performed at the highest priority), so `chgpri` waits for it.
+        // performed at the highest priority), so `chgpri` waits for one
+        // issued before this cycle.
         if matches!(di.inst, Inst::ChgPri) {
             let ls = FuClass::LoadStore.index();
-            if self.standby.station(s, ls).iter().any(|f| f.di.is_gated_store()) {
+            let station = self.standby.station(s, ls);
+            if station.iter().any(|f| f.di.is_gated_store() && f.issued_at < now) {
                 return Err(Stall(StallReason::Priority, None));
             }
         }
@@ -1411,7 +1372,7 @@ impl Machine {
                 return Err(Fault(MachineError::NoFunctionalUnit { slot: s, pc: 0, class }));
             }
             if self.standby.station(s, class.index()).len() >= self.config.standby_depth
-                || class_taken[class.index()]
+                || class_taken & 1 << class.index() != 0
             {
                 return Err(Stall(StallReason::FuConflict, Some(u64::MAX)));
             }
@@ -1642,31 +1603,20 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Per-class dynamic scheduling with rotating priorities (§2.2):
-    /// standby occupants and this cycle's issues compete; winners start
-    /// execution, losers (or survivors) sit in standby stations.
-    fn arbitrate<const TRACED: bool>(
-        &mut self,
-        cands: &mut Vec<InFlight>,
-        now: u64,
-    ) -> Result<(), MachineError> {
+    /// the standby stations' fronts compete, this cycle's issues among
+    /// them; winners start execution, losers (or survivors) stay.
+    fn arbitrate<const TRACED: bool>(&mut self, now: u64) -> Result<(), MachineError> {
         #[cfg(debug_assertions)]
         assert!(self.standby.consistent(), "standby bookkeeping is in sync");
-        // Every issue joins the back of its slot's standby queue up
-        // front — it is the youngest there, and `class_taken` caps a
-        // slot at one issue per class per cycle, so cross-class push
-        // order is immaterial. Arbitration is then a pure drain of
-        // the per-class occupancy masks: no candidate scans, and the
-        // per-class loops visit exactly the slots with work
-        // (find-first-set in priority order) instead of walking every
-        // slot. A class's mask is read before any of its units is
-        // granted (no other class's drain touches it): a mid-drain
-        // trap empties the trapping slot's LoadStore station, and the
-        // trace's competitor sets must describe the cycle's entrants,
-        // not the survivors.
-        for f in cands.drain(..) {
-            let class = f.di.fu.expect("arbitrated candidates target a functional unit");
-            self.standby.push(f.slot, class.index(), f);
-        }
+        // Every issue joined the back of its slot's station at issue,
+        // so arbitration is a pure drain of the per-class occupancy
+        // masks: no candidate scans, and the per-class loops visit
+        // exactly the slots with work (find-first-set in priority
+        // order) instead of walking every slot. A class's mask is read
+        // before any of its units is granted (no other class's drain
+        // touches it): a mid-drain trap empties the trapping slot's
+        // LoadStore station, and the trace's competitor sets must
+        // describe the cycle's entrants, not the survivors.
         let slots = self.slots.len();
         let highest = self.prio.highest();
         for ci in self.standby.classes() {
@@ -1736,7 +1686,6 @@ impl Machine {
                 }
             }
         }
-        debug_assert!(cands.is_empty(), "every candidate must be selected or parked");
         Ok(())
     }
 

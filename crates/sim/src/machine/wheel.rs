@@ -274,7 +274,6 @@ impl Machine {
         // Binds are excluded across the span (see the jump conditions)
         // and nothing issues, so the bound set is fixed.
         let idle = (self.slots.len() - self.bound.len()) as u64;
-        let mut deliveries = std::mem::take(&mut self.scratch.deliveries);
         // The fetch replay must surface any redirect delivery, and a
         // refill only to a fetch-starved slot; everything else it
         // absorbs internally. Only the bound slot receives deliveries.
@@ -291,9 +290,8 @@ impl Machine {
             // by hand before handing the span to the fetch system. A
             // slot with credits has no redirect in flight, and a probed
             // head is not fetch-starved, so no delivery here surfaces.
-            deliveries.clear();
-            self.fetch.begin_cycle(from, &mut deliveries);
-            debug_assert!(deliveries.iter().all(|d| !d.redirect), "redirect with credits left");
+            let (_, redirected) = self.fetch.begin_cycle(from);
+            debug_assert!(redirected.is_empty(), "redirect with credits left");
             // Replay the window fill of the probed-but-unfilled head.
             let slot = &mut self.slots[st.slot];
             slot.window.push_back(WinEntry::Fresh(slot.fetch_pc));
@@ -303,13 +301,14 @@ impl Machine {
             t = from + 1;
         }
         while t < target {
-            let Some(tc) = self.fetch.advance_span(t, target, stop_on_refill, &mut deliveries)
+            let Some((tc, delivered, redirected)) =
+                self.fetch.advance_span(t, target, stop_on_refill)
             else {
                 break;
             };
             let st = stall.as_mut().expect("only a bound slot receives deliveries");
-            debug_assert!(deliveries.iter().all(|d| d.slot == st.slot));
-            if deliveries.iter().any(|d| !d.redirect) {
+            debug_assert!(delivered.iter().all(|s| s == st.slot));
+            if !delivered.minus(redirected).is_empty() {
                 // The refill re-arms issue: lift the slot's Fetch block
                 // (the step's delivery loop would, but this delivery
                 // is consumed here) and land at this cycle.
@@ -360,7 +359,6 @@ impl Machine {
                 }
             }
         }
-        self.scratch.deliveries = deliveries;
         self.cycle = end;
         self.stats.cycles = end;
     }

@@ -190,8 +190,9 @@ impl RunStats {
 
     /// Records `n` stalled slot-cycles at machine time `now` in the
     /// aggregate breakdown and the per-window attribution (none at all
-    /// when `n` is zero): once per reason a cycle touched
-    /// ([`StallTally::flush`]), once per window a wheel span touched.
+    /// when `n` is zero): once per stalled bound slot, once per run of
+    /// unbound slots in a cycle's priority walk, once per window a
+    /// wheel span touched.
     #[inline(always)]
     pub(crate) fn record_stalls(&mut self, reason: StallReason, now: u64, n: u64) {
         if n == 0 {
@@ -305,34 +306,6 @@ impl RunStats {
     }
 }
 
-/// The stalled slot-cycles of the cycle in progress, one byte per
-/// reason: a cycle records at most one stall per slot, of at most
-/// [`MAX_THREAD_SLOTS`](crate::MAX_THREAD_SLOTS) = 64.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct StallTally(u64);
-
-impl StallTally {
-    /// Adds `n` stalled slot-cycles of `reason`.
-    #[inline(always)]
-    pub(crate) fn add(&mut self, reason: StallReason, n: u64) {
-        let shift = 8 * reason.index();
-        debug_assert!((self.0 >> shift & 0xff) + n <= 0xff, "stall tally byte overflows");
-        self.0 += n << shift;
-    }
-
-    /// Records the tally in `stats` as stalls at cycle `now`, one
-    /// [`RunStats::record_stalls`] per touched reason, and empties it.
-    #[inline(always)]
-    pub(crate) fn flush(&mut self, stats: &mut RunStats, now: u64) {
-        let mut bytes = std::mem::take(&mut self.0);
-        while bytes != 0 {
-            let shift = bytes.trailing_zeros() & !7;
-            stats.record_stalls(StallReason::ALL[shift as usize / 8], now, bytes >> shift & 0xff);
-            bytes &= !(0xff << shift);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,28 +397,6 @@ mod tests {
                 assert_eq!(spanned, looped, "span [{from}, {to}) x {slots}");
                 assert_eq!(bulk, looped, "per-cycle adds [{from}, {to}) x {slots}");
             }
-        }
-    }
-
-    #[test]
-    fn a_flushed_tally_equals_one_record_per_stall() {
-        // Every reason, a full 64-slot byte, and cycles in two windows.
-        for now in [0, 3 * STALL_WINDOW_CYCLES - 1] {
-            let mut tally = StallTally::default();
-            let mut flushed = RunStats::default();
-            let mut looped = RunStats::default();
-            for (i, reason) in StallReason::ALL.into_iter().enumerate() {
-                let n = [64, 1, 0, 7, 2, 0, 255 - 64, 3][i];
-                tally.add(reason, n);
-                for _ in 0..n {
-                    looped.record_stalls(reason, now, 1);
-                }
-            }
-            tally.flush(&mut flushed, now);
-            assert_eq!(flushed, looped, "cycle {now}");
-            // A flush empties the tally.
-            tally.flush(&mut flushed, now + 1);
-            assert_eq!(flushed, looped, "cycle {now}, second flush");
         }
     }
 

@@ -5,12 +5,18 @@
 //! (with the blocking instruction's PC), standby-station parks,
 //! FU-arbitration wins and losses (with the competing slots), result
 //! writebacks, queue-register pushes/pops, priority rotations, thread
-//! binds, and context switches. Tracing is zero-cost when disabled:
-//! every emission site is guarded by an `Option` check and events are
-//! only constructed when a sink is attached.
+//! binds, and context switches. Tracing costs nothing while no sink is
+//! attached: the cycle kernel is compiled twice, with and without sink
+//! emission, and a run picks one once per call, so the untraced kernel
+//! carries no emission code at all and the traced one builds an event
+//! only for an attached sink. A run with any sink attached, a
+//! [`NullSink`] included, steps every cycle and so forgoes the event
+//! wheel's jumps over stalled spans.
 //!
-//! Three sinks ship with the simulator:
+//! Four sinks ship with the simulator:
 //!
+//! * [`NullSink`] — drops every event, the baseline for measuring the
+//!   traced kernel's own cost;
 //! * [`RingSink`] — a bounded in-memory ring, the backbone of the test
 //!   harness (keeps the last N events for post-mortem dumps);
 //! * [`ChromeSink`] — records everything and renders Chrome

@@ -1,13 +1,14 @@
 //! The issue phase visits the bound slots in one ordered walk per
-//! cycle and counts the cycle's stalls in one tally, recorded in the
-//! statistics once per reason when the phase ends. These are the walk's
-//! edge cases: a visit that changes what a later-ranked slot sees (a
-//! queue pop lifting a block, `killothers`, `fastfork`) and a fault
-//! that ends the phase early. Each case pins the whole `RunStats`,
-//! stall windows included, as recorded when every stall was counted on
-//! its own, for a traced run (every cycle stepped) and an untraced one
-//! (the event wheel may jump), and checks in the trace that the edge
-//! case happened.
+//! cycle, records each stall where it happens and pushes each
+//! functional-unit issue straight into its standby station. These are
+//! the walk's edge cases: a visit that changes what a later-ranked slot
+//! sees (a queue pop lifting a block, `killothers`, `fastfork`), a
+//! fault that ends the phase early, and, at issue widths 2 and 4, a
+//! fence (`drain`, `chgpri`) issuing behind a functional-unit op of
+//! its own cycle, which already stands in its station by then. Each
+//! case pins the whole `RunStats`, stall windows included, for a traced
+//! run (every cycle stepped) and an untraced one (the event wheel may
+//! jump), and checks in the trace that the edge case happened.
 
 use hirata_sim::{
     Config, Machine, MachineError, RingSink, RunStats, StallBreakdown, StallReason, TraceEvent,
@@ -267,4 +268,92 @@ fn after_fastfork_the_children_stall_on_fetch_that_cycle() {
             rotations: 2,
         }
     );
+}
+
+/// Slot 0's issues, as `(pc, cycle)` in issue order.
+fn issues(events: &[TraceEvent]) -> Vec<(u32, u64)> {
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::Issue { cycle, slot: 0, pc, .. } => Some((pc, cycle)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Runs `src` on one slot of issue width `width`; it must end cleanly.
+fn run_wide(src: &str, width: usize) -> (RunStats, Vec<(u32, u64)>) {
+    let mut config = Config::multithreaded(1);
+    config.issue_width = width;
+    let (ended, stats, events) = run(src, config);
+    assert_eq!(ended, Ok(()), "width {width}");
+    (stats, issues(&events))
+}
+
+/// The statistics of a one-slot run with the paper's seven units, its
+/// stalls all in the first window.
+fn one_slot_stats(
+    cycles: u64,
+    instructions: u64,
+    [fu_invocations, fu_busy]: [[u64; 7]; 2],
+    stalls: [u64; 8],
+    rotations: u64,
+) -> RunStats {
+    RunStats {
+        cycles,
+        instructions,
+        per_slot_issued: vec![instructions],
+        fu_invocations,
+        fu_busy,
+        fu_instances: [1; 7],
+        stalls: StallBreakdown::from_counts(stalls),
+        stall_windows: vec![stalls],
+        context_switches: 0,
+        threads_killed: 0,
+        rotations,
+    }
+}
+
+/// At issue width 2 and 4 the `add` and the `drain` behind it issue in
+/// one cycle: the fence waits only for what its slot had standing by
+/// before that cycle, not for the `add` issued beside it.
+#[test]
+fn at_width_2_and_4_drain_issues_beside_the_op_ahead_of_it() {
+    let src = "add r2, r0, #1\ndrain\nadd r3, r0, #2\nhalt";
+    for width in [2, 4] {
+        let (stats, issued) = run_wide(src, width);
+        assert_eq!(issued, [(0, 5), (1, 5), (2, 6), (3, 6)], "width {width}");
+        assert_eq!(
+            stats,
+            one_slot_stats(7, 4, [[2, 0, 0, 0, 0, 0, 0]; 2], [0, 3, 2, 0, 0, 0, 0, 0], 0),
+            "width {width}"
+        );
+    }
+}
+
+/// At issue width 2 and 4 the gated `swp` and the `chgpri` behind it
+/// issue in one cycle: `chgpri` waits only for gated stores standing by
+/// from earlier cycles, not for the `swp` issued beside it.
+#[test]
+fn at_width_2_and_4_chgpri_issues_beside_the_gated_store_ahead_of_it() {
+    let src = "setrot explicit\nli r2, #7\nswp r2, 500(r0)\nchgpri\nli r3, #1\nhalt";
+    let cases = [
+        (2, [(0, 5), (1, 5), (2, 8), (3, 8), (4, 9), (5, 9)], 10),
+        (4, [(0, 5), (1, 5), (2, 8), (3, 8), (4, 8), (5, 8)], 9),
+    ];
+    for (width, expected, cycles) in cases {
+        let (stats, issued) = run_wide(src, width);
+        assert_eq!(issued, expected, "width {width}");
+        assert_eq!(
+            stats,
+            one_slot_stats(
+                cycles,
+                6,
+                [[2, 0, 0, 0, 0, 0, 1], [2, 0, 0, 0, 0, 0, 2]],
+                [0, 3, 2, 2, 0, 0, 0, 0],
+                1
+            ),
+            "width {width}"
+        );
+    }
 }
